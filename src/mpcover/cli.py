@@ -19,7 +19,7 @@ from .construct import GROUPINGS, multipartite_cover, tc2_cover
 from .covers import (cover_from_json, cover_to_json, subgraph_diameter,
                      verify_cover)
 from .errors import (CapExceeded, ConstructionExhausted, InequalityViolated,
-                     MpcoverError)
+                     InvalidParameter, MpcoverError)
 from .families import parse_family
 from .graphs import (EdgeColoring, build_shape, coloring_from_json,
                      coloring_to_json)
@@ -74,6 +74,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    if args.d < 0:
+        raise InvalidParameter(f"--d must be a non-negative integer, got {args.d}")
     chi = coloring_from_json(_read_json(args.input))
     cfg = {"command": "cover", "input": args.input, "d": args.d,
            "grouping": args.grouping}
@@ -107,6 +109,10 @@ def cmd_cover(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.t < 1:
+        raise InvalidParameter(f"--t must be a positive integer, got {args.t}")
+    if args.d < 0:
+        raise InvalidParameter(f"--d must be a non-negative integer, got {args.d}")
     chi = coloring_from_json(_read_json(args.coloring))
     cover = cover_from_json(_read_json(args.cover))
     cfg = {"command": "verify", "coloring": args.coloring, "cover": args.cover,

@@ -7,7 +7,10 @@ normal form iff one exists at all.  Singletons are valid subgraphs of
 diameter 0, which also lets a cover use fewer than t useful parts.
 
 Verification never trusts the producer: coverage, per-subgraph connectivity
-and diameter are all recomputed from the coloring.
+and diameter are all recomputed from the coloring.  ``verify_cover`` reports
+the first violation with an exact witness; ``certifies`` gives the same
+verdict as a bare boolean and stops early, for searches that reject most of
+their candidates.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidCover
-from .graphs import (COLOR_NAMES, INF, EdgeColoring, color_from_name,
-                     diameter_in_mask, mask_of)
+from .graphs import (COLOR_NAMES, COLORS, INF, EdgeColoring, color_from_name,
+                     diameter_at_most, diameter_in_mask, mask_of)
 
 # Violation kinds, in no particular order of severity.
 COVERAGE_GAP = "CoverageGap"
@@ -106,6 +109,24 @@ def verify_cover(chi: EdgeColoring, cover: Cover, d: int, t: int):
     return None
 
 
+def certifies(chi: EdgeColoring, cover: Cover, d: int, t: int) -> bool:
+    """``verify_cover(chi, cover, d, t) is None``, without finding a witness.
+
+    The search's reject test: the piece count first, then coverage as one OR
+    of the piece masks, then an early-exit diameter check on each piece.
+    """
+    if len(cover) > t:
+        return False
+    masks = [g.mask for g in cover]
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    if covered != chi.shape.full_mask:
+        return False
+    return all(diameter_at_most(chi, g.color, mask, d)
+               for g, mask in zip(cover, masks))
+
+
 # ============================================================================
 # FILE FORMAT
 # ============================================================================
@@ -121,10 +142,19 @@ def cover_from_json(obj: dict) -> Cover:
         subs = obj["subgraphs"]
     except (KeyError, TypeError):
         raise InvalidCover("cover JSON needs a 'subgraphs' list")
+    if not isinstance(subs, list):
+        raise InvalidCover("cover JSON 'subgraphs' must be a list")
     out = []
     for entry in subs:
-        color = entry["color"]
+        try:
+            color = entry["color"]
+            vertices = frozenset(int(v) for v in entry["vertices"])
+        except (KeyError, TypeError, ValueError):
+            raise InvalidCover(f"cover subgraph {entry!r} needs a 'color' and "
+                               f"a 'vertices' list of integers")
         if isinstance(color, str):
             color = color_from_name(color)
-        out.append(MonoSubgraph(color, frozenset(int(v) for v in entry["vertices"])))
+        elif color not in COLORS:
+            raise InvalidCover(f"unknown color {color!r}")
+        out.append(MonoSubgraph(color, vertices))
     return Cover(tuple(out))

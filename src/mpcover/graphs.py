@@ -311,6 +311,30 @@ def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
     return best
 
 
+def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
+    """``diameter_in_mask(chi, c, allowed) <= d``, with early exit.
+
+    Grows a ball of radius d around each vertex of the mask, inside the mask,
+    and stops at the first ball that misses part of it.
+    """
+    if d < 0:
+        return False
+    rows = chi.adj[c]
+    for u in bits_of(allowed):
+        ball = frontier = 1 << u
+        for _ in range(d):
+            grow = 0
+            for v in bits_of(frontier):
+                grow |= rows[v]
+            frontier = grow & allowed & ~ball
+            if not frontier:
+                break
+            ball |= frontier
+        if ball != allowed:
+            return False
+    return True
+
+
 def eccentricity(chi: EdgeColoring, c: int, v: int) -> int:
     """Max color-c distance from v to any other vertex (INF if some unreachable)."""
     row = chi.distances(c)[v]
@@ -480,10 +504,26 @@ def coloring_from_json(obj: dict) -> EdgeColoring:
             new_at += 1
 
     if "edges" in obj:
-        return EdgeColoring.from_edges(
-            shape, [(vmap[u], vmap[v], c) for u, v, c in obj["edges"]])
+        entries = obj["edges"]
+        if not isinstance(entries, list):
+            raise InvalidShape("coloring JSON 'edges' must be a list")
+        colored = []
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and all(isinstance(u, int) and 0 <= u < shape.n
+                            for u in entry[:2])
+                    and (isinstance(entry[2], str) or entry[2] in COLORS)):
+                raise InvalidShape(f"edge entry {entry!r} is not [u, v, color] "
+                                   f"with u, v in 0..{shape.n - 1}")
+            u, v, c = entry
+            colored.append((vmap[u], vmap[v], c))
+        return EdgeColoring.from_edges(shape, colored)
     if "bits" in obj:
-        file_bits = int(obj["bits"], 16)
+        try:
+            file_bits = int(obj["bits"], 16)
+        except (TypeError, ValueError):
+            raise InvalidShape(f"coloring JSON 'bits' must be a hex string, "
+                               f"got {obj['bits']!r}")
         file_part = []
         for p, a in enumerate(raw_sizes):
             file_part.extend([p] * a)

@@ -4,8 +4,13 @@
 pieces of diameter <= d (t in {1, 2}).  The decision ladder runs certificate
 producers from cheap to expensive — spanning diameter, two stars at a vertex,
 star + double-star pairs — and only then the exhaustive assignment of every
-vertex to bag 1 / bag 2 / both.  Every positive answer is backed by a cover
-that passed ``verify_cover``; classification is by certificate only.
+vertex to bag 1 / bag 2 / both.  Candidates are accepted or rejected with the
+early-exit ``certifies``; the one cover the ladder returns is then checked
+again by ``verify_cover``, so every positive answer is backed by a cover that
+passed it, and classification is by certificate only.  Two rungs are settled
+by counting: a piece of diameter 0 is one vertex, and a piece of diameter 1 is
+a clique, so it holds at most one vertex per part; with k parts no cover
+exists at d = 0 when n > t, nor at d = 1 when n > t·k.
 
 ``compute_D`` maximizes the per-coloring minimal feasible d over all
 colorings of a shape up to symmetry.  The enumeration space is split into
@@ -29,11 +34,10 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .construct import star_doublestar_search, two_stars_at
-from .covers import make_cover, verify_cover
+from .covers import certifies, make_cover, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
-                     bilayer_partition, bits_of, build_shape, diameter_in_mask,
-                     other_color)
+                     bilayer_partition, bits_of, build_shape, other_color)
 from .symmetry import (canonical_classes, key_to_bits, symmetry_group,
                        vertex_group_order)
 
@@ -112,16 +116,8 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int):
 
     def dfs(i, in1, in2, ex1, ex2):
         if i == n:
-            pieces = []
-            for inb, c in ((in1, c1), (in2, c2)):
-                if inb:
-                    if diameter_in_mask(chi, c, inb) > d:
-                        return None
-                    pieces.append((c, bits_of(inb)))
-            if not pieces:
-                return None
-            cover = make_cover(*pieces)
-            return cover if verify_cover(chi, cover, d, 2) is None else None
+            cover = make_cover((c1, bits_of(in1)), (c2, bits_of(in2)))
+            return cover if certifies(chi, cover, d, 2) else None
         # a later vertex already barred from both bags kills the branch
         for u in bits_of(suffix[i]):
             if (in1 & conf[0][u]) and (in2 & conf[1][u]):
@@ -163,12 +159,12 @@ def _clone_or_none(shape, v):
 
 
 def _try(chi, d, *pieces):
-    """Build and verify a candidate; None unless it certifies."""
+    """Build a candidate; None unless it certifies."""
     pieces = [(c, list(vs)) for c, vs in pieces]
     if any(not vs for _, vs in pieces):
         return None
     cover = make_cover(*pieces)
-    return cover if verify_cover(chi, cover, d, 2) is None else None
+    return cover if certifies(chi, cover, d, 2) else None
 
 
 def _prune_labeled(chi: EdgeColoring, d: int):
@@ -183,7 +179,7 @@ def _prune_labeled(chi: EdgeColoring, d: int):
     shape = chi.shape
     for u in range(chi.n):
         cover = two_stars_at(chi, u)
-        if verify_cover(chi, cover, d, 2) is None:
+        if certifies(chi, cover, d, 2):
             return cover, "two-stars"
 
     size2 = _size2_vertices(shape)
@@ -307,15 +303,28 @@ def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
 
 def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
     """(verified cover | None, label of the deciding rule)."""
+    cover, label = _ladder(chi, t, d, prune)
+    if cover is not None:
+        violation = verify_cover(chi, cover, d, t)
+        if violation is not None:
+            raise RuntimeError(f"rule {label!r} returned a cover that fails "
+                               f"verify_cover: {violation.describe()}")
+    return cover, label
+
+
+def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
+    """(cover | None, label of the deciding rule); covers pass ``certifies``."""
     n = chi.n
     if n <= t:
         return make_cover(*((BLUE, [v]) for v in range(n))), "tiny"
     if d == 0:
         return None, "none"  # diameter-0 pieces are singletons; n > t
+    if d == 1 and n > t * chi.shape.k:
+        return None, "none"  # diameter-1 pieces are cliques: one vertex per part
     for c in (RED, BLUE):
         if _spanning_diameter(chi, c) <= d:
             cover = make_cover((c, range(n)))
-            if verify_cover(chi, cover, d, t) is None:
+            if certifies(chi, cover, d, t):
                 return cover, "spanning"
     if t == 1:
         return None, "none"
@@ -327,7 +336,7 @@ def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
         else:
             for u in range(n):
                 cover = two_stars_at(chi, u)
-                if verify_cover(chi, cover, d, 2) is None:
+                if certifies(chi, cover, d, 2):
                     return cover, "two-stars"
     if d >= 3:
         cover = star_doublestar_search(chi, d)
@@ -453,6 +462,27 @@ def _merge_best(a, b):
     return a if a[1] <= b[1] else b
 
 
+MAX_NOTES = 25
+
+
+def _note_order(note: str):
+    # notes read "key=<hex> <fact>"; order by the class key as a number
+    head, _, rest = note.partition(" ")
+    return int(head[len("key="):], 16), rest
+
+
+def keep_notes(*note_lists) -> list:
+    """The MAX_NOTES smallest distinct notes by (class key, text), in order.
+
+    Associative and commutative, so the notes a survey keeps do not depend
+    on chunking, thread count or resume boundaries.
+    """
+    notes = set()
+    for group in note_lists:
+        notes.update(group)
+    return sorted(notes, key=_note_order)[:MAX_NOTES]
+
+
 _ENGINE_CACHE = {}
 
 
@@ -474,7 +504,7 @@ def _chunk_worker(args):
     best = None
     survivors = 0
     violations = 0
-    notes = set()
+    notes = []
     last_key = None
     for key, bits in canonical_classes(shape, group, lo=lo, hi=hi, start=pos):
         chi = EdgeColoring(shape, bits)
@@ -484,17 +514,15 @@ def _chunk_worker(args):
         best = _merge_best(best, (min_d, key))
         if surv is not None:
             survivors += 1
-            for note in surv[1]:
-                violations += 1
-                if len(notes) < 25:
-                    notes.add(f"key={key:x} {note}")
+            violations += len(surv[1])
+            notes = keep_notes(notes, [f"key={key:x} {note}" for note in surv[1]])
         last_key = key
         if limit is not None and classes >= limit:
             break
     done = limit is None or classes < limit
     next_pos = hi if done else last_key + 1
-    return (classes, dict(rules), best, survivors, violations,
-            sorted(notes), next_pos)
+    return (classes, dict(rules), best, survivors, violations, notes,
+            next_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +549,35 @@ def save_checkpoint(path: str, state: dict) -> None:
 def load_checkpoint(path: str) -> dict:
     with open(path) as fh:
         state = json.load(fh)
-    if state.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(state, dict) or state.get("version") != CHECKPOINT_VERSION:
         raise InvalidParameter(f"unsupported checkpoint version in {path}")
     return state
+
+
+def _resume(state: dict, path: str, config: dict):
+    """(ranges, classes, rules, best, survivors, violations, notes, seconds)."""
+    try:
+        if state["config"] != config:
+            raise InvalidParameter(
+                f"checkpoint {path} was written with different "
+                f"settings: {state['config']} vs {config}")
+        ranges = [list(r) for r in state["cursor_ranges"]]
+        if not all(len(r) == 3 and all(type(a) is int for a in r)
+                   for r in ranges):
+            raise ValueError("cursor_ranges must hold [lo, hi, pos] integers")
+        counts = state["counts"]
+        d, bits = state["best"]["d"], state["best"]["witness_bits"]
+        return (ranges,
+                int(counts["classes_enumerated"]),
+                Counter({str(k): int(v)
+                         for k, v in counts["pruned_by_rule"].items()}),
+                None if d is None else (int(d), int(bits, 16)),
+                int(counts.get("survivors", 0)),
+                int(counts.get("property_violations", 0)),
+                keep_notes(counts.get("violation_notes", [])),
+                float(counts.get("seconds", 0.0)))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise InvalidParameter(f"malformed checkpoint {path}: {e!r}")
 
 
 def _checkpoint_config(sizes, t, d_max, use_symmetry, prune, survey_d):
@@ -576,6 +630,9 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
         raise InvalidParameter(f"d_max must be >= 0, got {d_max}")
     if threads < 1:
         raise InvalidParameter(f"threads must be >= 1, got {threads}")
+    if stop_after_classes is not None and not checkpoint_path:
+        raise InvalidParameter("stopping early needs a checkpoint path to "
+                               "keep the progress in")
     shape = build_shape(sizes)
     cap = _edge_cap(cap_edges)
     if shape.m > cap:
@@ -593,25 +650,13 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     best = None
     survivors = 0
     violations = 0
-    notes = set()
+    notes = []
     spent = 0.0
 
     if checkpoint_path and os.path.exists(checkpoint_path):
-        state = load_checkpoint(checkpoint_path)
-        if state["config"] != config:
-            raise InvalidParameter(
-                f"checkpoint {checkpoint_path} was written with different "
-                f"settings: {state['config']} vs {config}")
-        ranges = [list(r) for r in state["cursor_ranges"]]
-        counts = state["counts"]
-        classes = counts["classes_enumerated"]
-        rules = Counter(counts["pruned_by_rule"])
-        survivors = counts.get("survivors", 0)
-        violations = counts.get("property_violations", 0)
-        notes = set(counts.get("violation_notes", []))
-        spent = counts.get("seconds", 0.0)
-        if state["best"]["d"] is not None:
-            best = (state["best"]["d"], int(state["best"]["witness_bits"], 16))
+        (ranges, classes, rules, best, survivors, violations, notes,
+         spent) = _resume(load_checkpoint(checkpoint_path), checkpoint_path,
+                          config)
 
     def snapshot():
         return {
@@ -626,7 +671,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
                        "pruned_by_rule": {k: rules[k] for k in sorted(rules)},
                        "survivors": survivors,
                        "property_violations": violations,
-                       "violation_notes": sorted(notes),
+                       "violation_notes": notes,
                        "seconds": round(spent, 3)},
         }
 
@@ -661,9 +706,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
                 best = _merge_best(best, chunk_best)
                 survivors += surv
                 violations += viol
-                for note in chunk_notes:
-                    if len(notes) < 25:
-                        notes.add(note)
+                notes = keep_notes(notes, chunk_notes)
                 ranges[i][2] = next_pos
                 if budget is not None:
                     budget -= done
@@ -688,7 +731,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
         witness_bits=key_to_bits(key, shape.m), classes=classes,
         rules={k: rules[k] for k in sorted(rules)},
         use_symmetry=use_symmetry, survivors=survivors,
-        violations=violations, notes=tuple(sorted(notes)), seconds=spent)
+        violations=violations, notes=tuple(notes), seconds=spent)
     if checkpoint_path:
         save_checkpoint(checkpoint_path, snapshot())
     return result

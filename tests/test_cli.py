@@ -1,13 +1,18 @@
 """End-to-end runs of the command-line surface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_coloring
 from mpcover.cli import CONFIG_ERROR, OK, REFUTED, main
-from mpcover.covers import cover_from_json, verify_cover
-from mpcover.graphs import coloring_from_json, coloring_to_json
+from mpcover.covers import (cover_from_json, cover_to_json, make_cover,
+                            verify_cover)
+from mpcover.graphs import (RED, EdgeColoring, build_shape,
+                            coloring_from_json, coloring_to_json)
 from mpcover.search import SearchResult
 
 
@@ -106,6 +111,34 @@ def test_verify_good_and_bad(tmp_path, capsys, rng):
     assert "violation" in json.loads(out)
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("verify", ("--t", "0", "--d", "2")),
+    ("verify", ("--t", "2", "--d", "-1")),
+    ("cover", ("--d", "-1")),
+], ids=["verify-t-0", "verify-negative-d", "cover-negative-d"])
+def test_bad_t_or_d_is_config_error(tmp_path, capsys, command, flags):
+    chi = EdgeColoring.all_same(build_shape([2, 1]), RED)
+    cpath = write_coloring(tmp_path, chi)
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(cover_to_json(make_cover((RED, range(3))))))
+    files = (("--coloring", cpath, "--cover", str(cover_path))
+             if command == "verify" else ("--input", cpath))
+    code, out, err = run(capsys, command, *files, *flags)
+    assert code == CONFIG_ERROR and out == ""
+    assert "InvalidParameter" in err
+
+
+def test_verify_accepts_more_than_two_pieces(tmp_path, capsys):
+    chi = EdgeColoring.all_same(build_shape([2, 1]), RED)
+    cpath = write_coloring(tmp_path, chi)
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(cover_to_json(make_cover(
+        (RED, [0]), (RED, [1]), (RED, [2])))))
+    code, out, _ = run(capsys, "verify", "--coloring", cpath,
+                       "--cover", str(cover_path), "--d", "0", "--t", "3")
+    assert code == OK and json.loads(out)["ok"] is True
+
+
 def test_exists_fig4_tight_and_relaxed(tmp_path, capsys):
     fam = tmp_path / "fig4.json"
     assert main(["gen", "--family", "fig4", "-o", str(fam)]) == OK
@@ -160,6 +193,13 @@ def test_compute_d_resume_loop(tmp_path, capsys):
     else:
         pytest.fail("resume loop never finished")
     assert obj["result"] == json.loads(straight)["result"]
+
+
+def test_compute_d_stop_after_needs_checkpoint(capsys):
+    code, out, err = run(capsys, "compute-d", "--parts", "2,2,1",
+                         "--stop-after", "3")
+    assert code == CONFIG_ERROR and out == ""
+    assert "InvalidParameter" in err and "checkpoint" in err
 
 
 def test_compute_d_env_cap(capsys, monkeypatch):
@@ -226,3 +266,33 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "cover", "--input",
                        str(tmp_path / "missing.json"))
     assert code == CONFIG_ERROR
+
+
+GOOD_COLORING = {"parts": [2, 1], "bits": "0"}
+GOOD_COVER = {"subgraphs": [{"color": "red", "vertices": [0, 1, 2]}]}
+VERIFY = ("verify", "--coloring", "chi.json", "--cover", "cover.json",
+          "--d", "2", "--t", "2")
+
+
+@pytest.mark.parametrize("files,argv", [
+    ({"chi.json": {"parts": [2, 1], "bits": "zz"}, "cover.json": GOOD_COVER},
+     VERIFY),
+    ({"chi.json": {"parts": [2, 1], "edges": [[0, 2], [1, 2]]},
+      "cover.json": GOOD_COVER}, VERIFY),
+    ({"chi.json": GOOD_COLORING,
+      "cover.json": {"subgraphs": [{"vertices": [0, 1, 2]}]}}, VERIFY),
+    ({"cp.json": {"version": 1}},
+     ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")),
+], ids=["bits-not-hex", "edge-without-color", "subgraph-without-color",
+        "checkpoint-without-config"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "mpcover.cli", *argv],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == CONFIG_ERROR, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("mpcover: ")

@@ -8,8 +8,8 @@ from conftest import random_coloring
 from mpcover.construct import two_stars_at
 from mpcover.covers import (COVERAGE_GAP, DIAMETER_EXCEEDED, DISCONNECTED,
                             TOO_MANY_SUBGRAPHS, Cover, MonoSubgraph,
-                            cover_from_json, cover_to_json, make_cover,
-                            subgraph_diameter, verify_cover)
+                            certifies, cover_from_json, cover_to_json,
+                            make_cover, subgraph_diameter, verify_cover)
 from mpcover.errors import InvalidCover
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, bits_of,
                             build_shape)
@@ -71,6 +71,36 @@ def test_violation_kinds():
         chi, make_cover((RED, [0]), (RED, [1]), (RED, [2, 3])), 2, 2)
     assert many.kind == TOO_MANY_SUBGRAPHS
     assert "TooManySubgraphs" in many.describe()
+
+
+def test_certifies_on_each_violation_kind():
+    chi = EdgeColoring.all_same(build_shape([2, 2]), RED)
+    assert certifies(chi, make_cover((RED, range(4))), 2, 1)
+    assert not certifies(chi, make_cover((RED, [0, 2, 3])), 2, 2)  # gap
+    assert not certifies(chi, make_cover((RED, [0, 1]), (RED, [2, 3])), 2, 2)
+    assert not certifies(chi, make_cover((RED, [0, 1, 2]), (RED, [3])), 1, 2)
+    assert not certifies(chi, make_cover((RED, [0]), (RED, [1]), (RED, [2, 3])), 2, 2)
+
+
+@st.composite
+def shapes_up_to_ten(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    while sum(sizes) > 10:
+        sizes.pop()
+    return build_shape(sizes)
+
+
+@settings(deadline=None, max_examples=400)
+@given(shapes_up_to_ten(), st.data(), st.integers(0, 4), st.integers(1, 3))
+def test_certifies_agrees_with_verify_cover(shape, data, d, t):
+    # random vertex sets make disconnected, too-wide and gap-leaving pieces;
+    # the whole vertex set is drawn often enough to give passing covers too
+    chi = EdgeColoring(shape, data.draw(st.integers(0, (1 << shape.m) - 1)))
+    masks = st.one_of(st.just(shape.full_mask), st.integers(1, shape.full_mask))
+    pieces = data.draw(st.lists(st.tuples(st.sampled_from((RED, BLUE)), masks),
+                                min_size=1, max_size=3))
+    cover = make_cover(*((c, bits_of(m)) for c, m in pieces))
+    assert certifies(chi, cover, d, t) == (verify_cover(chi, cover, d, t) is None)
 
 
 def test_verify_is_deterministic_first_fail():
@@ -166,3 +196,7 @@ def test_cover_json_rejects_junk():
         cover_from_json({"not": "a cover"})
     with pytest.raises(InvalidCover):
         cover_from_json({"subgraphs": [{"color": "red", "vertices": []}]})
+    with pytest.raises(InvalidCover):
+        cover_from_json({"subgraphs": [{"vertices": [0, 1]}]})
+    with pytest.raises(InvalidCover):
+        cover_from_json({"subgraphs": [{"color": 7, "vertices": [0]}]})

@@ -10,7 +10,8 @@ from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, bfs_layers,
                             bilayer_partition, bits_of, build_shape,
                             clone_profile, color_diameter, color_distance,
-                            coloring_from_json, coloring_to_json, eccentricity,
+                            coloring_from_json, coloring_to_json,
+                            diameter_at_most, diameter_in_mask, eccentricity,
                             mask_of, other_color)
 
 SMALL_SHAPES = ((2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1),
@@ -132,6 +133,14 @@ def test_color_diameter():
     assert color_diameter(allblue, RED) >= INF
     with pytest.raises(EmptySet):
         color_diameter(allblue, BLUE, [])
+
+
+@settings(deadline=None, max_examples=300)
+@given(colorings(SMALL_SHAPES + ((3, 3, 2), (4, 2, 2, 1))), st.data(),
+       st.sampled_from((RED, BLUE)), st.integers(0, 4))
+def test_diameter_at_most_matches_diameter_in_mask(chi, data, c, d):
+    mask = data.draw(st.integers(0, chi.shape.full_mask))
+    assert diameter_at_most(chi, c, mask, d) == (diameter_in_mask(chi, c, mask) <= d)
 
 
 def test_eccentricity_allred():
@@ -258,6 +267,12 @@ def test_coloring_json_labels_and_errors():
         coloring_from_json({"edges": []})
     with pytest.raises(InvalidShape):
         coloring_from_json({"parts": [2, 1], "bits": "ff"})  # too many bits
+    with pytest.raises(InvalidShape):
+        coloring_from_json({"parts": [2, 1], "bits": "zz"})  # not hex
+    with pytest.raises(InvalidShape):
+        coloring_from_json({"parts": [2, 1], "edges": [[0, 2], [1, 2]]})
+    with pytest.raises(InvalidShape):
+        coloring_from_json({"parts": [2, 1], "edges": [[0, 5, "red"]]})
 
 
 def test_mask_helpers():

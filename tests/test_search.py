@@ -6,15 +6,18 @@ import os
 import pytest
 
 from conftest import random_coloring
-from mpcover.covers import verify_cover
-from mpcover.errors import CapExceeded, InvalidParameter, Unsupported
+from mpcover import search
+from mpcover.covers import make_cover, verify_cover
+from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
+                            Unsupported)
 from mpcover.graphs import (BLUE, RED, EdgeColoring, build_shape,
                             diameter_in_mask)
-from mpcover.search import (SearchResult, check_monotone_extension,
+from mpcover.search import (MAX_NOTES, SearchResult, check_monotone_extension,
                             classify_tripartite, compute_D, cover_exists,
-                            find_cover, gk_survey, load_checkpoint,
-                            min_cover_diameter, prune_with_constructions,
-                            save_checkpoint, survivor_property_violations)
+                            find_cover, gk_survey, keep_notes,
+                            load_checkpoint, min_cover_diameter,
+                            prune_with_constructions, save_checkpoint,
+                            survivor_property_violations, two_bag_cover)
 from mpcover.symmetry import symmetry_group
 
 
@@ -96,6 +99,26 @@ def test_orbit_invariance_of_existence(rng):
         base = cover_exists(chi, 2, 2)
         assert cover_exists(chi.swap_colors(), 2, 2) == base
         assert cover_exists(chi.permute([1, 0, 3, 2, 4, 5]), 2, 2) == base
+
+
+def test_no_diameter_one_cover_when_n_exceeds_two_k(rng):
+    # the oracle behind the ladder's counting bound: a diameter-1 piece is a
+    # clique, so it holds at most one vertex per part
+    for sizes in ([3, 2, 2], [4, 2, 1], [3, 3, 2]):
+        for _ in range(10):
+            assert two_bag_cover(random_coloring(rng, sizes), 1) is None
+    allred = EdgeColoring.all_same(build_shape([3, 2, 2]), RED)
+    assert two_bag_cover(allred, 1) is None
+
+
+def test_a_returned_cover_that_fails_verification_is_an_internal_error(
+        rng, monkeypatch):
+    chi = random_coloring(rng, [2, 2, 1])
+    monkeypatch.setattr(search, "_ladder",
+                        lambda *args: (make_cover((RED, [0])), "spanning"))
+    with pytest.raises(RuntimeError, match="CoverageGap") as err:
+        find_cover(chi, 2, 2)
+    assert not isinstance(err.value, MpcoverError)  # never a config error
 
 
 def test_min_cover_diameter_allred_g3():
@@ -251,6 +274,44 @@ def test_checkpoint_rejects_mismatched_settings(tmp_path):
     save_checkpoint(str(cp), state)
     with pytest.raises(InvalidParameter):
         compute_D([2, 2, 1], checkpoint_path=str(cp))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda good: {"version": 1},
+    lambda good: [1],
+    lambda good: dict(good, cursor_ranges=[[0, "x", 0]]),
+    lambda good: dict(good, counts={"classes_enumerated": 0}),
+], ids=["no-config", "not-an-object", "bad-range", "missing-counts"])
+def test_checkpoint_rejects_malformed_files(tmp_path, corrupt):
+    cp = tmp_path / "cp.json"
+    compute_D([2, 2, 1], checkpoint_path=str(cp))
+    cp.write_text(json.dumps(corrupt(json.loads(cp.read_text()))))
+    with pytest.raises(InvalidParameter):
+        compute_D([2, 2, 1], checkpoint_path=str(cp))
+
+
+def test_stopping_early_needs_a_checkpoint():
+    with pytest.raises(InvalidParameter):
+        compute_D([2, 2, 1], stop_after_classes=3)
+
+
+def test_keep_notes_keeps_the_smallest_keys_in_any_arrival_order(rng):
+    # keys of one to four hex digits, so string order and key order differ
+    notes = [f"key={11 * i * i:x} far-cell x=0 cell=(3,3)" for i in range(30)]
+    notes.append("key=2c far-cell x=0 cell=(2,3)")
+    want = sorted(notes, key=lambda s: (int(s.split()[0][4:], 16), s))[:MAX_NOTES]
+    assert want.index("key=2c far-cell x=0 cell=(2,3)") == 2
+    assert len(notes) > MAX_NOTES
+
+    forward = []
+    for i in range(0, len(notes), 7):
+        forward = keep_notes(forward, notes[i:i + 7])
+    shuffled = notes[::-1]
+    rng.shuffle(shuffled)
+    chunks = [keep_notes(shuffled[i:i + 4]) for i in range(0, len(shuffled), 4)]
+    backward = keep_notes(*chunks[::-1])
+    assert forward == backward == want
+    assert keep_notes(want, want) == want
 
 
 def test_checkpoint_file_shape(tmp_path):
