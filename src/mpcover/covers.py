@@ -146,12 +146,13 @@ def cover_from_json(obj: dict) -> Cover:
         raise InvalidCover("cover JSON 'subgraphs' must be a list")
     out = []
     for entry in subs:
-        try:
-            color = entry["color"]
-            vertices = frozenset(int(v) for v in entry["vertices"])
-        except (KeyError, TypeError, ValueError):
+        if not (isinstance(entry, dict) and "color" in entry
+                and isinstance(entry.get("vertices"), list)
+                and all(type(v) is int for v in entry["vertices"])):
             raise InvalidCover(f"cover subgraph {entry!r} needs a 'color' and "
                                f"a 'vertices' list of integers")
+        color = entry["color"]
+        vertices = frozenset(entry["vertices"])
         if isinstance(color, str):
             color = color_from_name(color)
         elif color not in COLORS:

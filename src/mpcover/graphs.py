@@ -5,7 +5,8 @@ vertices 0..n-1 are numbered so that each part occupies a contiguous block.
 Edges (u < v, u and v in different parts) are ordered lexicographically and a
 2-coloring is a dense bitstring over that order: bit i = 1 means edge i is
 blue, 0 means red.  All distance work runs on per-color bitmask adjacency
-rows, so a BFS step is one OR-fold over the frontier.
+rows, so a BFS step is one OR-fold over the frontier.  One ball kernel,
+``_ball_radius``, backs both the exact mask diameter and the bounded test.
 
 Includes the layer decompositions used by the cover constructions: single-root
 color-BFS layers split over a 3-group partition of the parts, the four
@@ -24,6 +25,11 @@ RED = 0
 BLUE = 1
 COLORS = (RED, BLUE)
 COLOR_NAMES = {RED: "red", BLUE: "blue"}
+
+# Largest vertex count a shape may have.  Far above every real use (the
+# fuzz drivers stay at n <= 30), it keeps a hostile input from starting the
+# O(n^2) edge enumeration.
+MAX_VERTICES = 1024
 
 # Distance sentinel for "unreachable"; larger than any real distance and
 # stable under the +1 arithmetic done by bounded scans.
@@ -74,9 +80,13 @@ class MultipartiteShape:
         if not sizes or any(a < 1 for a in sizes):
             raise InvalidShape(f"part sizes must be a nonempty list of "
                                f"positive integers, got {list(part_sizes)!r}")
+        n = sum(sizes)
+        if n > MAX_VERTICES:
+            raise InvalidShape(f"shape has {n} vertices; at most "
+                               f"{MAX_VERTICES} are supported")
         self.part_sizes = sizes
         self.k = len(sizes)
-        self.n = sum(sizes)
+        self.n = n
         part_id = []
         starts = []
         at = 0
@@ -296,43 +306,51 @@ def color_diameter(chi: EdgeColoring, c: int, S=None) -> int:
     return diameter_in_mask(chi, c, allowed)
 
 
+def _ball_radius(rows, u: int, allowed: int, limit: int) -> int:
+    """Eccentricity of u in the graph induced on ``allowed`` (u in the mask).
+
+    Grows u's ball inside the mask one OR-fold at a time.  Returns
+    ``limit + 1`` once the ball needs more than ``limit`` steps, and INF when
+    it stops growing short of the mask.
+    """
+    ball = frontier = 1 << u
+    r = 0
+    while ball != allowed:
+        if r == limit:
+            return limit + 1
+        grow = 0
+        for v in bits_of(frontier):
+            grow |= rows[v]
+        frontier = grow & allowed & ~ball
+        if not frontier:
+            return INF
+        ball |= frontier
+        r += 1
+    return r
+
+
 def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
     """Diameter of the color-c graph induced on a vertex bitmask."""
     rows = chi.adj[c]
     best = 0
-    vs = list(bits_of(allowed))
-    for u in vs:
-        dist = _bfs_dists(rows, u, allowed, chi.n)
-        worst = max(dist[v] for v in vs)
-        if worst >= INF:
+    for u in bits_of(allowed):
+        r = _ball_radius(rows, u, allowed, INF)
+        if r >= INF:
             return INF
-        if worst > best:
-            best = worst
+        if r > best:
+            best = r
     return best
 
 
 def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     """``diameter_in_mask(chi, c, allowed) <= d``, with early exit.
 
-    Grows a ball of radius d around each vertex of the mask, inside the mask,
-    and stops at the first ball that misses part of it.
+    Stops at the first vertex whose radius-d ball misses part of the mask.
     """
     if d < 0:
         return False
     rows = chi.adj[c]
-    for u in bits_of(allowed):
-        ball = frontier = 1 << u
-        for _ in range(d):
-            grow = 0
-            for v in bits_of(frontier):
-                grow |= rows[v]
-            frontier = grow & allowed & ~ball
-            if not frontier:
-                break
-            ball |= frontier
-        if ball != allowed:
-            return False
-    return True
+    return all(_ball_radius(rows, u, allowed, d) <= d for u in bits_of(allowed))
 
 
 def eccentricity(chi: EdgeColoring, c: int, v: int) -> int:
@@ -484,9 +502,9 @@ def coloring_from_json(obj: dict) -> EdgeColoring:
     Part sizes may appear in any order; vertices are renumbered to the
     canonical layout (sizes descending, stable for ties, blocks contiguous).
     """
-    try:
-        raw_sizes = [int(a) for a in obj["parts"]]
-    except (KeyError, TypeError, ValueError):
+    raw_sizes = obj.get("parts") if isinstance(obj, dict) else None
+    if not (isinstance(raw_sizes, list)
+            and all(type(a) is int for a in raw_sizes)):
         raise InvalidShape("coloring JSON needs a 'parts' list of integers")
     shape = build_shape(raw_sizes)
     # Stable mapping from the file's vertex numbering to the canonical one.

@@ -4,13 +4,16 @@
 pieces of diameter <= d (t in {1, 2}).  The decision ladder runs certificate
 producers from cheap to expensive — spanning diameter, two stars at a vertex,
 star + double-star pairs — and only then the exhaustive assignment of every
-vertex to bag 1 / bag 2 / both.  Candidates are accepted or rejected with the
-early-exit ``certifies``; the one cover the ladder returns is then checked
-again by ``verify_cover``, so every positive answer is backed by a cover that
-passed it, and classification is by certificate only.  Two rungs are settled
-by counting: a piece of diameter 0 is one vertex, and a piece of diameter 1 is
-a clique, so it holds at most one vertex per part; with k parts no cover
-exists at d = 0 when n > t, nor at d = 1 when n > t·k.
+vertex to bag 1 / bag 2 / both.  The spanning rung reads the color diameter
+from the graphs ball kernel (``diameter_in_mask``), not from the all-pairs
+distance matrix.  Two stars are tried only at vertices of size-1 parts: at
+any other vertex they miss its co-part vertices.  Candidates are accepted or
+rejected with the early-exit ``certifies``; the one cover the ladder returns
+is then checked again by ``verify_cover``, so every positive answer is backed
+by a cover that passed it, and classification is by certificate only.  Two
+rungs are settled by counting: a piece of diameter 0 is one vertex, and a
+piece of diameter 1 is a clique, so it holds at most one vertex per part; with
+k parts no cover exists at d = 0 when n > t, nor at d = 1 when n > t·k.
 
 ``compute_D`` maximizes the per-coloring minimal feasible d over all
 colorings of a shape up to symmetry.  The enumeration space is split into
@@ -37,7 +40,8 @@ from .construct import star_doublestar_search, two_stars_at
 from .covers import certifies, make_cover, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
-                     bilayer_partition, bits_of, build_shape, other_color)
+                     bilayer_partition, bits_of, build_shape,
+                     diameter_in_mask, other_color)
 from .symmetry import (canonical_classes, key_to_bits, symmetry_group,
                        vertex_group_order)
 
@@ -56,12 +60,22 @@ def _star_mask(chi: EdgeColoring, c: int, v: int) -> int:
 
 
 def _spanning_diameter(chi: EdgeColoring, c: int) -> int:
-    worst = 0
-    for row in chi.distances(c):
-        w = max(row)
-        if w > worst:
-            worst = w
-    return worst
+    return diameter_in_mask(chi, c, chi.shape.full_mask)
+
+
+def _two_stars(chi: EdgeColoring, d: int):
+    """The two stars at the first size-1-part vertex that certify, else None.
+
+    At any other vertex the pair misses the vertex's co-part vertices, so it
+    can never cover (see ``two_stars_at``).
+    """
+    shape = chi.shape
+    for p, size in enumerate(shape.part_sizes):
+        if size == 1:
+            cover = two_stars_at(chi, shape.part_start[p])
+            if certifies(chi, cover, d, 2):
+                return cover
+    return None
 
 
 # ============================================================================
@@ -177,10 +191,9 @@ def _prune_labeled(chi: EdgeColoring, d: int):
     fallbacks).  Soundness is by verification, never by derivation.
     """
     shape = chi.shape
-    for u in range(chi.n):
-        cover = two_stars_at(chi, u)
-        if certifies(chi, cover, d, 2):
-            return cover, "two-stars"
+    cover = _two_stars(chi, d)
+    if cover is not None:
+        return cover, "two-stars"
 
     size2 = _size2_vertices(shape)
 
@@ -323,9 +336,7 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
         return None, "none"  # diameter-1 pieces are cliques: one vertex per part
     for c in (RED, BLUE):
         if _spanning_diameter(chi, c) <= d:
-            cover = make_cover((c, range(n)))
-            if certifies(chi, cover, d, t):
-                return cover, "spanning"
+            return make_cover((c, range(n))), "spanning"
     if t == 1:
         return None, "none"
     if d >= 2:
@@ -334,10 +345,9 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
             if cover is not None:
                 return cover, label
         else:
-            for u in range(n):
-                cover = two_stars_at(chi, u)
-                if certifies(chi, cover, d, 2):
-                    return cover, "two-stars"
+            cover = _two_stars(chi, d)
+            if cover is not None:
+                return cover, "two-stars"
     if d >= 3:
         cover = star_doublestar_search(chi, d)
         if cover is not None:

@@ -283,16 +283,32 @@ VERIFY = ("verify", "--coloring", "chi.json", "--cover", "cover.json",
       "cover.json": {"subgraphs": [{"vertices": [0, 1, 2]}]}}, VERIFY),
     ({"cp.json": {"version": 1}},
      ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")),
+    ({"chi.json": {"parts": [2.5, 1], "bits": "0"}, "cover.json": GOOD_COVER},
+     VERIFY),
+    ({"chi.json": GOOD_COLORING,
+      "cover.json": {"subgraphs": [{"color": "red", "vertices": "012"}]}},
+     VERIFY),
 ], ids=["bits-not-hex", "edge-without-color", "subgraph-without-color",
-        "checkpoint-without-config"])
+        "checkpoint-without-config", "part-size-not-int",
+        "vertices-not-a-list"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
+    _assert_config_error(tmp_path, files, argv, timeout=120)
+
+
+def test_oversized_shape_exits_2_quickly(tmp_path):
+    # Without the vertex bound the shape's O(n^2) pair loop runs for minutes.
+    _assert_config_error(tmp_path, {"chi.json": {"parts": [100000], "bits": "0"},
+                                    "cover.json": GOOD_COVER}, VERIFY, timeout=10)
+
+
+def _assert_config_error(tmp_path, files, argv, timeout):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "mpcover.cli", *argv],
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == CONFIG_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("mpcover: ")

@@ -200,3 +200,9 @@ def test_cover_json_rejects_junk():
         cover_from_json({"subgraphs": [{"vertices": [0, 1]}]})
     with pytest.raises(InvalidCover):
         cover_from_json({"subgraphs": [{"color": 7, "vertices": [0]}]})
+
+
+@pytest.mark.parametrize("vertices", ["02", [0, 2.0], [0, True], {"0": 1}, 2])
+def test_cover_json_needs_an_integer_list(vertices):
+    with pytest.raises(InvalidCover):
+        cover_from_json({"subgraphs": [{"color": "red", "vertices": vertices}]})

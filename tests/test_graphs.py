@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import random_coloring
 from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
                             NoUniqueClone)
-from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, bfs_layers,
-                            bilayer_partition, bits_of, build_shape,
+from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
+                            bfs_layers, bilayer_partition, bits_of, build_shape,
                             clone_profile, color_diameter, color_distance,
                             coloring_from_json, coloring_to_json,
                             diameter_at_most, diameter_in_mask, eccentricity,
@@ -49,7 +49,8 @@ def test_shape_blocks_and_adjacency():
             assert ((u, v) in s.edge_index) == adjacent
 
 
-@pytest.mark.parametrize("bad", [[], [0, 2], [3, -1]])
+@pytest.mark.parametrize("bad", [[], [0, 2], [3, -1], [MAX_VERTICES + 1],
+                                 [MAX_VERTICES // 2 + 1] * 2])
 def test_shape_rejects_bad_sizes(bad):
     with pytest.raises(InvalidShape):
         build_shape(bad)
@@ -141,6 +142,42 @@ def test_color_diameter():
 def test_diameter_at_most_matches_diameter_in_mask(chi, data, c, d):
     mask = data.draw(st.integers(0, chi.shape.full_mask))
     assert diameter_at_most(chi, c, mask, d) == (diameter_in_mask(chi, c, mask) <= d)
+
+
+def _floyd_warshall_diameter(chi, c, mask):
+    """Reference: max pairwise color-c distance inside the mask (INF if cut)."""
+    vs = list(bits_of(mask))
+    pid = chi.shape.part_id
+    dist = {(u, v): 0 if u == v else
+            (1 if pid[u] != pid[v] and chi.color_of(u, v) == c else INF)
+            for u in vs for v in vs}
+    for w in vs:
+        for u in vs:
+            for v in vs:
+                if dist[u, w] + dist[w, v] < dist[u, v]:
+                    dist[u, v] = dist[u, w] + dist[w, v]
+    return max(dist.values(), default=0)
+
+
+@st.composite
+def masked_colorings(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)
+                 .filter(lambda s: sum(s) <= 12))
+    shape = build_shape(sizes)
+    chi = EdgeColoring(shape, draw(st.integers(0, (1 << shape.m) - 1)))
+    part = draw(st.integers(0, shape.k - 1))
+    mask = draw(st.one_of(
+        st.integers(0, shape.full_mask),
+        st.integers(0, shape.n - 1).map(lambda v: 1 << v),
+        st.just(mask_of(shape.part_vertices(part)))))  # no edges inside
+    return chi, mask
+
+
+@settings(deadline=None, max_examples=300)
+@given(masked_colorings(), st.sampled_from((RED, BLUE)))
+def test_diameter_in_mask_matches_floyd_warshall(chi_mask, c):
+    chi, mask = chi_mask
+    assert diameter_in_mask(chi, c, mask) == _floyd_warshall_diameter(chi, c, mask)
 
 
 def test_eccentricity_allred():
@@ -273,6 +310,12 @@ def test_coloring_json_labels_and_errors():
         coloring_from_json({"parts": [2, 1], "edges": [[0, 2], [1, 2]]})
     with pytest.raises(InvalidShape):
         coloring_from_json({"parts": [2, 1], "edges": [[0, 5, "red"]]})
+
+
+@pytest.mark.parametrize("parts", [[2.5, 1], ["2", 1], [True, 1], "21", 3])
+def test_coloring_json_needs_integer_parts(parts):
+    with pytest.raises(InvalidShape):
+        coloring_from_json({"parts": parts, "bits": "0"})
 
 
 def test_mask_helpers():

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import random_coloring
 from mpcover import search
-from mpcover.covers import make_cover, verify_cover
+from mpcover.construct import two_stars_at
+from mpcover.covers import certifies, make_cover, verify_cover
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
                             Unsupported)
 from mpcover.graphs import (BLUE, RED, EdgeColoring, build_shape,
@@ -109,6 +110,20 @@ def test_no_diameter_one_cover_when_n_exceeds_two_k(rng):
             assert two_bag_cover(random_coloring(rng, sizes), 1) is None
     allred = EdgeColoring.all_same(build_shape([3, 2, 2]), RED)
     assert two_bag_cover(allred, 1) is None
+
+
+def test_two_stars_cover_only_at_size_one_parts(rng):
+    # the fact behind the ladder trying two stars only at size-1 parts
+    for sizes in ([3, 2, 1], [2, 2, 1, 1], [5, 2, 2]):
+        for _ in range(10):
+            chi = random_coloring(rng, sizes)
+            shape = chi.shape
+            for u in range(chi.n):
+                cover = two_stars_at(chi, u)
+                if shape.part_sizes[shape.part_id[u]] == 1:
+                    assert all(certifies(chi, cover, d, 2) for d in (2, 3, 4))
+                else:
+                    assert not any(certifies(chi, cover, d, 2) for d in range(5))
 
 
 def test_a_returned_cover_that_fails_verification_is_an_internal_error(
