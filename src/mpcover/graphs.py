@@ -5,8 +5,9 @@ vertices 0..n-1 are numbered so that each part occupies a contiguous block.
 Edges (u < v, u and v in different parts) are ordered lexicographically and a
 2-coloring is a dense bitstring over that order: bit i = 1 means edge i is
 blue, 0 means red.  All distance work runs on per-color bitmask adjacency
-rows, so a BFS step is one OR-fold over the frontier.  One ball kernel,
-``_ball_radius``, backs both the exact mask diameter and the bounded test.
+rows, so a BFS step is one OR-fold over the frontier (``_grow``).  One ball
+kernel, ``_ball_radius``, backs both the exact mask diameter and the bounded
+test; ``far_masks`` gives, per vertex, what lies beyond its radius-d ball.
 
 Includes the layer decompositions used by the cover constructions: single-root
 color-BFS layers split over a 3-group partition of the parts, the four
@@ -255,6 +256,14 @@ class EdgeColoring:
                 f"bits=0x{self.bits:x})")
 
 
+def _grow(rows, frontier: int) -> int:
+    """One BFS step: the OR of the adjacency rows of the frontier's vertices."""
+    grow = 0
+    for v in bits_of(frontier):
+        grow |= rows[v]
+    return grow
+
+
 def _bfs_dists(adj_rows, root: int, allowed: int, n: int):
     """Distance list from root using only edges inside ``allowed``."""
     dist = [INF] * n
@@ -265,10 +274,7 @@ def _bfs_dists(adj_rows, root: int, allowed: int, n: int):
     frontier = seen
     d = 0
     while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= adj_rows[v]
-        nxt &= allowed & ~seen
+        nxt = _grow(adj_rows, frontier) & allowed & ~seen
         d += 1
         for v in bits_of(nxt):
             dist[v] = d
@@ -318,15 +324,36 @@ def _ball_radius(rows, u: int, allowed: int, limit: int) -> int:
     while ball != allowed:
         if r == limit:
             return limit + 1
-        grow = 0
-        for v in bits_of(frontier):
-            grow |= rows[v]
-        frontier = grow & allowed & ~ball
+        frontier = _grow(rows, frontier) & allowed & ~ball
         if not frontier:
             return INF
         ball |= frontier
         r += 1
     return r
+
+
+def far_masks(chi: EdgeColoring, c: int, d: int) -> tuple:
+    """Per vertex u, the mask of vertices v != u at color-c distance > d.
+
+    Distances are taken in the full color-c graph, and unreachable vertices
+    count as far.  Each mask is the complement of u's radius-d ball, grown
+    with at most d OR-folds.  Entry u is in v's mask exactly when v is in u's.
+    """
+    rows = chi.adj[c]
+    full = chi.shape.full_mask
+    out = []
+    for u in range(chi.n):
+        ball = 1 << u
+        if d:
+            frontier = rows[u]  # the first fold, from u alone
+            ball |= frontier
+            for _ in range(d - 1):
+                frontier = _grow(rows, frontier) & ~ball
+                if not frontier:
+                    break
+                ball |= frontier
+        out.append(full & ~ball)
+    return tuple(out)
 
 
 def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
@@ -467,8 +494,9 @@ class BiLayerPartition:
 def bilayer_partition(chi: EdgeColoring, x: int) -> BiLayerPartition:
     """Blue bi-distance cells from a size-2-part vertex and its clone."""
     xp = chi.shape.clone_of(x)
-    dx = chi.distances(BLUE)[x]
-    dxp = chi.distances(BLUE)[xp]
+    rows, full, n = chi.adj[BLUE], chi.shape.full_mask, chi.n
+    dx = _bfs_dists(rows, x, full, n)
+    dxp = _bfs_dists(rows, xp, full, n)
     cells = {(i, j): [] for i in (1, 2, 3) for j in (1, 2, 3)}
     for v in range(chi.n):
         if v in (x, xp):

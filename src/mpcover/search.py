@@ -4,16 +4,20 @@
 pieces of diameter <= d (t in {1, 2}).  The decision ladder runs certificate
 producers from cheap to expensive — spanning diameter, two stars at a vertex,
 star + double-star pairs — and only then the exhaustive assignment of every
-vertex to bag 1 / bag 2 / both.  The spanning rung reads the color diameter
-from the graphs ball kernel (``diameter_in_mask``), not from the all-pairs
-distance matrix.  Two stars are tried only at vertices of size-1 parts: at
-any other vertex they miss its co-part vertices.  Candidates are accepted or
-rejected with the early-exit ``certifies``; the one cover the ladder returns
-is then checked again by ``verify_cover``, so every positive answer is backed
-by a cover that passed it, and classification is by certificate only.  Two
-rungs are settled by counting: a piece of diameter 0 is one vertex, and a
-piece of diameter 1 is a clique, so it holds at most one vertex per part; with
-k parts no cover exists at d = 0 when n > t, nor at d = 1 when n > t·k.
+vertex to bag 1 / bag 2 / both.  No rung reads the all-pairs distance
+matrix.  The spanning rung takes the color diameter from the graphs ball
+kernel (``diameter_in_mask``).  The exhaustive search takes its conflicts
+from radius-d balls in the full color graph (``far_masks``): full-graph
+distances bound induced distances from below, so two vertices whose balls
+miss each other can share no bag, and the search stays exact.  Two stars are
+tried only at vertices of size-1 parts: at any other vertex they miss its
+co-part vertices.  Candidates are accepted or rejected with the early-exit
+``certifies``; the one cover the ladder returns is then checked again by
+``verify_cover``, so every positive answer is backed by a cover that passed
+it, and classification is by certificate only.  Two rungs are settled by
+counting: a piece of diameter 0 is one vertex, and a piece of diameter 1 is a
+clique, so it holds at most one vertex per part.  So no cover exists at d = 0
+when n > t, nor at d = 1 when some part has more than t vertices.
 
 ``compute_D`` maximizes the per-coloring minimal feasible d over all
 colorings of a shape up to symmetry.  The enumeration space is split into
@@ -41,7 +45,7 @@ from .covers import certifies, make_cover, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
                      bilayer_partition, bits_of, build_shape,
-                     diameter_in_mask, other_color)
+                     diameter_in_mask, far_masks, other_color)
 from .symmetry import (canonical_classes, key_to_bits, symmetry_group,
                        vertex_group_order)
 
@@ -86,41 +90,36 @@ def two_bag_cover(chi: EdgeColoring, d: int):
     """Exhaustive search for a 2-bag cover at diameter d; None if impossible.
 
     Every vertex is assigned to bag 1, bag 2, or both; bags get colors from
-    ``_PAIR_ORDER``.  Pruning uses full-graph color distances (a lower bound
-    for induced distances, so no feasible assignment is ever cut) and, at
-    d = 2, a common-neighbor support test; leaves are checked exactly.
+    ``_PAIR_ORDER``.  Two vertices conflict in a bag of color c when their
+    radius-d balls in the full color-c graph miss each other
+    (``far_masks``).  Full-graph distances bound induced distances from
+    below, so a conflicting pair can share no bag and no feasible assignment
+    is cut.  At d = 2 a common-neighbor support test prunes further; leaves
+    are checked exactly.
     """
+    far = (far_masks(chi, RED, d), far_masks(chi, BLUE, d))
+    pop = [[m.bit_count() for m in masks] for masks in far]
     for c1, c2 in _PAIR_ORDER:
-        cover = _two_bag_pair(chi, d, c1, c2)
+        cover = _two_bag_pair(chi, d, c1, c2, far, pop)
         if cover is not None:
             return cover
     return None
 
 
-def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int):
+def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
     n = chi.n
-    dist = (chi.distances(c1), chi.distances(c2))
-    conf = ([0] * n, [0] * n)
-    for b in (0, 1):
-        for u in range(n):
-            row = dist[b][u]
-            cu = 0
-            for v in range(n):
-                if v != u and row[v] > d:
-                    cu |= 1 << v
-            conf[b][u] = cu
+    conf = (far[c1], far[c2])
     adj = (chi.adj[c1], chi.adj[c2])
-    # most-constrained vertices first
-    order = sorted(range(n),
-                   key=lambda v: (-(conf[0][v].bit_count()
-                                    + conf[1][v].bit_count()), v))
+    # most-constrained vertices first; the stable sort keeps ties ascending
+    pop1, pop2 = pop[c1], pop[c2]
+    order = sorted(range(n), key=lambda v: -(pop1[v] + pop2[v]))
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << order[i])
     same = c1 == c2
 
-    def bag_ok(b, v, inb, exb):
-        if inb & conf[b][v]:
+    def bag_ok(b, v, inb, exb, bar):
+        if (bar >> v) & 1:
             return False
         if d == 2:
             for u in bits_of(inb & ~adj[b][v]):
@@ -128,31 +127,34 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int):
                     return False
         return True
 
-    def dfs(i, in1, in2, ex1, ex2):
+    # bar1/bar2: the vertices in conflict with some vertex already in bag
+    # 1/2 (the OR of their conflict masks), so no longer placeable there
+    def dfs(i, in1, in2, ex1, ex2, bar1, bar2):
         if i == n:
             cover = make_cover((c1, bits_of(in1)), (c2, bits_of(in2)))
             return cover if certifies(chi, cover, d, 2) else None
         # a later vertex already barred from both bags kills the branch
-        for u in bits_of(suffix[i]):
-            if (in1 & conf[0][u]) and (in2 & conf[1][u]):
-                return None
+        if suffix[i] & bar1 & bar2:
+            return None
         v = order[i]
         bv = 1 << v
         choices = ((1, 1), (1, 0)) if (same and i == 0) else ((1, 1), (1, 0), (0, 1))
         for w1, w2 in choices:
             nex1 = ex1 if w1 else ex1 | bv
             nex2 = ex2 if w2 else ex2 | bv
-            if w1 and not bag_ok(0, v, in1, nex1):
+            if w1 and not bag_ok(0, v, in1, nex1, bar1):
                 continue
-            if w2 and not bag_ok(1, v, in2, nex2):
+            if w2 and not bag_ok(1, v, in2, nex2, bar2):
                 continue
             got = dfs(i + 1, in1 | bv if w1 else in1, in2 | bv if w2 else in2,
-                      nex1, nex2)
+                      nex1, nex2,
+                      bar1 | conf[0][v] if w1 else bar1,
+                      bar2 | conf[1][v] if w2 else bar2)
             if got is not None:
                 return got
         return None
 
-    return dfs(0, 0, 0, 0, 0)
+    return dfs(0, 0, 0, 0, 0, 0, 0)
 
 
 # ============================================================================
@@ -332,8 +334,8 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
         return make_cover(*((BLUE, [v]) for v in range(n))), "tiny"
     if d == 0:
         return None, "none"  # diameter-0 pieces are singletons; n > t
-    if d == 1 and n > t * chi.shape.k:
-        return None, "none"  # diameter-1 pieces are cliques: one vertex per part
+    if d == 1 and chi.shape.part_sizes[0] > t:
+        return None, "none"  # t cliques hold at most t vertices of a part
     for c in (RED, BLUE):
         if _spanning_diameter(chi, c) <= d:
             return make_cover((c, range(n))), "spanning"

@@ -12,7 +12,7 @@ from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
                             clone_profile, color_diameter, color_distance,
                             coloring_from_json, coloring_to_json,
                             diameter_at_most, diameter_in_mask, eccentricity,
-                            mask_of, other_color)
+                            far_masks, mask_of, other_color)
 
 SMALL_SHAPES = ((2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1),
                 (2, 2, 2))
@@ -184,6 +184,25 @@ def test_eccentricity_allred():
     chi = EdgeColoring.all_same(build_shape([2, 2]), RED)
     assert eccentricity(chi, RED, 0) == 2  # the co-part vertex is 2 away
     assert eccentricity(chi, BLUE, 0) >= INF
+
+
+@st.composite
+def colorings_up_to_12(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)
+                 .filter(lambda s: sum(s) <= 12))
+    shape = build_shape(sizes)
+    full = (1 << shape.m) - 1
+    return EdgeColoring(shape, draw(st.one_of(st.integers(0, full),
+                                              st.sampled_from((0, full)))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(colorings_up_to_12(), st.sampled_from((RED, BLUE)), st.integers(0, 4))
+def test_far_masks_match_the_distance_matrix(chi, c, d):
+    dist = chi.distances(c)
+    want = tuple(mask_of(v for v in range(chi.n) if v != u and dist[u][v] > d)
+                 for u in range(chi.n))
+    assert far_masks(chi, c, d) == want
 
 
 # ---------------------------------------------------------------------------

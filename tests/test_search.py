@@ -112,6 +112,46 @@ def test_no_diameter_one_cover_when_n_exceeds_two_k(rng):
     assert two_bag_cover(allred, 1) is None
 
 
+def test_two_bag_matches_oracle_on_four_parts(rng):
+    # [2,2,2,2] is the gk_survey(4) shape, where every class reaches the
+    # exhaustive search at d = 1
+    for sizes in ([2, 2, 2, 2], [2, 2, 1, 1]):
+        shape = build_shape(sizes)
+        chis = [random_coloring(rng, sizes) for _ in range(6)]
+        chis += [EdgeColoring.all_same(shape, c) for c in (RED, BLUE)]
+        for chi in chis:
+            for d in (1, 2):
+                cover = two_bag_cover(chi, d)
+                assert (cover is not None) == oracle_cover_exists(chi, 2, d), \
+                    (sizes, chi.bits, d)
+                if cover is not None:
+                    assert verify_cover(chi, cover, d, 2) is None
+
+
+def test_no_diameter_one_cover_when_a_part_exceeds_t(rng):
+    # the exact counting bound: t cliques hold at most t vertices of a part,
+    # on shapes where n <= t·k, so only this bound rules d = 1 out
+    for sizes in ([3, 1, 1, 1], [3, 2, 1, 1]):
+        shape = build_shape(sizes)
+        assert shape.n <= 2 * shape.k
+        chis = [random_coloring(rng, sizes) for _ in range(8)]
+        chis += [EdgeColoring.all_same(shape, c) for c in (RED, BLUE)]
+        for chi in chis:
+            assert not oracle_cover_exists(chi, 2, 1), chi.bits
+            assert not cover_exists(chi, 2, 1)
+
+
+def test_counting_bound_skips_the_two_bag_search(rng, monkeypatch):
+    def fail(*args):
+        raise AssertionError("two_bag_cover called at d = 1")
+
+    monkeypatch.setattr(search, "two_bag_cover", fail)
+    for sizes in ([3, 1, 1, 1], [3, 2, 1, 1]):
+        for _ in range(8):
+            chi = random_coloring(rng, sizes)
+            assert find_cover(chi, 2, 1) is None
+
+
 def test_two_stars_cover_only_at_size_one_parts(rng):
     # the fact behind the ladder trying two stars only at size-1 parts
     for sizes in ([3, 2, 1], [2, 2, 1, 1], [5, 2, 2]):
