@@ -20,11 +20,20 @@ clique, so it holds at most one vertex per part.  So no cover exists at d = 0
 when n > t, nor at d = 1 when some part has more than t vertices.
 
 ``compute_D`` maximizes the per-coloring minimal feasible d over all
-colorings of a shape up to symmetry.  The enumeration space is split into
-contiguous key ranges; each range is advanced in resumable chunks, results
-merge through a commutative monoid (max of min-d with smallest-key
-tie-break, plus counters), so the outcome is independent of thread count,
-chunk size, and kill/resume boundaries.  ``gk_survey`` is the same engine
+colorings of a shape up to symmetry.  The spanning diameter does not depend
+on d, so ``_min_cover_d`` computes it at most once per class and color.  The
+enumeration space is split into contiguous key ranges; each range is advanced
+in resumable chunks, and results merge through a commutative monoid (max of
+min-d with smallest-key tie-break, plus counters), so the outcome is
+independent of thread count, chunk size, and kill/resume boundaries.  One
+as-completed scheduler drives the chunks at every thread count: at most
+``threads`` are in flight, and each result is merged as it arrives.  Classes
+are skewed across the key space (60.7% of ``[2,2,2,2]`` lies in one of the 64
+initial ranges), so whenever idle workers outnumber the free pending ranges,
+the widest free range is split at the midpoint of its remaining keys; the
+orderly enumeration restarts from any key, so a split is sound.  A checkpoint
+holds merged progress only: a range with a chunk in flight keeps its old
+cursor until the chunk's result is merged.  ``gk_survey`` is the same engine
 pointed at the k-parts-of-size-2 shapes with the clone pruning rules on,
 recording structural facts about any coloring that survives them.
 """
@@ -36,7 +45,8 @@ import json
 import tempfile
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -316,9 +326,13 @@ def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
 # DECISION LADDER
 # ============================================================================
 
-def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
-    """(verified cover | None, label of the deciding rule)."""
-    cover, label = _ladder(chi, t, d, prune)
+def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, span: list):
+    """(verified cover | None, label of the deciding rule).
+
+    ``span`` memoizes the spanning diameter per color ([red, blue], None until
+    computed); it does not depend on d, so one list serves every rung.
+    """
+    cover, label = _ladder(chi, t, d, prune, span)
     if cover is not None:
         violation = verify_cover(chi, cover, d, t)
         if violation is not None:
@@ -327,7 +341,7 @@ def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
     return cover, label
 
 
-def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
+def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, span: list):
     """(cover | None, label of the deciding rule); covers pass ``certifies``."""
     n = chi.n
     if n <= t:
@@ -337,7 +351,9 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
     if d == 1 and chi.shape.part_sizes[0] > t:
         return None, "none"  # t cliques hold at most t vertices of a part
     for c in (RED, BLUE):
-        if _spanning_diameter(chi, c) <= d:
+        if span[c] is None:
+            span[c] = _spanning_diameter(chi, c)
+        if span[c] <= d:
             return make_cover((c, range(n))), "spanning"
     if t == 1:
         return None, "none"
@@ -370,14 +386,14 @@ def _check_td(t: int, d: int) -> None:
 def cover_exists(chi: EdgeColoring, t: int, d: int) -> bool:
     """Does chi admit a cover by t monochromatic pieces of diameter <= d?"""
     _check_td(t, d)
-    cover, _ = _decide(chi, t, d, prune=False)
+    cover, _ = _decide(chi, t, d, False, [None, None])
     return cover is not None
 
 
 def find_cover(chi: EdgeColoring, t: int, d: int):
     """Like cover_exists but returns the verified witness cover (or None)."""
     _check_td(t, d)
-    cover, _ = _decide(chi, t, d, prune=False)
+    cover, _ = _decide(chi, t, d, False, [None, None])
     return cover
 
 
@@ -391,8 +407,9 @@ def min_cover_diameter(chi: EdgeColoring, t: int, d_max: int = 4,
 def _min_cover_d(chi, t, d_max, prune, survey_d):
     """(min feasible d or d_max+1, deciding label, survey info or None)."""
     surv = None
+    span = [None, None]
     for d in range(d_max + 1):
-        cover, label = _decide(chi, t, d, prune)
+        cover, label = _decide(chi, t, d, prune, span)
         if survey_d is not None and d == survey_d and prune and \
                 (cover is None or label == "trichotomy"):
             has = cover is not None
@@ -611,6 +628,11 @@ def _edge_cap(cap_edges):
         return DEFAULT_CAP_EDGES
 
 
+# Classes per pool chunk.  Small, so that a dense range comes back often
+# enough to be split while another worker would otherwise idle.
+POOL_CHUNK_CLASSES = 500
+
+
 def _initial_ranges(m: int, use_symmetry: bool):
     # Orbit leaders always start with a red edge (the color swap would beat
     # them otherwise), so the top half of the key space is empty.
@@ -620,6 +642,40 @@ def _initial_ranges(m: int, use_symmetry: bool):
     count = min(64, span)
     bounds = [span * i // count for i in range(count + 1)]
     return [[bounds[i], bounds[i + 1], bounds[i]] for i in range(count)]
+
+
+def _claim_ranges(ranges, busy, idle: int):
+    """Up to ``idle`` pending ranges not in ``busy`` (ids), in key order.
+
+    While idle workers outnumber such free ranges, the free range with the
+    most keys left is split at the midpoint of those keys: ``[lo, hi, pos]``
+    becomes ``[lo, mid, pos]`` plus ``[mid, hi, mid]``.  Enumeration restarts
+    from any key, so both halves are sound cursors and together cover exactly
+    the keys the range had left.
+    """
+    while True:
+        free = [r for r in ranges if r[2] < r[1] and id(r) not in busy]
+        if len(free) >= idle:
+            return free[:idle]
+        wide = max(free, key=lambda r: r[1] - r[2], default=None)
+        if wide is None or wide[1] - wide[2] < 2:
+            return free
+        mid = (wide[2] + wide[1]) // 2
+        ranges.append([mid, wide[1], mid])
+        wide[1] = mid
+        ranges.sort()
+
+
+def _run_inline(args) -> Future:
+    """Run a chunk now; its completed future joins the same wait and merge."""
+    done = Future()
+    done.set_result(_chunk_worker(args))
+    return done
+
+
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
@@ -634,6 +690,19 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     before the survey finished (progress lives in the checkpoint).  Results
     are byte-for-byte independent of ``threads``, chunking, and resume
     boundaries; wall-clock time is accumulated separately in ``seconds``.
+
+    One as-completed scheduler runs at every thread count.  At most
+    ``threads`` chunks are in flight, each advancing one key range; results
+    merge as they arrive.  With ``threads > 1`` the chunks run in a process
+    pool and hold at most ``POOL_CHUNK_CLASSES`` classes, and whenever idle
+    workers outnumber the free pending ranges the widest free range is split
+    in two (``_claim_ranges``).  With ``threads == 1`` each chunk runs inline,
+    up to ``checkpoint_every`` classes (no limit without a checkpoint), and no
+    range is ever split.  A checkpoint is written once ``checkpoint_every``
+    classes have merged since the last one, on stop and on finish.  It holds
+    merged progress only: a range with a chunk in flight keeps its old
+    cursor, so a resumed run redoes the chunks that were in flight and
+    whatever merged after the last write.
     """
     sizes = tuple(part_sizes.part_sizes) if isinstance(part_sizes, MultipartiteShape) \
         else tuple(build_shape(part_sizes).part_sizes)
@@ -642,9 +711,12 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
         raise InvalidParameter(f"d_max must be >= 0, got {d_max}")
     if threads < 1:
         raise InvalidParameter(f"threads must be >= 1, got {threads}")
-    if stop_after_classes is not None and not checkpoint_path:
-        raise InvalidParameter("stopping early needs a checkpoint path to "
-                               "keep the progress in")
+    _check_count("checkpoint_every", checkpoint_every)
+    if stop_after_classes is not None:
+        _check_count("stop_after_classes", stop_after_classes)
+        if not checkpoint_path:
+            raise InvalidParameter("stopping early needs a checkpoint path to "
+                                   "keep the progress in")
     shape = build_shape(sizes)
     cap = _edge_cap(cap_edges)
     if shape.m > cap:
@@ -687,54 +759,62 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
                        "seconds": round(spent, 3)},
         }
 
+    # budget: classes still allowed, less the limits of the chunks in flight
     budget = stop_after_classes
+    limit = checkpoint_every if (checkpoint_path or budget is not None) else None
+    if threads > 1:
+        limit = min(limit or POOL_CHUNK_CLASSES, POOL_CHUNK_CLASSES)
+    unsaved = 0
     prior_seconds = spent
     started = time.monotonic()
+    in_flight = {}  # future -> (its range, its class limit)
     pool = None
     if threads > 1:
         pool = ProcessPoolExecutor(max_workers=threads,
                                    mp_context=get_context("fork"))
     try:
         while True:
-            pending = [i for i, (lo, hi, pos) in enumerate(ranges) if pos < hi]
-            if not pending:
+            if budget is None or budget > 0:
+                busy = {id(r) for r, _ in in_flight.values()}
+                for r in _claim_ranges(ranges, busy, threads - len(in_flight)):
+                    chunk = limit if budget is None else min(limit, budget)
+                    args = (sizes, t, d_max, use_symmetry, prune, survey_d,
+                            r[0], r[1], r[2], chunk)
+                    fut = (_run_inline(args) if pool is None
+                           else pool.submit(_chunk_worker, args))
+                    in_flight[fut] = (r, chunk)
+                    if budget is not None:
+                        budget -= chunk
+                        if budget <= 0:
+                            break
+            if not in_flight:
                 break
-            batch = pending[:max(threads, 1)]
-            limit = checkpoint_every if (checkpoint_path or budget is not None) else None
-            if budget is not None:
-                limit = min(limit, max(1, budget))
-            args = [(sizes, t, d_max, use_symmetry, prune, survey_d,
-                     ranges[i][0], ranges[i][1], ranges[i][2], limit)
-                    for i in batch]
-            if pool is None:
-                results = [_chunk_worker(a) for a in args]
-            else:
-                results = list(pool.map(_chunk_worker, args))
-            for i, res in zip(batch, results):
+            finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for fut in finished:
+                r, chunk = in_flight.pop(fut)
                 (done, chunk_rules, chunk_best, surv, viol, chunk_notes,
-                 next_pos) = res
+                 next_pos) = fut.result()
                 classes += done
                 rules.update(chunk_rules)
                 best = _merge_best(best, chunk_best)
                 survivors += surv
                 violations += viol
                 notes = keep_notes(notes, chunk_notes)
-                ranges[i][2] = next_pos
+                r[2] = next_pos
+                unsaved += done
                 if budget is not None:
-                    budget -= done
+                    budget += chunk - done  # a range ended short of its limit
             spent = prior_seconds + (time.monotonic() - started)
-            if checkpoint_path:
+            if checkpoint_path and unsaved >= checkpoint_every:
                 save_checkpoint(checkpoint_path, snapshot())
-            if budget is not None and budget <= 0:
-                still = any(pos < hi for _, hi, pos in ranges)
-                if still:
-                    if checkpoint_path:
-                        save_checkpoint(checkpoint_path, snapshot())
-                    return None
+                unsaved = 0
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
+    if any(pos < hi for _, hi, pos in ranges):
+        save_checkpoint(checkpoint_path, snapshot())  # the budget ran out
+        return None
     if best is None:
         raise InvalidParameter("empty enumeration; nothing to survey")
     d, key = best

@@ -288,9 +288,19 @@ VERIFY = ("verify", "--coloring", "chi.json", "--cover", "cover.json",
     ({"chi.json": GOOD_COLORING,
       "cover.json": {"subgraphs": [{"color": "red", "vertices": "012"}]}},
      VERIFY),
+    ({}, ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json",
+          "--checkpoint-every", "0")),
+    ({}, ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json",
+          "--checkpoint-every", "-5")),
+    ({}, ("gk", "--k", "3", "--checkpoint-every", "0")),
+    ({}, ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json",
+          "--stop-after", "0")),
+    ({}, ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json",
+          "--stop-after", "-3")),
 ], ids=["bits-not-hex", "edge-without-color", "subgraph-without-color",
         "checkpoint-without-config", "part-size-not-int",
-        "vertices-not-a-list"])
+        "vertices-not-a-list", "checkpoint-every-0", "checkpoint-every-negative",
+        "gk-checkpoint-every-0", "stop-after-0", "stop-after-negative"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     _assert_config_error(tmp_path, files, argv, timeout=120)
 

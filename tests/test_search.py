@@ -381,6 +381,97 @@ def test_checkpoint_file_shape(tmp_path):
                                     "seconds"}
 
 
+# A shape whose classes sit mostly in one initial range (60.7% of its 24 607
+# classes in range 2 of 64).  With t = 1 only the spanning rung runs, so a
+# survey takes seconds, and the report still has two rules and a witness that
+# is not the smallest key.
+SKEWED = dict(part_sizes=[2, 2, 2, 2], t=1, d_max=2)
+
+
+@pytest.fixture(scope="module")
+def skewed_straight():
+    return compute_D(**SKEWED).to_json()
+
+
+@pytest.fixture(scope="module")
+def skewed_two_threads(tmp_path_factory):
+    cp = tmp_path_factory.mktemp("skewed") / "cp.json"
+    result = compute_D(**SKEWED, threads=2, checkpoint_path=str(cp))
+    return result.to_json(), json.loads(cp.read_text())
+
+
+def test_skewed_reports_are_thread_count_independent(skewed_straight,
+                                                     skewed_two_threads):
+    assert skewed_straight["witness_bits"] != "0"
+    assert skewed_two_threads[0] == skewed_straight
+    assert compute_D(**SKEWED, threads=4).to_json() == skewed_straight
+
+
+def test_idle_workers_split_pending_ranges(skewed_two_threads):
+    state = skewed_two_threads[1]
+    ranges = state["cursor_ranges"]
+    initial = search._initial_ranges(build_shape([2, 2, 2, 2]).m, True)
+    assert len(ranges) > len(initial)
+    assert all(pos == hi for _, hi, pos in ranges)
+    # the split ranges still tile the key space of the initial ones
+    assert ranges[0][0] == initial[0][0] and ranges[-1][1] == initial[-1][1]
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+@pytest.mark.parametrize("first,second", [(2, 1), (1, 2)])
+def test_stop_and_resume_across_thread_counts(tmp_path, first, second):
+    straight = compute_D([3, 2, 2]).to_json()
+    cp = str(tmp_path / "cp.json")
+    assert compute_D([3, 2, 2], threads=first, checkpoint_path=cp,
+                     checkpoint_every=40, stop_after_classes=300) is None
+    state = load_checkpoint(cp)
+    assert 0 < state["counts"]["classes_enumerated"] < straight["classes_enumerated"]
+    result = compute_D([3, 2, 2], threads=second, checkpoint_path=cp)
+    assert result.to_json() == straight
+
+
+def test_checkpoint_with_the_initial_layout_resumes(tmp_path):
+    # 64 equal-width ranges, one of them part-way through: what a run that
+    # never splits a range leaves behind
+    straight = compute_D([3, 2, 2]).to_json()
+    cp = str(tmp_path / "cp.json")
+    assert compute_D([3, 2, 2], checkpoint_path=cp, checkpoint_every=100,
+                     stop_after_classes=100) is None
+    ranges = load_checkpoint(cp)["cursor_ranges"]
+    initial = search._initial_ranges(build_shape([3, 2, 2]).m, True)
+    assert len(initial) == 64
+    assert [r[:2] for r in ranges] == [r[:2] for r in initial]
+    assert any(lo < pos < hi for lo, hi, pos in ranges)
+    result = compute_D([3, 2, 2], threads=2, checkpoint_path=cp)
+    assert result.to_json() == straight
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(checkpoint_every=0), dict(checkpoint_every=-5),
+    dict(checkpoint_every=2.5), dict(stop_after_classes=0),
+    dict(stop_after_classes=-3), dict(stop_after_classes=True),
+], ids=["every-0", "every-negative", "every-float", "stop-0", "stop-negative",
+        "stop-bool"])
+def test_budgets_must_be_positive_integers(tmp_path, kwargs):
+    with pytest.raises(InvalidParameter):
+        compute_D([2, 2, 1], checkpoint_path=str(tmp_path / "cp.json"),
+                  **kwargs)
+    assert not (tmp_path / "cp.json").exists()
+
+
+def test_spanning_diameter_is_computed_once_per_class_and_color(monkeypatch):
+    calls = []
+    original = search._spanning_diameter
+
+    def counted(chi, c):
+        calls.append((chi.bits, c))
+        return original(chi, c)
+
+    monkeypatch.setattr(search, "_spanning_diameter", counted)
+    result = compute_D([2, 2, 2], d_max=4)
+    assert len(calls) == len(set(calls)) <= 2 * result.classes
+
+
 def test_report_formats():
     result = compute_D([2, 2, 1])
     obj = result.to_json()
