@@ -5,7 +5,8 @@ vertices 0..n-1 are numbered so that each part occupies a contiguous block.
 Edges (u < v, u and v in different parts) are ordered lexicographically and a
 2-coloring is a dense bitstring over that order: bit i = 1 means edge i is
 blue, 0 means red.  All distance work runs on per-color bitmask adjacency
-rows, so a BFS step is one OR-fold over the frontier (``_grow``).  One ball
+rows, so a BFS step is one OR-fold over the frontier (``_grow``, which peels
+the frontier's low bits inline instead of iterating ``bits_of``).  One ball
 kernel, ``_ball_radius``, backs both the exact mask diameter and the bounded
 test; ``far_masks`` gives, per vertex, what lies beyond its radius-d ball.
 
@@ -257,10 +258,16 @@ class EdgeColoring:
 
 
 def _grow(rows, frontier: int) -> int:
-    """One BFS step: the OR of the adjacency rows of the frontier's vertices."""
+    """One BFS step: the OR of the adjacency rows of the frontier's vertices.
+
+    Peels the frontier's low bits inline; a ``bits_of`` generator here costs
+    a frame switch per vertex on the hottest loop of every kernel.
+    """
     grow = 0
-    for v in bits_of(frontier):
-        grow |= rows[v]
+    while frontier:
+        low = frontier & -frontier
+        grow |= rows[low.bit_length() - 1]
+        frontier ^= low
     return grow
 
 

@@ -5,37 +5,46 @@ pieces of diameter <= d (t in {1, 2}).  The decision ladder runs certificate
 producers from cheap to expensive — spanning diameter, two stars at a vertex,
 star + double-star pairs — and only then the exhaustive assignment of every
 vertex to bag 1 / bag 2 / both.  No rung reads the all-pairs distance
-matrix.  The spanning rung takes the color diameter from the graphs ball
-kernel (``diameter_in_mask``).  The exhaustive search takes its conflicts
-from radius-d balls in the full color graph (``far_masks``): full-graph
-distances bound induced distances from below, so two vertices whose balls
-miss each other can share no bag, and the search stays exact.  Two stars are
-tried only at vertices of size-1 parts: at any other vertex they miss its
-co-part vertices.  Candidates are accepted or rejected with the early-exit
-``certifies``; the one cover the ladder returns is then checked again by
-``verify_cover``, so every positive answer is backed by a cover that passed
-it, and classification is by certificate only.  Two rungs are settled by
+matrix.  The spanning rung asks the graphs ball kernel whether the color
+diameter is at most d (``diameter_at_most``), stopping at the first ball that
+falls short.  The exhaustive search takes its conflicts from radius-d balls
+in the full color graph (``far_masks``): full-graph distances bound induced
+distances from below, so two vertices whose balls miss each other can share
+no bag, and the search stays exact.  Two stars are tried only at vertices of
+size-1 parts: at any other vertex they miss its co-part vertices.
+Candidates are accepted or rejected with the early-exit ``certifies``; the
+one cover the ladder returns is then checked again by ``verify_cover``, so
+every positive answer is backed by a cover that passed it, and
+classification is by certificate only.  Two rungs are settled by
 counting: a piece of diameter 0 is one vertex, and a piece of diameter 1 is a
 clique, so it holds at most one vertex per part.  So no cover exists at d = 0
-when n > t, nor at d = 1 when some part has more than t vertices.
+when n > t, nor at d = 1 when some part has more than t vertices, and no
+single piece spans at d = 1 when some part has two.  What is left of d = 1
+goes through a reject filter first: two cliques cover V only if some
+monochromatic clique through vertex 0 leaves a monochromatic clique behind
+(``_clique_pair_exists``).  The filter never supplies the cover; when it
+passes, the exhaustive search still finds it, so labels and witnesses do not
+depend on the filter.
 
 ``compute_D`` maximizes the per-coloring minimal feasible d over all
-colorings of a shape up to symmetry.  The spanning diameter does not depend
-on d, so ``_min_cover_d`` computes it at most once per class and color.  The
-enumeration space is split into contiguous key ranges; each range is advanced
-in resumable chunks, and results merge through a commutative monoid (max of
+colorings of a shape up to symmetry.  ``_min_cover_d`` asks each d once, in
+ascending order, so the ladder keeps no memo across rungs.  The enumeration
+space is split into contiguous key ranges; each range is advanced in
+resumable chunks, and results merge through a commutative monoid (max of
 min-d with smallest-key tie-break, plus counters), so the outcome is
 independent of thread count, chunk size, and kill/resume boundaries.  One
 as-completed scheduler drives the chunks at every thread count: at most
 ``threads`` are in flight, and each result is merged as it arrives.  Classes
 are skewed across the key space (60.7% of ``[2,2,2,2]`` lies in one of the 64
-initial ranges), so whenever idle workers outnumber the free pending ranges,
-the widest free range is split at the midpoint of its remaining keys; the
-orderly enumeration restarts from any key, so a split is sound.  A checkpoint
-holds merged progress only: a range with a chunk in flight keeps its old
-cursor until the chunk's result is merged.  ``gk_survey`` is the same engine
-pointed at the k-parts-of-size-2 shapes with the clone pruning rules on,
-recording structural facts about any coloring that survives them.
+initial ranges), so idle workers claim the free ranges with the most keys
+left first, which leaves a dense range's remainder for last, and whenever
+idle workers outnumber the free pending ranges, the widest free range is
+split at the midpoint of its remaining keys; the orderly enumeration
+restarts from any key, so a split is sound.  A checkpoint holds merged
+progress only: a range with a chunk in flight keeps its old cursor until the
+chunk's result is merged.  ``gk_survey`` is the same engine pointed at the
+k-parts-of-size-2 shapes with the clone pruning rules on, recording
+structural facts about any coloring that survives them.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from .covers import certifies, make_cover, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
                      bilayer_partition, bits_of, build_shape,
-                     diameter_in_mask, far_masks, other_color)
+                     diameter_at_most, far_masks, other_color)
 from .symmetry import (canonical_classes, key_to_bits, symmetry_group,
                        vertex_group_order)
 
@@ -73,8 +82,9 @@ def _star_mask(chi: EdgeColoring, c: int, v: int) -> int:
     return chi.adj[c][v] | (1 << v)
 
 
-def _spanning_diameter(chi: EdgeColoring, c: int) -> int:
-    return diameter_in_mask(chi, c, chi.shape.full_mask)
+def _spanning_diameter(chi: EdgeColoring, c: int, d: int) -> bool:
+    """Whether the whole color-c graph has diameter <= d (early exit)."""
+    return diameter_at_most(chi, c, chi.shape.full_mask, d)
 
 
 def _two_stars(chi: EdgeColoring, d: int):
@@ -90,6 +100,49 @@ def _two_stars(chi: EdgeColoring, d: int):
             if certifies(chi, cover, d, 2):
                 return cover
     return None
+
+
+def _is_clique(rows, mask: int) -> bool:
+    """Whether the mask is a clique of the graph with these adjacency rows.
+
+    ``diameter_at_most(chi, c, mask, 1)`` answers the same, one ball per
+    vertex; this one test per vertex made the d = 1 filter 5x cheaper.
+    """
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if mask & ~rows[low.bit_length() - 1] != low:
+            return False
+        rest ^= low
+    return True
+
+
+def _clique_pair_exists(chi: EdgeColoring) -> bool:
+    """Whether two monochromatic cliques cover V: the two-bag question at d = 1.
+
+    A piece of diameter <= 1 is a monochromatic clique, and so is any subset
+    of one.  So a cover exists exactly when some monochromatic clique K
+    through vertex 0 leaves V minus K empty or a monochromatic clique.  A
+    stack DFS grows K one common neighbor at a time; the vertices that can no
+    longer join K must all lie in V minus K, so a branch dies as soon as they
+    are no clique of either color.
+    """
+    full = chi.shape.full_mask
+    red, blue = chi.adj
+    for rows in chi.adj:
+        stack = [(1, rows[0])]  # (clique K, vertices adjacent to all of K)
+        while stack:
+            clique, cand = stack.pop()
+            out = full & ~(clique | cand)
+            if not (_is_clique(red, out) or _is_clique(blue, out)):
+                continue
+            if not cand:
+                return True
+            low = cand & -cand
+            cand ^= low
+            stack.append((clique, cand))
+            stack.append((clique | low, cand & rows[low.bit_length() - 1]))
+    return False
 
 
 # ============================================================================
@@ -326,13 +379,9 @@ def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
 # DECISION LADDER
 # ============================================================================
 
-def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, span: list):
-    """(verified cover | None, label of the deciding rule).
-
-    ``span`` memoizes the spanning diameter per color ([red, blue], None until
-    computed); it does not depend on d, so one list serves every rung.
-    """
-    cover, label = _ladder(chi, t, d, prune, span)
+def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
+    """(verified cover | None, label of the deciding rule)."""
+    cover, label = _ladder(chi, t, d, prune)
     if cover is not None:
         violation = verify_cover(chi, cover, d, t)
         if violation is not None:
@@ -341,7 +390,7 @@ def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, span: list):
     return cover, label
 
 
-def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, span: list):
+def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
     """(cover | None, label of the deciding rule); covers pass ``certifies``."""
     n = chi.n
     if n <= t:
@@ -350,11 +399,11 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, span: list):
         return None, "none"  # diameter-0 pieces are singletons; n > t
     if d == 1 and chi.shape.part_sizes[0] > t:
         return None, "none"  # t cliques hold at most t vertices of a part
-    for c in (RED, BLUE):
-        if span[c] is None:
-            span[c] = _spanning_diameter(chi, c)
-        if span[c] <= d:
-            return make_cover((c, range(n))), "spanning"
+    # at d = 1 two vertices of one part (not adjacent) rule out spanning
+    if d >= 2 or chi.shape.part_sizes[0] == 1:
+        for c in (RED, BLUE):
+            if _spanning_diameter(chi, c, d):
+                return make_cover((c, range(n))), "spanning"
     if t == 1:
         return None, "none"
     if d >= 2:
@@ -370,6 +419,8 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, span: list):
         cover = star_doublestar_search(chi, d)
         if cover is not None:
             return cover, "star-doublestar"
+    if d == 1 and not _clique_pair_exists(chi):
+        return None, "none"  # a reject filter: the cover comes from two_bag
     cover = two_bag_cover(chi, d)
     return cover, ("trichotomy" if cover is not None else "none")
 
@@ -386,14 +437,14 @@ def _check_td(t: int, d: int) -> None:
 def cover_exists(chi: EdgeColoring, t: int, d: int) -> bool:
     """Does chi admit a cover by t monochromatic pieces of diameter <= d?"""
     _check_td(t, d)
-    cover, _ = _decide(chi, t, d, False, [None, None])
+    cover, _ = _decide(chi, t, d, False)
     return cover is not None
 
 
 def find_cover(chi: EdgeColoring, t: int, d: int):
     """Like cover_exists but returns the verified witness cover (or None)."""
     _check_td(t, d)
-    cover, _ = _decide(chi, t, d, False, [None, None])
+    cover, _ = _decide(chi, t, d, False)
     return cover
 
 
@@ -407,9 +458,8 @@ def min_cover_diameter(chi: EdgeColoring, t: int, d_max: int = 4,
 def _min_cover_d(chi, t, d_max, prune, survey_d):
     """(min feasible d or d_max+1, deciding label, survey info or None)."""
     surv = None
-    span = [None, None]
     for d in range(d_max + 1):
-        cover, label = _decide(chi, t, d, prune, span)
+        cover, label = _decide(chi, t, d, prune)
         if survey_d is not None and d == survey_d and prune and \
                 (cover is None or label == "trichotomy"):
             has = cover is not None
@@ -583,20 +633,47 @@ def load_checkpoint(path: str) -> dict:
     return state
 
 
-def _resume(state: dict, path: str, config: dict):
-    """(ranges, classes, rules, best, survivors, violations, notes, seconds)."""
+def _check_ranges(ranges, end: int) -> None:
+    """Cursor ranges must tile the key space [0, end) in key order.
+
+    Each range is ``[lo, hi, pos]`` with ``lo <= pos <= hi``, and each starts
+    where the one before it ends.  So none is repeated, overlaps another,
+    leaves a gap or reaches outside the key space: every key is enumerated
+    exactly once across a resume.
+    """
+    if not all(isinstance(r, list) and len(r) == 3
+               and all(type(a) is int for a in r) for r in ranges):
+        raise ValueError("cursor_ranges must hold [lo, hi, pos] integers")
+    at = 0
+    for lo, hi, pos in ranges:
+        if lo != at:
+            raise ValueError(f"cursor range {[lo, hi, pos]} should start at "
+                             f"key {at}: ranges must be sorted, disjoint "
+                             f"and gap-free")
+        if not lo <= pos <= hi:
+            raise ValueError(f"cursor range {[lo, hi, pos]} has its cursor "
+                             f"outside [lo, hi]")
+        at = hi
+    if at != end:
+        raise ValueError(f"cursor ranges end at key {at}, not at the end of "
+                         f"the key space {end}")
+
+
+def _resume(state: dict, path: str, config: dict, end: int):
+    """(ranges, classes, rules, best, survivors, violations, notes, seconds).
+
+    ``end`` is the end of the key space the ranges must tile.
+    """
     try:
         if state["config"] != config:
             raise InvalidParameter(
                 f"checkpoint {path} was written with different "
                 f"settings: {state['config']} vs {config}")
-        ranges = [list(r) for r in state["cursor_ranges"]]
-        if not all(len(r) == 3 and all(type(a) is int for a in r)
-                   for r in ranges):
-            raise ValueError("cursor_ranges must hold [lo, hi, pos] integers")
+        ranges = state["cursor_ranges"]
+        _check_ranges(ranges, end)
         counts = state["counts"]
         d, bits = state["best"]["d"], state["best"]["witness_bits"]
-        return (ranges,
+        return ([list(r) for r in ranges],
                 int(counts["classes_enumerated"]),
                 Counter({str(k): int(v)
                          for k, v in counts["pruned_by_rule"].items()}),
@@ -645,21 +722,25 @@ def _initial_ranges(m: int, use_symmetry: bool):
 
 
 def _claim_ranges(ranges, busy, idle: int):
-    """Up to ``idle`` pending ranges not in ``busy`` (ids), in key order.
+    """Up to ``idle`` pending ranges not in ``busy`` (ids), most keys left first.
 
-    While idle workers outnumber such free ranges, the free range with the
-    most keys left is split at the midpoint of those keys: ``[lo, hi, pos]``
-    becomes ``[lo, mid, pos]`` plus ``[mid, hi, mid]``.  Enumeration restarts
-    from any key, so both halves are sound cursors and together cover exactly
-    the keys the range had left.
+    Ties go in key order, so every range is claimed once before any range
+    whose chunk came back unfinished; a dense range's remainder is left for
+    last, where it is split for the workers that run out of other ranges,
+    however fast the ladder runs.  While idle workers outnumber the free
+    ranges, the free range with the most keys left is split at the midpoint
+    of those keys: ``[lo, hi, pos]`` becomes ``[lo, mid, pos]`` plus
+    ``[mid, hi, mid]``.  Enumeration restarts from any key, so both halves are
+    sound cursors and together cover exactly the keys the range had left.
     """
     while True:
-        free = [r for r in ranges if r[2] < r[1] and id(r) not in busy]
+        free = sorted((r for r in ranges if r[2] < r[1] and id(r) not in busy),
+                      key=lambda r: r[2] - r[1])
         if len(free) >= idle:
             return free[:idle]
-        wide = max(free, key=lambda r: r[1] - r[2], default=None)
-        if wide is None or wide[1] - wide[2] < 2:
+        if not free or free[0][1] - free[0][2] < 2:
             return free
+        wide = free[0]
         mid = (wide[2] + wide[1]) // 2
         ranges.append([mid, wide[1], mid])
         wide[1] = mid
@@ -673,9 +754,16 @@ def _run_inline(args) -> Future:
     return done
 
 
-def _check_count(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+# Most worker processes a survey may start.  The fork pool starts every worker
+# at its first submit, so an unbounded count could exhaust the process table.
+MAX_THREADS = 64
+
+
+def _check_count(name: str, value, most: int | None = None) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1 \
+            or (most is not None and value > most):
+        bound = ">= 1" if most is None else f"in 1..{most}"
+        raise InvalidParameter(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
@@ -694,9 +782,10 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     One as-completed scheduler runs at every thread count.  At most
     ``threads`` chunks are in flight, each advancing one key range; results
     merge as they arrive.  With ``threads > 1`` the chunks run in a process
-    pool and hold at most ``POOL_CHUNK_CLASSES`` classes, and whenever idle
-    workers outnumber the free pending ranges the widest free range is split
-    in two (``_claim_ranges``).  With ``threads == 1`` each chunk runs inline,
+    pool and hold at most ``POOL_CHUNK_CLASSES`` classes, free ranges are
+    claimed most keys left first, and whenever idle workers outnumber the
+    free pending ranges the widest free range is split in two
+    (``_claim_ranges``).  With ``threads == 1`` each chunk runs inline,
     up to ``checkpoint_every`` classes (no limit without a checkpoint), and no
     range is ever split.  A checkpoint is written once ``checkpoint_every``
     classes have merged since the last one, on stop and on finish.  It holds
@@ -709,8 +798,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     _check_td(t, 0)
     if d_max < 0:
         raise InvalidParameter(f"d_max must be >= 0, got {d_max}")
-    if threads < 1:
-        raise InvalidParameter(f"threads must be >= 1, got {threads}")
+    _check_count("threads", threads, MAX_THREADS)
     _check_count("checkpoint_every", checkpoint_every)
     if stop_after_classes is not None:
         _check_count("stop_after_classes", stop_after_classes)
@@ -740,7 +828,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     if checkpoint_path and os.path.exists(checkpoint_path):
         (ranges, classes, rules, best, survivors, violations, notes,
          spent) = _resume(load_checkpoint(checkpoint_path), checkpoint_path,
-                          config)
+                          config, ranges[-1][1])
 
     def snapshot():
         return {

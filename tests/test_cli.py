@@ -297,12 +297,31 @@ VERIFY = ("verify", "--coloring", "chi.json", "--cover", "cover.json",
           "--stop-after", "0")),
     ({}, ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json",
           "--stop-after", "-3")),
+    ({}, ("compute-d", "--parts", "2,2,1", "--threads", "100000")),
+    ({}, ("compute-d", "--parts", "2,2,1", "--threads", "0")),
+    ({}, ("gk", "--k", "3", "--threads", "100000")),
+    ({}, ("gk", "--k", "3", "--threads", "0")),
 ], ids=["bits-not-hex", "edge-without-color", "subgraph-without-color",
         "checkpoint-without-config", "part-size-not-int",
         "vertices-not-a-list", "checkpoint-every-0", "checkpoint-every-negative",
-        "gk-checkpoint-every-0", "stop-after-0", "stop-after-negative"])
+        "gk-checkpoint-every-0", "stop-after-0", "stop-after-negative",
+        "threads-huge", "threads-0", "gk-threads-huge", "gk-threads-0"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     _assert_config_error(tmp_path, files, argv, timeout=120)
+
+
+def test_resume_with_overlapping_ranges_exits_2(tmp_path, capsys):
+    # A checkpoint stopped after 3 classes, its ranges rewound to lo and
+    # listed twice: resuming it would enumerate every key twice and report
+    # 57 classes instead of 27.
+    cp = tmp_path / "cp.json"
+    argv = ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")
+    code, out, _ = run(capsys, *argv[:-1], str(cp), "--stop-after", "3")
+    assert code == OK and json.loads(out)["complete"] is False
+    state = json.loads(cp.read_text())
+    ranges = [[lo, hi, lo] for lo, hi, _ in state["cursor_ranges"]]
+    state["cursor_ranges"] = ranges + ranges
+    _assert_config_error(tmp_path, {"cp.json": state}, argv, timeout=120)
 
 
 def test_oversized_shape_exits_2_quickly(tmp_path):

@@ -4,8 +4,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_coloring
+from test_graphs import colorings_up_to_12
 from mpcover import search
 from mpcover.construct import two_stars_at
 from mpcover.covers import certifies, make_cover, verify_cover
@@ -150,6 +153,51 @@ def test_counting_bound_skips_the_two_bag_search(rng, monkeypatch):
         for _ in range(8):
             chi = random_coloring(rng, sizes)
             assert find_cover(chi, 2, 1) is None
+
+
+# Shapes where the counting bounds leave d = 1 open, so the clique-pair
+# filter runs: every part has at most two vertices.
+CLIQUE_PAIR_SHAPES = ((2, 2, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1), (2, 1, 1, 1),
+                      (1, 1, 1, 1))
+
+
+@st.composite
+def d1_colorings(draw):
+    """Random colorings, and colorings with two planted monochromatic cliques."""
+    shape = build_shape(draw(st.sampled_from(CLIQUE_PAIR_SHAPES)))
+    bits = draw(st.integers(0, (1 << shape.m) - 1))
+    if draw(st.booleans()):
+        # one vertex of each part to each side (a size-1 part picks a side)
+        side = [0] * shape.n
+        for p in range(shape.k):
+            vs = list(shape.part_vertices(p))
+            first = draw(st.integers(0, 1))
+            for i, v in enumerate(vs):
+                side[v] = first ^ i
+        colors = (draw(st.sampled_from((RED, BLUE))),
+                  draw(st.sampled_from((RED, BLUE))))
+        for i, (u, v) in enumerate(shape.edges):
+            if side[u] == side[v]:
+                bits = bits & ~(1 << i) | (colors[side[u]] << i)
+    return EdgeColoring(shape, bits)
+
+
+@settings(deadline=None, max_examples=300)
+@given(d1_colorings())
+def test_clique_pair_filter_is_exact_at_d1(chi):
+    want = oracle_cover_exists(chi, 2, 1)
+    assert search._clique_pair_exists(chi) == want
+    assert (two_bag_cover(chi, 1) is not None) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(colorings_up_to_12())
+def test_spanning_rung_is_the_bounded_diameter(chi):
+    full = chi.shape.full_mask
+    for c in (RED, BLUE):
+        diameter = diameter_in_mask(chi, c, full)
+        for d in range(5):
+            assert search._spanning_diameter(chi, c, d) == (diameter <= d)
 
 
 def test_two_stars_cover_only_at_size_one_parts(rng):
@@ -331,18 +379,68 @@ def test_checkpoint_rejects_mismatched_settings(tmp_path):
         compute_D([2, 2, 1], checkpoint_path=str(cp))
 
 
+def _rewound_and_doubled(good):
+    # every range rewound to lo and the list given twice, so a resume would
+    # enumerate each key twice
+    ranges = [[lo, hi, lo] for lo, hi, _ in good["cursor_ranges"]]
+    return dict(good, cursor_ranges=ranges + ranges)
+
+
+def _swap_first_two(good):
+    ranges = good["cursor_ranges"]
+    return dict(good, cursor_ranges=[ranges[1], ranges[0]] + ranges[2:])
+
+
+def _with_range(i, change):
+    def corrupt(good):
+        ranges = [list(r) for r in good["cursor_ranges"]]
+        ranges[i] = change(ranges[i])
+        return dict(good, cursor_ranges=ranges)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda good: {"version": 1},
     lambda good: [1],
     lambda good: dict(good, cursor_ranges=[[0, "x", 0]]),
     lambda good: dict(good, counts={"classes_enumerated": 0}),
-], ids=["no-config", "not-an-object", "bad-range", "missing-counts"])
+    _rewound_and_doubled,
+    _swap_first_two,
+    lambda good: dict(good, cursor_ranges=good["cursor_ranges"][:1]
+                      + good["cursor_ranges"]),
+    _with_range(0, lambda r: [r[0], r[1] + 1, r[2]]),
+    lambda good: dict(good, cursor_ranges=good["cursor_ranges"][1:]),
+    lambda good: dict(good, cursor_ranges=good["cursor_ranges"][:-1]),
+    _with_range(-1, lambda r: [r[0], r[1] + 1, r[2]]),
+    _with_range(0, lambda r: [r[0], r[1], r[1] + 1]),
+    _with_range(1, lambda r: [r[0], r[1], r[0] - 1]),
+    lambda good: dict(good, cursor_ranges=[]),
+    lambda good: dict(good, cursor_ranges=[5]),
+], ids=["no-config", "not-an-object", "bad-range", "missing-counts",
+        "rewound-and-doubled", "unsorted", "repeated", "overlapping",
+        "missing-start", "missing-end", "past-the-key-space", "pos-above-hi",
+        "pos-below-lo", "no-ranges", "not-a-range"])
 def test_checkpoint_rejects_malformed_files(tmp_path, corrupt):
     cp = tmp_path / "cp.json"
     compute_D([2, 2, 1], checkpoint_path=str(cp))
     cp.write_text(json.dumps(corrupt(json.loads(cp.read_text()))))
     with pytest.raises(InvalidParameter):
         compute_D([2, 2, 1], checkpoint_path=str(cp))
+
+
+@pytest.mark.parametrize("threads", [
+    0, -1, search.MAX_THREADS + 1, 100000, True, 2.0, "2", None])
+def test_threads_must_be_a_bounded_integer(monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(InvalidParameter, match="threads"):
+        compute_D([2, 2, 1], threads=threads)
+    with pytest.raises(InvalidParameter, match="threads"):
+        gk_survey(3, threads=threads, checkpoint_path=os.devnull)
+    with pytest.raises(AssertionError, match="pool"):
+        compute_D([2, 2, 1], threads=2)  # the guard above is the only stop
 
 
 def test_stopping_early_needs_a_checkpoint():
@@ -463,9 +561,9 @@ def test_spanning_diameter_is_computed_once_per_class_and_color(monkeypatch):
     calls = []
     original = search._spanning_diameter
 
-    def counted(chi, c):
-        calls.append((chi.bits, c))
-        return original(chi, c)
+    def counted(chi, c, d):
+        calls.append((chi.bits, c, d))
+        return original(chi, c, d)
 
     monkeypatch.setattr(search, "_spanning_diameter", counted)
     result = compute_D([2, 2, 2], d_max=4)
