@@ -155,7 +155,7 @@ def cover_from_json(obj: dict) -> Cover:
         vertices = frozenset(entry["vertices"])
         if isinstance(color, str):
             color = color_from_name(color)
-        elif color not in COLORS:
+        elif type(color) is not int or color not in COLORS:
             raise InvalidCover(f"unknown color {color!r}")
         out.append(MonoSubgraph(color, vertices))
     return Cover(tuple(out))

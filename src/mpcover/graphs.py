@@ -563,9 +563,10 @@ def coloring_from_json(obj: dict) -> EdgeColoring:
         colored = []
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3
-                    and all(isinstance(u, int) and 0 <= u < shape.n
+                    and all(type(u) is int and 0 <= u < shape.n
                             for u in entry[:2])
-                    and (isinstance(entry[2], str) or entry[2] in COLORS)):
+                    and (isinstance(entry[2], str)
+                         or (type(entry[2]) is int and entry[2] in COLORS))):
                 raise InvalidShape(f"edge entry {entry!r} is not [u, v, color] "
                                    f"with u, v in 0..{shape.n - 1}")
             u, v, c = entry

@@ -65,8 +65,8 @@ from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
                      bilayer_partition, bits_of, build_shape,
                      diameter_at_most, far_masks, other_color)
-from .symmetry import (canonical_classes, key_to_bits, symmetry_group,
-                       vertex_group_order)
+from .symmetry import (canonical_classes, key_to_bits, leader_count,
+                       symmetry_group, vertex_group_order)
 
 DEFAULT_CAP_EDGES = 28
 CAP_ENV_VAR = "MPCOVER_CAP_EDGES"
@@ -628,7 +628,8 @@ def save_checkpoint(path: str, state: dict) -> None:
 def load_checkpoint(path: str) -> dict:
     with open(path) as fh:
         state = json.load(fh)
-    if not isinstance(state, dict) or state.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(state, dict) or type(state.get("version")) is not int \
+            or state["version"] != CHECKPOINT_VERSION:
         raise InvalidParameter(f"unsupported checkpoint version in {path}")
     return state
 
@@ -659,29 +660,65 @@ def _check_ranges(ranges, end: int) -> None:
                          f"the key space {end}")
 
 
-def _resume(state: dict, path: str, config: dict, end: int):
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"count {value!r} is not a non-negative integer")
+    return value
+
+
+def _resume(state: dict, path: str, config: dict, end: int, m: int):
     """(ranges, classes, rules, best, survivors, violations, notes, seconds).
 
-    ``end`` is the end of the key space the ranges must tile.
+    ``end`` is the end of the key space the ranges must tile, ``m`` the
+    shape's edge count.  The config must equal the run's as JSON.  Counts
+    must be non-negative integers that fit together: the rule counts add up
+    to the class count, survivors are classes, and only survivors carry
+    violations and notes.  The best class, present once a class was counted,
+    must be a key of the shape (lower-case hex, as written) with a diameter
+    in 0..d_max + 1.
     """
     try:
-        if state["config"] != config:
+        # compared as JSON text, so that 1 and true or 2 and 2.0 differ
+        if json.dumps(state["config"], sort_keys=True) \
+                != json.dumps(config, sort_keys=True):
             raise InvalidParameter(
                 f"checkpoint {path} was written with different "
                 f"settings: {state['config']} vs {config}")
         ranges = state["cursor_ranges"]
         _check_ranges(ranges, end)
         counts = state["counts"]
+        classes = _count(counts["classes_enumerated"])
+        rules = Counter({str(k): _count(v)
+                         for k, v in counts["pruned_by_rule"].items()})
+        if sum(rules.values()) != classes:
+            raise ValueError(f"rule counts add up to {sum(rules.values())}, "
+                             f"not to the {classes} classes enumerated")
         d, bits = state["best"]["d"], state["best"]["witness_bits"]
-        return ([list(r) for r in ranges],
-                int(counts["classes_enumerated"]),
-                Counter({str(k): int(v)
-                         for k, v in counts["pruned_by_rule"].items()}),
-                None if d is None else (int(d), int(bits, 16)),
-                int(counts.get("survivors", 0)),
-                int(counts.get("property_violations", 0)),
-                keep_notes(counts.get("violation_notes", [])),
-                float(counts.get("seconds", 0.0)))
+        best = None
+        if d is not None or bits is not None:
+            best = (_count(d), int(bits, 16))
+            if f"{best[1]:x}" != bits or best[0] > config["d_max"] + 1 \
+                    or best[1] >= 1 << m:
+                raise ValueError(f"best class {state['best']} is out of range")
+        if (best is None) != (classes == 0):
+            raise ValueError("a best class is kept exactly when some class "
+                             "was enumerated")
+        survivors = _count(counts.get("survivors", 0))
+        violations = _count(counts.get("property_violations", 0))
+        notes = counts.get("violation_notes", [])
+        if not isinstance(notes, list):
+            raise ValueError(f"violation_notes {notes!r} is not a list")
+        # a survivor is a class, and only survivors carry violations and notes
+        if survivors > classes or (violations and not survivors) \
+                or len(notes) > violations:
+            raise ValueError(f"{survivors} survivors, {violations} violations "
+                             f"and {len(notes)} notes do not fit {classes} "
+                             f"classes")
+        seconds = counts.get("seconds", 0.0)
+        if type(seconds) not in (int, float) or not 0 <= seconds < float("inf"):
+            raise ValueError(f"seconds {seconds!r} is not a non-negative number")
+        return ([list(r) for r in ranges], classes, rules, best, survivors,
+                violations, keep_notes(notes), float(seconds))
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise InvalidParameter(f"malformed checkpoint {path}: {e!r}")
 
@@ -828,7 +865,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     if checkpoint_path and os.path.exists(checkpoint_path):
         (ranges, classes, rules, best, survivors, violations, notes,
          spent) = _resume(load_checkpoint(checkpoint_path), checkpoint_path,
-                          config, ranges[-1][1])
+                          config, ranges[-1][1], shape.m)
 
     def snapshot():
         return {
@@ -905,6 +942,10 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
         return None
     if best is None:
         raise InvalidParameter("empty enumeration; nothing to survey")
+    expected = leader_count(shape, _engine(sizes, use_symmetry)[1])
+    if classes != expected:
+        raise RuntimeError(f"survey of {list(sizes)} counted {classes} "
+                           f"classes, but the group has {expected} orbits")
     d, key = best
     result = SearchResult(
         part_sizes=sizes, t=t, d=d, exceeded=d > d_max,

@@ -1,4 +1,4 @@
-"""Coloring symmetries and orbit-leader enumeration.
+"""Coloring symmetries, orbit-leader enumeration and the orbit count.
 
 The symmetry group of a shape's colorings is the product of the symmetric
 groups inside each part, the permutations of equal-size parts, and the global
@@ -7,12 +7,16 @@ lexicographically minimal over its orbit (compared edge 0 first, red < blue).
 Keys are the bitstring read most-significant-bit-first, so lexicographic
 order on colorings is numeric order on keys.
 
-Enumeration is an orderly depth-first scan of the binary prefix tree: at each
-node every group element maintains a scan pointer comparing the permuted
-image against the chosen prefix, a subtree is abandoned as soon as some image
-is provably smaller, and an element is dropped once its image is provably
-larger.  Visiting leaves in key order makes the enumeration restartable from
-any key, which is what checkpoints and work sharding rely on.
+Enumeration is an orderly depth-first scan of the binary prefix tree.  Each
+group element keeps a pointer to the first position where its image of the
+prefix may still differ from the prefix, and is event-driven: it waits in the
+bucket of the depth at which that comparison can first be decided, and only
+the bucket of a node's own depth is visited there.  A subtree is abandoned as
+soon as some image is provably smaller, and an element drops out once its
+image is provably larger.  Visiting leaves in key order makes the enumeration
+restartable from any key, which is what checkpoints and work sharding rely
+on.  ``leader_count`` gives the number of leaders by Burnside's lemma, which
+every finished survey is checked against.
 
 For shapes whose full group is too large to expand, enumeration falls back
 to a smaller subgroup (per-part cyclic shifts, cyclic rotation of equal-size
@@ -49,13 +53,37 @@ class SymmetryGroup:
     when only a subgroup was expanded (``is_full`` tells which).
     """
 
-    __slots__ = ("shape", "order", "elements", "is_full")
+    __slots__ = ("shape", "order", "elements", "is_full", "_wake_entries")
 
     def __init__(self, shape: MultipartiteShape, elements, is_full: bool, order: int):
         self.shape = shape
         self.elements = elements
         self.is_full = is_full
         self.order = order
+        self._wake_entries = None
+
+    def wake_entries(self) -> list:
+        """``(wake, (inv, wake_row, flip))`` per element, built on first use.
+
+        ``wake_row[j] = max(j, inv[j]) + 1`` is the first scan depth at which
+        comparison ``j`` can be decided; ``wake_row[m] = m + 1`` parks an
+        element that matched a whole leaf.  Rows are shared by the two flips
+        of a vertex permutation.  Kept on the group, so every later scan over
+        it (one per worker chunk) reuses the table.
+        """
+        if self._wake_entries is None:
+            m = self.shape.m
+            pack = bytes if m < 255 else tuple  # bytes hold depths <= 255
+            rows = {}
+            entries = []
+            for inv, flip in self.elements:
+                row = rows.get(inv)
+                if row is None:
+                    row = rows[inv] = pack([max(j, i) + 1 for j, i in enumerate(inv)]
+                                           + [m + 1])
+                entries.append((row[0], (inv, row, flip)))
+            self._wake_entries = entries
+        return self._wake_entries
 
 
 def size_families(shape: MultipartiteShape):
@@ -164,8 +192,21 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
                       lo: int = 0, hi: int | None = None, start: int = 0):
     """Yield (key, bits) of orbit leaders with key in [max(lo, start), hi).
 
-    Keys come out strictly ascending.  With ``group=None`` every coloring is
-    its own class (raw enumeration).
+    Keys come out strictly ascending, so a scan restarts at any key: a window
+    ``[lo, hi)`` yields exactly the leaders of the full scan that fall in it.
+    With ``group=None`` every coloring is its own class (raw enumeration).
+    ``leader_count`` gives the number of leaders the full scan yields.
+
+    The scan is an iterative depth-first walk of the prefix tree, choosing
+    edge ``d`` at depth ``d``.  Each group element carries a pointer ``j``:
+    its image agrees with the prefix before position ``j``.  It waits in the
+    bucket for depth ``max(j, inv[j]) + 1``, the first depth at which both
+    sides of comparison ``j`` are chosen (``SymmetryGroup.wake_entries``).  A
+    node at depth ``nd`` visits bucket ``nd`` only.  A smaller image prunes
+    the node, a larger one drops the element, and equal images advance the
+    pointer until the element waits for a later bucket.  Those pushes are
+    popped when the node returns, so both children of a node read its
+    buckets unchanged.
     """
     m = shape.m
     if hi is None:
@@ -181,45 +222,94 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
         yield 0, 0
         return
 
-    elements = group.elements
+    # bucket m + 1 holds the elements that matched a whole leaf; never read
+    buckets = [[] for _ in range(m + 2)]
     b = [0] * m
-
-    def dfs(depth, pref, alive):
+    nb = [1] * m  # the prefix with its colors swapped, read by flip elements
+    for wake, (inv, row, flip) in group.wake_entries():
+        buckets[wake].append((inv, row, nb if flip else b, 0))
+    nxt = [0] * m           # next bit to try at each depth; 2 = both done
+    prefs = [0] * m         # key of the prefix at each depth
+    bits_at = [0] * m       # stored bits of the prefix at each depth
+    pushed = [[] for _ in range(m)]  # buckets pushed to under each depth's child
+    d = 0
+    while d >= 0:
+        undo = pushed[d]
+        while undo:
+            undo.pop().pop()
+        bit = nxt[d]
+        if bit == 2:
+            d -= 1
+            continue
+        nxt[d] = bit + 1
+        shift = m - 1 - d
+        pref = prefs[d] | (bit << shift)
         if pref >= hi:
-            return
-        if depth == m:
-            yield pref, sum(b[i] << i for i in range(m))
-            return
-        width = 1 << (m - depth - 1)
-        for bit in (0, 1):
-            child_pref = pref | (bit << (m - depth - 1))
-            if child_pref + width <= lo or child_pref >= hi:
-                continue
-            b[depth] = bit
-            nd = depth + 1
-            child_alive = []
-            pruned = False
-            for idx, pos in alive:
-                inv, flip = elements[idx]
-                j = pos
-                while j < nd and inv[j] < nd:
-                    img = b[inv[j]] ^ flip
-                    if img < b[j]:
-                        pruned = True  # image beats every extension
-                        break
-                    if img > b[j]:
-                        j = -1  # element can never beat this subtree
-                        break
-                    j += 1
-                if pruned:
+            nxt[d] = 2  # the 1-child is past hi as well
+            continue
+        if pref + (1 << shift) <= lo:
+            continue
+        b[d] = bit
+        nb[d] = 1 - bit
+        nd = d + 1
+        for inv, wake, src, j in buckets[nd]:
+            img = src[inv[j]]
+            while img == b[j]:
+                j += 1
+                w = wake[j]
+                if w > nd:
+                    target = buckets[w]
+                    target.append((inv, wake, src, j))
+                    undo.append(target)
                     break
-                if j >= 0:
-                    child_alive.append((idx, j))
-            if pruned:
-                continue
-            yield from dfs(nd, child_pref, child_alive)
+                img = src[inv[j]]
+            else:
+                if img < b[j]:
+                    break  # the image beats every extension: prune the child
+        else:
+            bits = bits_at[d] | (bit << d)
+            if nd == m:
+                yield pref, bits
+            else:
+                prefs[nd] = pref
+                bits_at[nd] = bits
+                nxt[nd] = 0
+                d = nd
 
-    yield from dfs(0, 0, [(i, 0) for i in range(len(elements))])
+
+def leader_count(shape: MultipartiteShape, group: SymmetryGroup | None) -> int:
+    """How many leaders ``canonical_classes(shape, group)`` yields in all.
+
+    Burnside's lemma: the orbit count is the mean number of colorings a group
+    element fixes.  A vertex permutation with c cycles on the edges fixes
+    2^c colorings; with the color swap it fixes 2^c when every cycle has even
+    length and none otherwise.  ``group.elements`` plus the identity form a
+    group (the full one or the cyclic subgroup), and the elements come in
+    flip pairs, so the sum runs over the distinct edge permutations.  With
+    ``group=None`` every coloring is its own class.
+    """
+    m = shape.m
+    if group is None:
+        return 1 << m
+    perms = {inv for inv, _ in group.elements}
+    perms.add(tuple(range(m)))
+    total = 0
+    for inv in perms:
+        seen = [False] * m
+        cycles = 0
+        all_even = True
+        for j in range(m):
+            if seen[j]:
+                continue
+            cycles += 1
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = inv[j]
+                length += 1
+            all_even = all_even and length % 2 == 0
+        total += (2 if all_even else 1) << cycles
+    return total // (2 * len(perms))
 
 
 # ============================================================================
@@ -337,16 +427,3 @@ def _lexmin_backtrack(chi: EdgeColoring, leaf_budget: int = 2_000_000) -> int:
 
         assign(0)
     return key_to_bits(best_key, m)
-
-
-def orbit_of(chi: EdgeColoring, group: SymmetryGroup) -> set:
-    """All bit-strings in chi's orbit under the expanded elements (tests)."""
-    out = {chi.bits}
-    for inv, flip in group.elements:
-        flipmask = ((1 << chi.shape.m) - 1) if flip else 0
-        img = 0
-        for j in range(chi.shape.m):
-            if (chi.bits >> inv[j]) & 1:
-                img |= 1 << j
-        out.add(img ^ flipmask)
-    return out

@@ -6,12 +6,12 @@ bounds for a single modern core; the real times are documented in the
 README.  Seeds are fixed so reruns are reproducible.
 """
 
-import itertools
 import random
 import time
 
 import pytest
 
+from conftest import all_shapes_with_few_edges
 from mpcover.cli import run_fuzz
 from mpcover.covers import verify_cover
 from mpcover.families import gen_fig4, gen_thm31
@@ -36,19 +36,6 @@ def tripartite_shapes(max_edges):
                 m = n * (n - 1) // 2 - sum(s * (s - 1) // 2 for s in (a, b, c))
                 if m <= max_edges:
                     shapes.append((a, b, c))
-    return shapes
-
-
-def all_shapes_with_few_edges(max_edges):
-    """Every multipartite shape (any part count >= 2) within the edge cap."""
-    shapes = []
-    for k in range(2, 5):
-        for sizes in itertools.combinations_with_replacement(
-                range(8, 0, -1), k):
-            n = sum(sizes)
-            m = n * (n - 1) // 2 - sum(s * (s - 1) // 2 for s in sizes)
-            if m <= max_edges:
-                shapes.append(sizes)
     return shapes
 
 

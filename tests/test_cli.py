@@ -1,11 +1,18 @@
 """End-to-end runs of the command-line surface via main(argv)."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_coloring
 from mpcover.cli import CONFIG_ERROR, OK, REFUTED, main
@@ -13,7 +20,7 @@ from mpcover.covers import (cover_from_json, cover_to_json, make_cover,
                             verify_cover)
 from mpcover.graphs import (RED, EdgeColoring, build_shape,
                             coloring_from_json, coloring_to_json)
-from mpcover.search import SearchResult
+from mpcover.search import SearchResult, compute_D, gk_survey
 
 
 def run(capsys, *argv):
@@ -341,3 +348,147 @@ def _assert_config_error(tmp_path, files, argv, timeout):
     assert proc.returncode == CONFIG_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("mpcover: ")
+
+
+# ---------------------------------------------------------------------------
+# Mutated JSON inputs
+# ---------------------------------------------------------------------------
+
+# Each input is a valid document plus the mutations that may leave it valid:
+# (path pattern, kinds) with "*" matching any key or index.  Every other
+# mutation (drop a key or list item, give a value another JSON type, or put
+# an out-of-range integer in an integer slot) must make the command exit 2.
+MUTABLE_COLORING = {"parts": [2, 1], "edges": [[0, 2, "red"], [1, 2, "blue"]]}
+MUTABLE_BITS_COLORING = {"parts": [2, 2, 1], "bits": "a5"}
+MUTABLE_COVER = {"subgraphs": [{"color": "red", "vertices": [0, 2]},
+                               {"color": 1, "vertices": [1, 2]}]}
+COLORING_FREE = [(("parts", "*"), {"drop"})]  # a smaller shape
+COVER_FREE = [(("subgraphs", "*"), {"drop"}),  # a smaller cover, maybe refuted
+              (("subgraphs", "*", "vertices", "*"), {"drop"})]
+# "shape" and "t" at the top are written for readers and never read back
+CHECKPOINT_FREE = [(("shape",), "any"), (("shape", "*"), "any"),
+                   (("t",), "any"),
+                   (("counts", "survivors"), {"drop"}),
+                   (("counts", "property_violations"), {"drop"}),
+                   (("counts", "violation_notes"), {"drop"}),
+                   (("counts", "seconds"), {"drop"})]
+
+OTHER_TYPES = (None, True, 2.5, "x", [], {})
+OUT_OF_RANGE = (-1, 1 << 63)
+
+
+def _mutations(doc, free, path=()):
+    """Every (path, kind, replacement) mutation of doc outside ``free``."""
+    def allowed(kind):
+        for pattern, kinds in free:
+            if len(pattern) == len(path) and all(
+                    p == "*" or p == q for p, q in zip(pattern, path)) \
+                    and (kinds == "any" or kind in kinds):
+                return False
+        return True
+
+    if path and allowed("drop"):
+        yield path, "drop", None
+    if allowed("retype"):
+        for other in OTHER_TYPES:
+            if type(other) is not type(doc):
+                yield path, "retype", other
+    if type(doc) is int and allowed("range"):
+        for value in OUT_OF_RANGE:
+            yield path, "range", value
+    children = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _mutations(child, free, path + (key,))
+
+
+def _apply(doc, path, kind, value):
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+# checkpoints of surveys stopped part way, as compute-d and gk leave them
+STOPPED_SURVEYS = {
+    "compute-d": lambda path: compute_D([2, 2, 1], checkpoint_path=path,
+                                        checkpoint_every=5,
+                                        stop_after_classes=10),
+    "gk": lambda path: gk_survey(3, checkpoint_path=path, checkpoint_every=5,
+                                 stop_after_classes=40),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_text(which):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cp.json")
+        assert STOPPED_SURVEYS[which](path) is None
+        with open(path) as fh:
+            return fh.read()
+
+
+def _targets():
+    """{name: (file mutated, base document or the name of a stopped survey,
+    free mutations, other files, argv)}."""
+    verify = ("verify", "--coloring", "chi.json", "--cover", "cover.json",
+              "--d", "1", "--t", "2")
+    good = {"chi.json": MUTABLE_COLORING, "cover.json": MUTABLE_COVER}
+    return {
+        "cover": ("chi.json", MUTABLE_BITS_COLORING, COLORING_FREE, {},
+                  ("cover", "--input", "chi.json")),
+        "verify-coloring": ("chi.json", MUTABLE_COLORING, COLORING_FREE, good,
+                            verify),
+        "verify-cover": ("cover.json", MUTABLE_COVER, COVER_FREE, good, verify),
+        "exists": ("chi.json", MUTABLE_COLORING, COLORING_FREE, {},
+                   ("exists", "--coloring", "chi.json", "--t", "2", "--d", "1")),
+        "compute-d": ("cp.json", "compute-d", CHECKPOINT_FREE, {},
+                      ("compute-d", "--parts", "2,2,1", "--checkpoint",
+                       "cp.json")),
+        "gk": ("cp.json", "gk", CHECKPOINT_FREE, {},
+               ("gk", "--k", "3", "--checkpoint", "cp.json")),
+    }
+
+
+def test_the_unmutated_inputs_are_accepted(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, (target, base, _, files, argv) in _targets().items():
+        if isinstance(base, str):
+            base = json.loads(_checkpoint_text(base))
+        for fname, obj in {**files, target: base}.items():
+            (tmp_path / fname).write_text(json.dumps(obj))
+        code, _, err = run(capsys, *argv)
+        assert code == OK, (name, err)
+
+
+@pytest.mark.parametrize("name", list(_targets()))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_mutated_json_exits_2_without_traceback(name, data):
+    target, base, free, files, argv = _targets()[name]
+    if isinstance(base, str):
+        base = json.loads(_checkpoint_text(base))
+    path, kind, value = data.draw(st.sampled_from(list(_mutations(base, free))))
+    mutated = _apply(base, path, kind, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fname, obj in {**files, target: mutated}.items():
+            with open(os.path.join(tmp, fname), "w") as fh:
+                json.dump(obj, fh)
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(list(argv))
+        finally:
+            os.chdir(here)
+    assert code == CONFIG_ERROR, (path, kind, value, err.getvalue())
+    assert err.getvalue().startswith("mpcover: ")

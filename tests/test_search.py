@@ -428,6 +428,19 @@ def test_checkpoint_rejects_malformed_files(tmp_path, corrupt):
         compute_D([2, 2, 1], checkpoint_path=str(cp))
 
 
+def test_a_lost_class_fails_the_burnside_check(monkeypatch):
+    # key 0 (all red) is always a leader; a scan that loses it must not pass
+    real = search.canonical_classes
+
+    def lossy(*args, **kwargs):
+        return ((key, bits) for key, bits in real(*args, **kwargs) if key)
+
+    assert compute_D([2, 2, 1]).classes == 27
+    monkeypatch.setattr(search, "canonical_classes", lossy)
+    with pytest.raises(RuntimeError, match="26 classes, but the group has 27"):
+        compute_D([2, 2, 1])
+
+
 @pytest.mark.parametrize("threads", [
     0, -1, search.MAX_THREADS + 1, 100000, True, 2.0, "2", None])
 def test_threads_must_be_a_bounded_integer(monkeypatch, threads):

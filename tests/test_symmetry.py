@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coloring
+from conftest import all_shapes_with_few_edges, random_coloring
 from mpcover.graphs import EdgeColoring, build_shape
+from mpcover.search import _chunk_worker
 from mpcover.symmetry import (FULL_EXPANSION_CAP, _lexmin_backtrack,
                               bits_to_key, canonical_classes, canonical_key,
-                              edge_perm, key_to_bits, orbit_of, size_families,
-                              symmetry_group, vertex_group_order)
+                              edge_perm, key_to_bits, leader_count,
+                              size_families, symmetry_group,
+                              vertex_group_order)
 
 
 def all_classes(sizes, group=None):
@@ -17,6 +19,19 @@ def all_classes(sizes, group=None):
     if group is None:
         group = symmetry_group(shape)
     return list(canonical_classes(shape, group))
+
+
+def orbit_of(chi: EdgeColoring, group) -> set:
+    """All bit-strings in chi's orbit under the expanded elements."""
+    out = {chi.bits}
+    for inv, flip in group.elements:
+        flipmask = ((1 << chi.shape.m) - 1) if flip else 0
+        img = 0
+        for j in range(chi.shape.m):
+            if (chi.bits >> inv[j]) & 1:
+                img |= 1 << j
+        out.add(img ^ flipmask)
+    return out
 
 
 def test_size_families_and_group_order():
@@ -65,19 +80,20 @@ def test_two_classes_on_the_path_shape():
                                    [2, 2, 1]])
 def test_leaders_are_orbit_minima_and_cover_everything(sizes):
     shape = build_shape(sizes)
-    group = symmetry_group(shape)
-    leaders = all_classes(sizes, group)
-    keys = [k for k, _ in leaders]
-    assert keys == sorted(keys)  # ascending, strictly
-    assert len(set(keys)) == len(keys)
+    # the full group, and the cyclic subgroup the large-group tier uses
+    for group in (symmetry_group(shape), symmetry_group(shape, cap=1)):
+        leaders = all_classes(sizes, group)
+        keys = [k for k, _ in leaders]
+        assert keys == sorted(keys)  # ascending, strictly
+        assert len(set(keys)) == len(keys)
 
-    seen = set()
-    for key, bits in leaders:
-        orbit = orbit_of(EdgeColoring(shape, bits), group)
-        assert min(bits_to_key(b, shape.m) for b in orbit) == key
-        assert not (orbit & seen)  # orbits of distinct leaders are disjoint
-        seen |= orbit
-    assert len(seen) == 1 << shape.m  # and they partition the whole space
+        seen = set()
+        for key, bits in leaders:
+            orbit = orbit_of(EdgeColoring(shape, bits), group)
+            assert min(bits_to_key(b, shape.m) for b in orbit) == key
+            assert not (orbit & seen)  # orbits of distinct leaders are disjoint
+            seen |= orbit
+        assert len(seen) == 1 << shape.m  # and they partition the whole space
 
 
 def test_canonical_key_is_orbit_invariant(rng):
@@ -147,3 +163,70 @@ def test_leader_bit_zero_is_red(bits):
     group = symmetry_group(shape)
     key = canonical_key(EdgeColoring(shape, bits), group)
     assert (key & 1) == 0
+
+
+@pytest.mark.parametrize("sizes,want", [
+    ([2, 2, 1], 27), ([4, 2, 2], 4316), ([5, 2, 2], 16579),
+    ([2, 2, 2, 2], 24607), ([3, 3, 2], 9400)])
+def test_burnside_count_matches_enumeration(sizes, want):
+    shape = build_shape(sizes)
+    group = symmetry_group(shape)
+    assert leader_count(shape, group) == want
+    assert sum(1 for _ in canonical_classes(shape, group)) == want
+
+
+def test_burnside_count_on_small_shapes_and_subgroups():
+    # the claim-10 shapes, [2, 2, 1] among them, in all three tiers
+    shapes = all_shapes_with_few_edges(8)
+    assert len(shapes) == 16 and (2, 2, 1) in shapes
+    for sizes in shapes:
+        shape = build_shape(sizes)
+        for group in (symmetry_group(shape), symmetry_group(shape, cap=1), None):
+            enumerated = sum(1 for _ in canonical_classes(shape, group))
+            assert leader_count(shape, group) == enumerated, (sizes, group)
+    # edge permutations induced twice ([1, 1]) or by every vertex map ([3])
+    for sizes in ([1, 1], [3]):
+        shape = build_shape(sizes)
+        assert leader_count(shape, symmetry_group(shape)) == 1
+        assert len(all_classes(sizes)) == 1
+
+
+_FULL_SCANS = {}
+
+
+def _full_scan(sizes):
+    sizes = tuple(sizes)
+    if sizes not in _FULL_SCANS:
+        shape = build_shape(sizes)
+        group = symmetry_group(shape)
+        _FULL_SCANS[sizes] = (shape, group, list(canonical_classes(shape, group)))
+    return _FULL_SCANS[sizes]
+
+
+@settings(deadline=None, max_examples=60)
+@given(sizes=st.sampled_from([(2, 2, 2, 1), (3, 2, 2), (3, 3, 1)]),
+       cuts=st.lists(st.floats(0, 1), min_size=3, max_size=3))
+def test_any_window_is_a_slice_of_the_full_scan(sizes, cuts):
+    shape, group, whole = _full_scan(sizes)
+    lo, hi, start = (int(c * (1 << shape.m)) for c in cuts)
+    window = list(canonical_classes(shape, group, lo=lo, hi=hi, start=start))
+    assert window == [(k, b) for k, b in whole if max(lo, start) <= k < hi]
+
+
+def test_stopped_chunk_restarts_after_its_last_key():
+    # The chunk worker stops its generator after `limit` leaders and the next
+    # chunk restarts at last_key + 1; together they reproduce the full scan.
+    shape, group, whole = _full_scan((3, 2, 2))
+    gen = canonical_classes(shape, group)
+    head = [next(gen) for _ in range(400)]
+    gen.close()
+    tail = list(canonical_classes(shape, group, start=head[-1][0] + 1))
+    assert head + tail == whole
+
+    span = 1 << shape.m
+    pos, counted = 0, 0
+    while pos < span:
+        done, *_, pos = _chunk_worker(((3, 2, 2), 2, 4, True, True, None,
+                                       0, span, pos, 300))
+        counted += done
+    assert counted == len(whole)
