@@ -3,7 +3,11 @@ and two connected subgraphs with no diameter bound for any multipartite
 2-coloring.
 
 The diameter-3 pipeline is an executable case analysis driven by color-BFS
-layers from a far-eccentric root.  Each case emits candidate covers that are
+layers from a far-eccentric root.  The root is the first vertex whose ball
+needs more than 3 steps to fill the graph (the bounded ``_ball_radius``
+test), and only that root's distance list is computed.  The unbounded
+connected cover (``tc2_cover``) grows its pieces from color components
+(``graphs.component_of``).  Each case emits candidate covers that are
 *always* re-checked by ``verify_cover`` before being returned, so the
 pipeline doubles as a machine check of the underlying case analysis: a
 coloring that defeats every case raises ``ConstructionExhausted`` with a full
@@ -23,8 +27,8 @@ from dataclasses import dataclass, field
 from .covers import Cover, MonoSubgraph, make_cover, verify_cover
 from .errors import ConstructionExhausted, InvalidShape
 from .graphs import (BLUE, INF, RED, EdgeColoring, MultipartiteShape,
-                     _bfs_dists, bits_of, color_diameter, mask_of,
-                     other_color)
+                     _ball_radius, _bfs_dists, bits_of, color_diameter,
+                     component_of, mask_of, other_color)
 
 
 @dataclass
@@ -239,7 +243,7 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     root = None
     for red in (RED, BLUE):
         for v in range(shape.n):
-            if max(_bfs_dists(rows[red], v, full, shape.n)) >= 4:
+            if _ball_radius(rows[red], v, full, 3) > 3:
                 root = (v, red)
                 break
         if root:
@@ -252,7 +256,7 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     blue = other_color(red)
     ga = group_of[v]
     gb, gc = [gi for gi in range(3) if gi != ga]
-    dist = _bfs_dists(rows[red], v, full, shape.n)
+    dist = _bfs_dists(rows[red], v, shape.n)
 
     def layer(gi, lo, hi=None):
         hi = lo if hi is None else hi
@@ -384,11 +388,11 @@ def tc2_cover(chi: EdgeColoring) -> Cover:
     v = 0
     for red in (RED, BLUE):
         blue = other_color(red)
-        comp = component_mask(chi, red, v)
+        comp = component_of(chi.adj[red], v)
         a1, b1 = comp & amask, comp & bmask
         if a1 == amask:
             cover = make_cover((red, bits_of(comp)),
-                               (blue, bits_of(component_mask(chi, blue, v))))
+                               (blue, bits_of(component_of(chi.adj[blue], v))))
         elif b1 == bmask:
             cover = make_cover((red, bits_of(comp)),
                                (blue, bits_of((amask & ~a1) | bmask)))
@@ -402,9 +406,3 @@ def tc2_cover(chi: EdgeColoring) -> Cover:
         if verify_cover(chi, cover, INF, 2) is None:
             return cover
     raise ConstructionExhausted("connected 2-cover construction failed", chi)
-
-
-def component_mask(chi: EdgeColoring, c: int, v: int) -> int:
-    """Vertex mask of the color-c component containing v."""
-    dist = _bfs_dists(chi.adj[c], v, chi.shape.full_mask, chi.n)
-    return mask_of(u for u in range(chi.n) if dist[u] < INF)

@@ -9,11 +9,12 @@ rows, so a BFS step is one OR-fold over the frontier (``_grow``, which peels
 the frontier's low bits inline instead of iterating ``bits_of``).  One ball
 kernel, ``_ball_radius``, backs both the exact mask diameter and the bounded
 test; ``far_masks`` gives, per vertex, what lies beyond its radius-d ball.
+``component_of`` floods one color component with the same OR-fold, and
+``remap_edges`` carries edges through a vertex map onto a shape's edge
+indices (relabelings, file vertex orders, symmetries and clone extensions).
 
-Includes the layer decompositions used by the cover constructions: single-root
-color-BFS layers split over a 3-group partition of the parts, the four
-"sent-color" sectors of a vertex and its clone (the co-part vertex in a size-2
-part), and the nine blue-distance cells of a clone pair.
+The prune rules read the nine blue-distance cells of a clone pair (the two
+vertices of a size-2 part) from ``bilayer_partition``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class MultipartiteShape:
     """
 
     __slots__ = ("part_sizes", "n", "k", "part_id", "part_start", "edges",
-                 "edge_index", "m", "full_mask", "adjacent_mask")
+                 "edge_index", "m", "full_mask", "adjacent_mask", "clone")
 
     def __init__(self, part_sizes):
         sizes = tuple(sorted(part_sizes, reverse=True))
@@ -91,13 +92,16 @@ class MultipartiteShape:
         self.n = n
         part_id = []
         starts = []
+        clone = []  # the co-part vertex in a size-2 part, else None
         at = 0
         for p, a in enumerate(sizes):
             starts.append(at)
             part_id.extend([p] * a)
+            clone.extend((at + 1, at) if a == 2 else [None] * a)
             at += a
         self.part_id = tuple(part_id)
         self.part_start = tuple(starts)
+        self.clone = tuple(clone)
         edges = []
         for u in range(self.n):
             for v in range(u + 1, self.n):
@@ -124,12 +128,10 @@ class MultipartiteShape:
     def clone_of(self, u: int) -> int:
         """The co-part vertex of u; defined only in a part of size 2."""
         self.check_vertex(u)
-        p = self.part_id[u]
-        if self.part_sizes[p] != 2:
+        if self.clone[u] is None:
             raise NoUniqueClone(f"vertex {u} lies in a part of size "
-                                f"{self.part_sizes[p]}, not 2")
-        s = self.part_start[p]
-        return s + 1 if u == s else s
+                                f"{self.part_sizes[self.part_id[u]]}, not 2")
+        return self.clone[u]
 
     def check_vertex(self, u: int) -> None:
         if not isinstance(u, int) or not 0 <= u < self.n:
@@ -227,22 +229,15 @@ class EdgeColoring:
             if len(images) != 1:
                 raise InvalidVertex(f"permutation splits part {p} across "
                                     f"parts {sorted(images)}")
-        bits = 0
-        idx = self.shape.edge_index
-        for i, (u, v) in enumerate(self.shape.edges):
-            if (self.bits >> i) & 1:
-                a, b = perm[u], perm[v]
-                bits |= 1 << idx[(a, b) if a < b else (b, a)]
-        return EdgeColoring(self.shape, bits)
+        return EdgeColoring(shape, mask_of(
+            remap_edges(shape.edges, perm, shape, self.bits)))
 
     def distances(self, c: int):
         """All-pairs color-c distance matrix (tuple of tuples, INF-padded)."""
         if self._dist[c] is None:
             rows = self.adj[c]
-            full = self.shape.full_mask
-            self._dist[c] = tuple(
-                tuple(_bfs_dists(rows, v, full, self.shape.n))
-                for v in range(self.shape.n))
+            self._dist[c] = tuple(tuple(_bfs_dists(rows, v, self.shape.n))
+                                  for v in range(self.shape.n))
         return self._dist[c]
 
     def __eq__(self, other):
@@ -271,23 +266,59 @@ def _grow(rows, frontier: int) -> int:
     return grow
 
 
-def _bfs_dists(adj_rows, root: int, allowed: int, n: int):
-    """Distance list from root using only edges inside ``allowed``."""
+def component_of(rows, v: int) -> int:
+    """Mask of v's component in the graph with these adjacency rows."""
+    comp = frontier = 1 << v
+    while frontier:
+        frontier = _grow(rows, frontier) & ~comp
+        comp |= frontier
+    return comp
+
+
+def _bfs_dists(adj_rows, root: int, n: int):
+    """Distance list from root (INF for the vertices it cannot reach)."""
     dist = [INF] * n
-    if not (allowed >> root) & 1:
-        return dist
     dist[root] = 0
     seen = 1 << root
     frontier = seen
     d = 0
     while frontier:
-        nxt = _grow(adj_rows, frontier) & allowed & ~seen
+        nxt = _grow(adj_rows, frontier) & ~seen
         d += 1
         for v in bits_of(nxt):
             dist[v] = d
         seen |= nxt
         frontier = nxt
     return dist
+
+
+def canonical_vertex_map(part_of, sizes) -> list:
+    """Canonical number of each vertex u, u lying in part ``part_of[u]``.
+
+    Parts go in order of ``sizes[p]`` descending, ties by part index, and a
+    part's vertices keep their relative order.
+    """
+    order = sorted(range(len(part_of)),
+                   key=lambda u: (-sizes[part_of[u]], part_of[u]))
+    vmap = [0] * len(order)
+    for new, old in enumerate(order):
+        vmap[old] = new
+    return vmap
+
+
+def remap_edges(edges, vmap, shape: MultipartiteShape, bits: int = -1) -> list:
+    """Edge indices in ``shape`` of the images of the edges set in ``bits``.
+
+    Edge i = (u, v) of ``edges`` maps to the edge (vmap[u], vmap[v]) of
+    ``shape``; the default ``bits`` takes every edge, in order.
+    """
+    idx = shape.edge_index
+    out = []
+    for i, (u, v) in enumerate(edges):
+        if (bits >> i) & 1:
+            a, b = vmap[u], vmap[v]
+            out.append(idx[(a, b) if a < b else (b, a)])
+    return out
 
 
 # ============================================================================
@@ -387,97 +418,12 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     return all(_ball_radius(rows, u, allowed, d) <= d for u in bits_of(allowed))
 
 
-def eccentricity(chi: EdgeColoring, c: int, v: int) -> int:
-    """Max color-c distance from v to any other vertex (INF if some unreachable)."""
-    row = chi.distances(c)[v]
-    return max(row)
-
-
 # ============================================================================
-# LAYER DECOMPOSITIONS
+# BI-DISTANCE CELLS
 # ============================================================================
 
 @dataclass(frozen=True)
-class LayerPartition:
-    """Color-BFS layers from a root, bucketed per group of a 3-group split.
-
-    ``dist`` holds exact distances (INF for unreachable); buckets collapse
-    everything at distance >= 4 into index 4.  ``group_of`` maps each vertex
-    to its group index, and ``cells[g][i]`` (0 <= i <= 4) lists the vertices
-    of group g in bucket i, ascending.
-    """
-
-    root: int
-    color: int
-    dist: tuple
-    group_of: tuple
-    cells: tuple
-
-    def layer(self, g: int, i: int) -> tuple:
-        return self.cells[g][i]
-
-    def bucket(self, v: int) -> int:
-        return min(self.dist[v], 4)
-
-
-def bfs_layers(chi: EdgeColoring, c: int, root: int, tripartition) -> LayerPartition:
-    """Layer the graph by color-c distance from root, per tripartition group.
-
-    ``tripartition`` is a sequence of at most 3 collections of part indices
-    covering every part exactly once.  Group 0 plays the role of the root's
-    group in the constructions, but no relation between root and groups is
-    enforced here.
-    """
-    shape = chi.shape
-    shape.check_vertex(root)
-    groups = [tuple(g) for g in tripartition]
-    if len(groups) > 3 or sorted(p for g in groups for p in g) != list(range(shape.k)):
-        raise InvalidShape(f"tripartition {groups!r} must split the "
-                           f"{shape.k} parts into at most 3 groups")
-    group_of_part = {}
-    for gi, g in enumerate(groups):
-        for p in g:
-            group_of_part[p] = gi
-    group_of = tuple(group_of_part[shape.part_id[v]] for v in range(shape.n))
-    dist = chi.distances(c)[root]
-    cells = [[[] for _ in range(5)] for _ in groups]
-    for v in range(shape.n):
-        cells[group_of[v]][min(dist[v], 4)].append(v)
-    return LayerPartition(
-        root=root, color=c, dist=tuple(dist), group_of=group_of,
-        cells=tuple(tuple(tuple(cell) for cell in row) for row in cells))
-
-
-@dataclass(frozen=True)
-class CloneProfile:
-    """The four sent-color sectors of a clone pair.
-
-    ``sectors[(i, j)]`` is the set of common neighbors sending color i to v
-    and color j to the clone v'.  The four sets are disjoint and union to
-    V minus the pair.
-    """
-
-    v: int
-    clone: int
-    sectors: dict
-
-    def sector(self, i: int, j: int) -> frozenset:
-        return self.sectors[(i, j)]
-
-
-def clone_profile(chi: EdgeColoring, v: int) -> CloneProfile:
-    """Split V minus {v, v'} by the color pair each vertex sends to (v, v')."""
-    vp = chi.shape.clone_of(v)
-    sectors = {}
-    for i in COLORS:
-        for j in COLORS:
-            sectors[(i, j)] = frozenset(
-                bits_of(chi.adj[i][v] & chi.adj[j][vp]))
-    return CloneProfile(v=v, clone=vp, sectors=sectors)
-
-
-@dataclass(frozen=True)
-class BiLayerPartition:
+class BiDistanceCells:
     """Nine-cell split of V minus a clone pair by blue distances.
 
     ``cell(i, j)`` (i, j in 1..3) holds the vertices at blue distance i from
@@ -491,25 +437,19 @@ class BiLayerPartition:
     def cell(self, i: int, j: int) -> frozenset:
         return self.cells[(i, j)]
 
-    def row(self, i: int) -> frozenset:
-        return self.cells[(i, 1)] | self.cells[(i, 2)] | self.cells[(i, 3)]
 
-    def col(self, j: int) -> frozenset:
-        return self.cells[(1, j)] | self.cells[(2, j)] | self.cells[(3, j)]
-
-
-def bilayer_partition(chi: EdgeColoring, x: int) -> BiLayerPartition:
+def bilayer_partition(chi: EdgeColoring, x: int) -> BiDistanceCells:
     """Blue bi-distance cells from a size-2-part vertex and its clone."""
     xp = chi.shape.clone_of(x)
-    rows, full, n = chi.adj[BLUE], chi.shape.full_mask, chi.n
-    dx = _bfs_dists(rows, x, full, n)
-    dxp = _bfs_dists(rows, xp, full, n)
+    rows, n = chi.adj[BLUE], chi.n
+    dx = _bfs_dists(rows, x, n)
+    dxp = _bfs_dists(rows, xp, n)
     cells = {(i, j): [] for i in (1, 2, 3) for j in (1, 2, 3)}
     for v in range(chi.n):
         if v in (x, xp):
             continue
         cells[(min(dx[v], 3), min(dxp[v], 3))].append(v)
-    return BiLayerPartition(
+    return BiDistanceCells(
         x=x, clone=xp,
         cells={ij: frozenset(vs) for ij, vs in cells.items()})
 
@@ -542,19 +482,8 @@ def coloring_from_json(obj: dict) -> EdgeColoring:
             and all(type(a) is int for a in raw_sizes)):
         raise InvalidShape("coloring JSON needs a 'parts' list of integers")
     shape = build_shape(raw_sizes)
-    # Stable mapping from the file's vertex numbering to the canonical one.
-    order = sorted(range(len(raw_sizes)), key=lambda p: (-raw_sizes[p], p))
-    file_start = [0] * len(raw_sizes)
-    at = 0
-    for p, a in enumerate(raw_sizes):
-        file_start[p] = at
-        at += a
-    vmap = [0] * shape.n
-    new_at = 0
-    for p in order:
-        for off in range(raw_sizes[p]):
-            vmap[file_start[p] + off] = new_at
-            new_at += 1
+    file_part = [p for p, a in enumerate(raw_sizes) for _ in range(a)]
+    vmap = canonical_vertex_map(file_part, raw_sizes)
 
     if "edges" in obj:
         entries = obj["edges"]
@@ -578,21 +507,10 @@ def coloring_from_json(obj: dict) -> EdgeColoring:
         except (TypeError, ValueError):
             raise InvalidShape(f"coloring JSON 'bits' must be a hex string, "
                                f"got {obj['bits']!r}")
-        file_part = []
-        for p, a in enumerate(raw_sizes):
-            file_part.extend([p] * a)
-        bits = 0
-        i = 0
-        for u in range(shape.n):
-            for v in range(u + 1, shape.n):
-                if file_part[u] == file_part[v]:
-                    continue
-                if (file_bits >> i) & 1:
-                    a, b = vmap[u], vmap[v]
-                    e = (a, b) if a < b else (b, a)
-                    bits |= 1 << shape.edge_index[e]
-                i += 1
-        if file_bits >> i:
+        if file_bits >> shape.m:
             raise InvalidShape("bitstring longer than the edge count")
-        return EdgeColoring(shape, bits)
+        file_edges = [(u, v) for u in range(shape.n) for v in range(u + 1, shape.n)
+                      if file_part[u] != file_part[v]]
+        return EdgeColoring(shape, mask_of(
+            remap_edges(file_edges, vmap, shape, file_bits)))
     raise InvalidShape("coloring JSON needs 'edges' or 'bits'")

@@ -13,8 +13,10 @@ independent sets.  ``verify_equivalence_chain`` recomputes both sides with
 the exact brute-force oracles here and checks every inequality; a violation
 is a bug, never a discovery.
 
-Everything in this module is exact and exponential, guarded by small-size
-caps; it exists to validate constructions, not to scale.
+Components are flooded with ``graphs.component_of``.  Everything else in
+this module is exact and exponential, guarded by small-size caps; it exists
+to validate constructions, not to scale.  Hypergraphs are written as JSON
+(in the CLI's report of a violated chain) but never read back.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapExceeded, InequalityViolated, InvalidParameter, Unsupported
-from .graphs import BLUE, RED, EdgeColoring, bits_of
+from .graphs import BLUE, RED, EdgeColoring, bits_of, component_of
 
 DEFAULT_CAP_VERTICES = 16
 DEFAULT_CAP_EDGES = 24
@@ -133,25 +135,13 @@ class CoverStats:
 # CONSTRUCTIONS
 # ============================================================================
 
-def _flood(n: int, rows, v: int) -> int:
-    mask = 1 << v
-    frontier = mask
-    while frontier:
-        nxt = 0
-        for u in bits_of(frontier):
-            nxt |= rows[u]
-        frontier = nxt & ~mask
-        mask |= frontier
-    return mask
-
-
 def color_components(n: int, rows):
     """Connected components of one color as masks, ordered by least vertex."""
     comps = []
     seen = 0
     for v in range(n):
         if not (seen >> v) & 1:
-            mask = _flood(n, rows, v)
+            mask = component_of(rows, v)
             comps.append(mask)
             seen |= mask
     return comps
@@ -369,12 +359,3 @@ def verify_equivalence_chain(obj, cap_vertices: int = DEFAULT_CAP_VERTICES,
 def hypergraph_to_json(h: Hypergraph) -> dict:
     return {"classes": [list(cl) for cl in h.classes],
             "edges": [sorted(e) for e in h.edges]}
-
-
-def hypergraph_from_json(obj: dict) -> Hypergraph:
-    try:
-        classes = obj["classes"]
-        edges = obj["edges"]
-    except (KeyError, TypeError):
-        raise InvalidParameter("hypergraph JSON needs 'classes' and 'edges'")
-    return Hypergraph(classes, edges)

@@ -64,7 +64,8 @@ from .covers import certifies, make_cover, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
                      bilayer_partition, bits_of, build_shape,
-                     diameter_at_most, far_masks, other_color)
+                     canonical_vertex_map, diameter_at_most, far_masks,
+                     mask_of, other_color, remap_edges)
 from .symmetry import (canonical_classes, key_to_bits, leader_count,
                        symmetry_group, vertex_group_order)
 
@@ -224,17 +225,10 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
 # CLONE-BASED PRUNING RULES
 # ============================================================================
 
-def _size2_vertices(shape: MultipartiteShape):
-    return [v for v in range(shape.n)
-            if shape.part_sizes[shape.part_id[v]] == 2]
-
-
-def _clone_or_none(shape, v):
-    p = shape.part_id[v]
-    if shape.part_sizes[p] != 2:
-        return None
-    s = shape.part_start[p]
-    return s + 1 if v == s else s
+def _clone_pairs(shape: MultipartiteShape):
+    """(x, x') per size-2 part, x its first vertex, in vertex order."""
+    return [(s, s + 1) for s, a in zip(shape.part_start, shape.part_sizes)
+            if a == 2]
 
 
 def _try(chi, d, *pieces):
@@ -260,21 +254,20 @@ def _prune_labeled(chi: EdgeColoring, d: int):
     if cover is not None:
         return cover, "two-stars"
 
-    size2 = _size2_vertices(shape)
+    pairs = _clone_pairs(shape)
+    clone = shape.clone
 
-    for v in size2:
-        vp = shape.clone_of(v)
-        for i, j in _SECTOR_ORDER:
-            if not (chi.adj[i][v] & chi.adj[j][vp]):
-                cover = _try(chi, d,
-                             (other_color(i), bits_of(_star_mask(chi, other_color(i), v))),
-                             (other_color(j), bits_of(_star_mask(chi, other_color(j), vp))))
-                if cover is not None:
-                    return cover, "clone-star"
+    for x, xp in pairs:
+        for v, vp in ((x, xp), (xp, x)):
+            for i, j in _SECTOR_ORDER:
+                if not (chi.adj[i][v] & chi.adj[j][vp]):
+                    cover = _try(chi, d,
+                                 (other_color(i), bits_of(_star_mask(chi, other_color(i), v))),
+                                 (other_color(j), bits_of(_star_mask(chi, other_color(j), vp))))
+                    if cover is not None:
+                        return cover, "clone-star"
 
-    for x in size2:
-        if x != shape.part_start[shape.part_id[x]]:
-            continue  # one pass per clone pair; orientations handle the swap
+    for x, _ in pairs:  # one pass per clone pair; orientations handle the swap
         bl = bilayer_partition(chi, x)
         for o in (0, 1):
             base, cob = (bl.x, bl.clone) if o == 0 else (bl.clone, bl.x)
@@ -287,7 +280,7 @@ def _prune_labeled(chi: EdgeColoring, d: int):
                            (RED, bits_of(_star_mask(chi, RED, y))))
                 if got is not None:
                     return got, "far-clone"
-                yp = _clone_or_none(shape, y)
+                yp = clone[y]
                 if yp is None:
                     continue
                 if yp in cell(1, 1):
@@ -310,7 +303,7 @@ def _prune_labeled(chi: EdgeColoring, d: int):
             mid = cell(2, 2)
             near_cob = cell(2, 1) | cell(3, 1)
             for y in sorted(cell(1, 3)):
-                yp = _clone_or_none(shape, y)
+                yp = clone[y]
                 ring = sorted(({base, cob, y} | mid | near_cob) - ({yp} if yp is not None else set()))
                 if yp is None or yp not in near_cob:
                     got = _try(chi, d,
@@ -347,29 +340,25 @@ def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
     violation signals a bug in the pruning rules, not a mathematical finding.
     """
     shape = chi.shape
+    clone = shape.clone
     out = []
-    size2 = _size2_vertices(shape)
-    for v in size2:
-        vp = shape.clone_of(v)
-        if v > vp:
-            continue
+    pairs = _clone_pairs(shape)
+    for v, vp in pairs:
         for i, j in _SECTOR_ORDER:
             if not (chi.adj[i][v] & chi.adj[j][vp]):
                 out.append(f"empty-sector v={v} pair=({i},{j})")
-    for x in size2:
-        if x != shape.part_start[shape.part_id[x]]:
-            continue
+    for x, _ in pairs:
         bl = bilayer_partition(chi, x)
         for i, j in ((3, 2), (2, 3), (3, 3)):
             if bl.cell(i, j):
                 out.append(f"far-cell x={x} cell=({i},{j})")
         if not has_cover:
             for y in sorted(bl.cell(1, 3)):
-                yp = _clone_or_none(shape, y)
+                yp = clone[y]
                 if yp is None or yp not in bl.cell(2, 1):
                     out.append(f"clone-location x={x} y={y}")
             for z in sorted(bl.cell(3, 1)):
-                zp = _clone_or_none(shape, z)
+                zp = clone[z]
                 if zp is None or zp not in bl.cell(1, 2):
                     out.append(f"clone-location x={x} z={z}")
     return out
@@ -446,13 +435,6 @@ def find_cover(chi: EdgeColoring, t: int, d: int):
     _check_td(t, d)
     cover, _ = _decide(chi, t, d, False)
     return cover
-
-
-def min_cover_diameter(chi: EdgeColoring, t: int, d_max: int = 4,
-                       prune: bool = False) -> int:
-    """Least d <= d_max admitting a (t, d) cover, else d_max + 1."""
-    d, _, _ = _min_cover_d(chi, t, d_max, prune, None)
-    return d
 
 
 def _min_cover_d(chi, t, d_max, prune, survey_d):
@@ -736,10 +718,11 @@ def _checkpoint_config(sizes, t, d_max, use_symmetry, prune, survey_d):
 def _edge_cap(cap_edges):
     if cap_edges is not None:
         return cap_edges
-    try:
-        return int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP_EDGES))
-    except ValueError:
-        return DEFAULT_CAP_EDGES
+    raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP_EDGES))
+    if not (raw.isascii() and raw.strip().isdigit()):
+        raise InvalidParameter(f"{CAP_ENV_VAR} must be a non-negative "
+                               f"integer, got {raw!r}")
+    return int(raw)
 
 
 # Classes per pool chunk.  Small, so that a dense range comes back often
@@ -862,7 +845,8 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     notes = []
     spent = 0.0
 
-    if checkpoint_path and os.path.exists(checkpoint_path):
+    resumed = bool(checkpoint_path) and os.path.exists(checkpoint_path)
+    if resumed:
         (ranges, classes, rules, best, survivors, violations, notes,
          spent) = _resume(load_checkpoint(checkpoint_path), checkpoint_path,
                           config, ranges[-1][1], shape.m)
@@ -944,8 +928,11 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
         raise InvalidParameter("empty enumeration; nothing to survey")
     expected = leader_count(shape, _engine(sizes, use_symmetry)[1])
     if classes != expected:
-        raise RuntimeError(f"survey of {list(sizes)} counted {classes} "
-                           f"classes, but the group has {expected} orbits")
+        # a resumed survey's counts came from the file, which is then at fault
+        error = InvalidParameter if resumed else RuntimeError
+        source = f" after resuming checkpoint {checkpoint_path}" if resumed else ""
+        raise error(f"survey of {list(sizes)} counted {classes} classes{source}, "
+                    f"but the group has {expected} orbits")
     d, key = best
     result = SearchResult(
         part_sizes=sizes, t=t, d=d, exceeded=d > d_max,
@@ -1018,23 +1005,12 @@ def check_monotone_extension(chi: EdgeColoring, x: int) -> EdgeColoring:
     new_sizes = list(shape.part_sizes)
     new_sizes[p] += 1
     new_shape = build_shape(new_sizes)
-    order = sorted(range(shape.k), key=lambda q: (-new_sizes[q], q))
-    vmap = [0] * shape.n
-    y = None
-    at = 0
-    for q in order:
-        for off, old in enumerate(shape.part_vertices(q)):
-            vmap[old] = at + off
-        if q == p:
-            y = at + shape.part_sizes[q]
-        at += new_sizes[q]
-    bits = 0
-    for i, (u, v) in enumerate(shape.edges):
-        if (chi.bits >> i) & 1:
-            a, b = vmap[u], vmap[v]
-            bits |= 1 << new_shape.edge_index[(a, b) if a < b else (b, a)]
-    for w in range(shape.n):
-        if shape.part_id[w] != p and chi.color_of(w, x) == BLUE:
-            a, b = vmap[w], y
-            bits |= 1 << new_shape.edge_index[(a, b) if a < b else (b, a)]
-    return EdgeColoring(new_shape, bits)
+    # y joins as old vertex n, last in x's part
+    vmap = canonical_vertex_map(shape.part_id + (p,), new_sizes)
+    # y's edges are the images of x's under the map that sends x to y; the
+    # other edges map as under vmap, so the union adds exactly y's edges
+    to_y = vmap[:shape.n]
+    to_y[x] = vmap[shape.n]
+    return EdgeColoring(new_shape, mask_of(
+        remap_edges(shape.edges, vmap, new_shape, chi.bits)
+        + remap_edges(shape.edges, to_y, new_shape, chi.bits)))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import CapExceeded
-from .graphs import EdgeColoring, MultipartiteShape
+from .graphs import EdgeColoring, MultipartiteShape, remap_edges
 
 # Expanding the full group is worthwhile up to roughly this many vertex
 # permutations; 7!*2*2 for a [7,1,1] shape is the largest acceptance-relevant
@@ -143,12 +143,7 @@ def _cyclic_vertex_perms(shape):
 
 def edge_perm(shape: MultipartiteShape, vperm) -> tuple:
     """Edge-index permutation induced by a vertex permutation."""
-    idx = shape.edge_index
-    out = [0] * shape.m
-    for i, (u, v) in enumerate(shape.edges):
-        a, b = vperm[u], vperm[v]
-        out[i] = idx[(a, b) if a < b else (b, a)]
-    return tuple(out)
+    return tuple(remap_edges(shape.edges, vperm, shape))
 
 
 def symmetry_group(shape: MultipartiteShape,

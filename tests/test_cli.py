@@ -331,19 +331,41 @@ def test_resume_with_overlapping_ranges_exits_2(tmp_path, capsys):
     _assert_config_error(tmp_path, {"cp.json": state}, argv, timeout=120)
 
 
+def test_resume_with_raised_counts_exits_2(tmp_path, capsys):
+    # The class count and one rule count raised together by 1 still fit each
+    # other, so only the orbit count at the end of the survey can catch them.
+    cp = tmp_path / "cp.json"
+    argv = ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")
+    code, out, _ = run(capsys, *argv[:-1], str(cp), "--stop-after", "10")
+    assert code == OK and json.loads(out)["complete"] is False
+    state = json.loads(cp.read_text())
+    counts = state["counts"]
+    counts["classes_enumerated"] += 1
+    rule = sorted(counts["pruned_by_rule"])[0]
+    counts["pruned_by_rule"][rule] += 1
+    _assert_config_error(tmp_path, {"cp.json": state}, argv, timeout=120)
+
+
+@pytest.mark.parametrize("cap", ["abc", "-1", "2.5", ""])
+def test_bad_cap_env_exits_2_without_traceback(tmp_path, cap):
+    _assert_config_error(tmp_path, {}, ("compute-d", "--parts", "2,2,1"),
+                         timeout=120, env={"MPCOVER_CAP_EDGES": cap})
+
+
 def test_oversized_shape_exits_2_quickly(tmp_path):
     # Without the vertex bound the shape's O(n^2) pair loop runs for minutes.
     _assert_config_error(tmp_path, {"chi.json": {"parts": [100000], "bits": "0"},
                                     "cover.json": GOOD_COVER}, VERIFY, timeout=10)
 
 
-def _assert_config_error(tmp_path, files, argv, timeout):
+def _assert_config_error(tmp_path, files, argv, timeout, env=None):
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "mpcover.cli", *argv],
-                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path, **(env or {})),
                           capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == CONFIG_ERROR, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -5,15 +5,15 @@ import random
 import pytest
 
 from conftest import random_coloring
-from mpcover.construct import (GROUPINGS, balanced_grouping, component_mask,
+from mpcover.construct import (GROUPINGS, balanced_grouping,
                                first_fit_grouping, multipartite_cover,
                                star_doublestar_search, tc2_cover,
                                tripartite_cover, two_stars_at)
 from mpcover.covers import verify_cover
 from mpcover.errors import InvalidShape
 from mpcover.families import gen_fig4, gen_thm31
-from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, bits_of,
-                            build_shape, mask_of)
+from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, build_shape,
+                            mask_of)
 from mpcover.search import check_monotone_extension
 
 
@@ -165,14 +165,3 @@ def test_tc2_fuzz(rng):
 def test_tc2_needs_two_parts():
     with pytest.raises(InvalidShape):
         tc2_cover(EdgeColoring(build_shape([4]), 0))
-
-
-def test_component_mask(rng):
-    chi = random_coloring(rng, [2, 2, 1])
-    for c in (RED, BLUE):
-        for v in range(chi.n):
-            mask = component_mask(chi, c, v)
-            assert (mask >> v) & 1
-            # closed under color-c adjacency
-            for u in bits_of(mask):
-                assert chi.adj[c][u] & ~mask == 0

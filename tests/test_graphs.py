@@ -1,4 +1,4 @@
-"""Shapes, colorings, distances, and the layer decompositions."""
+"""Shapes, colorings, distances, components and the bi-distance cells."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +8,10 @@ from conftest import random_coloring
 from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
                             NoUniqueClone)
 from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
-                            bfs_layers, bilayer_partition, bits_of, build_shape,
-                            clone_profile, color_diameter, color_distance,
-                            coloring_from_json, coloring_to_json,
-                            diameter_at_most, diameter_in_mask, eccentricity,
-                            far_masks, mask_of, other_color)
+                            bilayer_partition, bits_of, build_shape,
+                            color_diameter, color_distance, coloring_from_json,
+                            coloring_to_json, component_of, diameter_at_most,
+                            diameter_in_mask, far_masks, mask_of, other_color)
 
 SMALL_SHAPES = ((2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1),
                 (2, 2, 2))
@@ -58,6 +57,7 @@ def test_shape_rejects_bad_sizes(bad):
 
 def test_clone_of():
     s = build_shape([2, 2, 1])
+    assert s.clone == (1, 0, 3, 2, None)
     assert s.clone_of(0) == 1 and s.clone_of(1) == 0
     assert s.clone_of(2) == 3
     with pytest.raises(NoUniqueClone):
@@ -76,6 +76,12 @@ def test_from_edges_roundtrip(rng):
         chi.shape, [(u, v, (chi.bits >> i) & 1)
                     for i, (u, v) in enumerate(chi.shape.edges)])
     assert rebuilt.bits == chi.bits
+    # the adjacency rows agree with the edge colors
+    for u in range(chi.n):
+        for c in (RED, BLUE):
+            assert set(bits_of(chi.adj[c][u])) == {
+                v for v in range(chi.n) if chi.shape.part_id[v] != chi.shape.part_id[u]
+                and chi.color_of(u, v) == c}
 
 
 def test_from_edges_rejects_bad_lists():
@@ -113,6 +119,10 @@ def test_distance_basics(rng):
             assert color_distance(allred, BLUE, u, v) >= INF
     with pytest.raises(InvalidVertex):
         color_distance(chi, RED, 0, 17)
+    # all red: the co-part vertex is two steps away, the blue graph is empty
+    allred = EdgeColoring.all_same(build_shape([2, 2, 2]), RED)
+    assert allred.distances(RED)[0] == (0, 2, 1, 1, 1, 1)
+    assert max(allred.distances(BLUE)[0]) >= INF
 
 
 @settings(deadline=None)
@@ -180,12 +190,6 @@ def test_diameter_in_mask_matches_floyd_warshall(chi_mask, c):
     assert diameter_in_mask(chi, c, mask) == _floyd_warshall_diameter(chi, c, mask)
 
 
-def test_eccentricity_allred():
-    chi = EdgeColoring.all_same(build_shape([2, 2]), RED)
-    assert eccentricity(chi, RED, 0) == 2  # the co-part vertex is 2 away
-    assert eccentricity(chi, BLUE, 0) >= INF
-
-
 @st.composite
 def colorings_up_to_12(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)
@@ -206,64 +210,8 @@ def test_far_masks_match_the_distance_matrix(chi, c, d):
 
 
 # ---------------------------------------------------------------------------
-# layers
+# components and bi-distance cells
 # ---------------------------------------------------------------------------
-
-def test_bfs_layers_allred_g3():
-    chi = EdgeColoring.all_same(build_shape([2, 2, 2]), RED)
-    lp = bfs_layers(chi, RED, 0, [[0], [1], [2]])
-    assert lp.dist[0] == 0
-    assert lp.layer(0, 1) == ()  # nothing in the root's own part at layer 1
-    assert lp.layer(0, 2) == (1,)  # the clone sits two steps away
-    assert lp.layer(1, 1) == (2, 3) and lp.layer(2, 1) == (4, 5)
-
-
-def test_bfs_layers_matches_distances(rng):
-    for _ in range(25):
-        chi = random_coloring(rng, [3, 2, 2])
-        lp = bfs_layers(chi, BLUE, rng.randrange(chi.n), [[0, 1], [2], []])
-        for v in range(chi.n):
-            d = color_distance(chi, BLUE, lp.root, v)
-            assert lp.dist[v] == d
-            assert lp.bucket(v) == min(d, 4)
-            assert v in lp.layer(lp.group_of[v], min(d, 4))
-
-
-def test_bfs_layers_rejects_bad_tripartition():
-    chi = EdgeColoring.all_same(build_shape([2, 2, 2]), RED)
-    with pytest.raises(InvalidShape):
-        bfs_layers(chi, RED, 0, [[0], [1]])  # part 2 unassigned
-    with pytest.raises(InvalidShape):
-        bfs_layers(chi, RED, 0, [[0], [1], [1, 2]])
-
-
-def test_clone_profile_examples():
-    g3 = build_shape([2, 2, 2])
-    allred = EdgeColoring.all_same(g3, RED)
-    prof = clone_profile(allred, 0)
-    assert prof.clone == 1
-    assert sorted(prof.sector(RED, RED)) == [2, 3, 4, 5]
-    assert not prof.sector(RED, BLUE) and not prof.sector(BLUE, BLUE)
-
-    one_blue = EdgeColoring(g3, 1 << g3.edge_index[(0, 2)])
-    assert set(clone_profile(one_blue, 0).sector(BLUE, RED)) == {2}
-
-
-def test_clone_profile_matches_definition(rng):
-    for _ in range(25):
-        chi = random_coloring(rng, [2] * 4)
-        v = rng.randrange(chi.n)
-        prof = clone_profile(chi, v)
-        vp = prof.clone
-        rest = [w for w in range(chi.n) if w not in (v, vp)]
-        for i in (RED, BLUE):
-            for j in (RED, BLUE):
-                want = {w for w in rest
-                        if chi.color_of(v, w) == i and chi.color_of(vp, w) == j}
-                assert prof.sector(i, j) == want
-    with pytest.raises(NoUniqueClone):
-        clone_profile(random_coloring(rng, [3, 2, 1]), 0)
-
 
 def test_bilayer_partition_examples():
     g3 = build_shape([2, 2, 2])
@@ -288,7 +236,18 @@ def test_bilayer_partition_matches_bfs(rng):
             seen.add(v)
         assert seen == set().union(*(bl.cell(i, j)
                                      for i in (1, 2, 3) for j in (1, 2, 3)))
-        assert bl.row(2) == bl.cell(2, 1) | bl.cell(2, 2) | bl.cell(2, 3)
+
+
+def test_component_of(rng):
+    chi = random_coloring(rng, [2, 2, 1])
+    for c in (RED, BLUE):
+        dist = chi.distances(c)
+        for v in range(chi.n):
+            mask = component_of(chi.adj[c], v)
+            assert mask == mask_of(u for u in range(chi.n) if dist[v][u] < INF)
+            # closed under color-c adjacency
+            for u in bits_of(mask):
+                assert chi.adj[c][u] & ~mask == 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +262,28 @@ def test_coloring_json_roundtrip(chi, compact):
     assert back == chi
 
 
-def test_coloring_json_reorders_parts(rng):
-    chi = random_coloring(rng, [2, 3, 2])
-    obj = coloring_to_json(chi)
-    obj["parts"] = [2, 3, 2]  # file order need not be canonical
-    # renumber the file's vertices accordingly: canonical is [3,2,2] with the
-    # size-3 part first; the identity test is just that parsing succeeds and
-    # yields the same shape
-    assert coloring_from_json(coloring_to_json(chi)).shape == chi.shape
+@st.composite
+def file_colorings(draw):
+    """(parts, file edges, bits): parts not in canonical order, the file's
+    cross-part pairs in its own vertex numbering, and one bit per pair."""
+    parts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)
+                 .filter(lambda s: s != sorted(s, reverse=True)))
+    part = [p for p, a in enumerate(parts) for _ in range(a)]
+    edges = [(u, v) for u in range(len(part)) for v in range(u + 1, len(part))
+             if part[u] != part[v]]
+    return parts, edges, draw(st.integers(0, (1 << len(edges)) - 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(file_colorings())
+def test_coloring_json_reorders_parts(file_coloring):
+    parts, edges, bits = file_coloring
+    from_bits = coloring_from_json({"parts": parts, "bits": f"{bits:x}"})
+    from_edges = coloring_from_json({"parts": parts, "edges": [
+        [u, v, "blue" if (bits >> i) & 1 else "red"]
+        for i, (u, v) in enumerate(edges)]})
+    assert from_bits == from_edges
+    assert from_bits.shape.part_sizes == tuple(sorted(parts, reverse=True))
 
 
 def test_coloring_json_labels_and_errors():

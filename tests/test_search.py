@@ -19,8 +19,7 @@ from mpcover.graphs import (BLUE, RED, EdgeColoring, build_shape,
 from mpcover.search import (MAX_NOTES, SearchResult, check_monotone_extension,
                             classify_tripartite, compute_D, cover_exists,
                             find_cover, gk_survey, keep_notes,
-                            load_checkpoint, min_cover_diameter,
-                            prune_with_constructions, save_checkpoint,
+                            load_checkpoint, prune_with_constructions, save_checkpoint,
                             survivor_property_violations, two_bag_cover)
 from mpcover.symmetry import symmetry_group
 
@@ -224,10 +223,19 @@ def test_a_returned_cover_that_fails_verification_is_an_internal_error(
     assert not isinstance(err.value, MpcoverError)  # never a config error
 
 
-def test_min_cover_diameter_allred_g3():
+def test_a_fresh_survey_that_miscounts_is_an_internal_error(monkeypatch):
+    # no checkpoint was read, so a count off the orbit count is the engine's
+    monkeypatch.setattr(search, "leader_count", lambda shape, group: 28)
+    with pytest.raises(RuntimeError, match="counted 27 classes") as err:
+        compute_D([2, 2, 1])
+    assert not isinstance(err.value, MpcoverError)
+
+
+def test_allred_g3_is_covered_at_diameter_one():
     # two red triangles (one vertex per part each) cover all of G3 at d=1
     allred = EdgeColoring.all_same(build_shape([2, 2, 2]), RED)
-    assert min_cover_diameter(allred, 2) == 1
+    assert cover_exists(allred, 2, 1)
+    assert not cover_exists(allred, 2, 0)
 
 
 # ---------------------------------------------------------------------------
