@@ -45,25 +45,6 @@ class CaseTrace:
                           for label, w in self.cases]}
 
 
-@dataclass(frozen=True)
-class A2Split:
-    """Partition of the red-distance-2 root-group vertices for the final case.
-
-    red_side collects the vertices with all-red edges to one in-layer side or
-    a red foothold in both; blue_side is the rest (each of which then has a
-    blue foothold in both in-layers and an all-blue side).
-    """
-
-    x1: frozenset
-    x2: frozenset
-    x3: frozenset
-    blue_side: frozenset
-
-    @property
-    def red_side(self) -> frozenset:
-        return self.x1 | self.x2 | self.x3
-
-
 # ============================================================================
 # STARS AND DOUBLE STARS
 # ============================================================================
@@ -335,9 +316,9 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     b1mask, c1mask = mask_of(B1), mask_of(C1)
     if any((rows[blue][b] & c1mask) for b in B1):
         trace.add("cross-edges-not-all-red")
-    split = a2_split(rows, A2, b1mask, c1mask)
-    blue_piece = cycle | split.blue_side
-    red_piece = set(B1) | set(C1) | split.red_side
+    red_side, blue_side = a2_split(rows, A2, b1mask, c1mask)
+    blue_piece = cycle | blue_side
+    red_piece = set(B1) | set(C1) | red_side
     got = emit("cycle-blowup-split", (v,),
                make_cover((blue, blue_piece), (red, red_piece)))
     if got:
@@ -348,24 +329,22 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
         "no case produced a verified cover", chi, trace)
 
 
-def a2_split(rows, A2, b1mask: int, c1mask: int) -> A2Split:
-    """Split the distance-2 root-group layer by red footholds.
+def a2_split(rows, A2, b1mask: int, c1mask: int):
+    """(red side, blue side) of the distance-2 root-group layer.
 
-    Precedence: all-red toward the first layer side wins, then all-red toward
-    the second, then a red foothold in both; everything else is blue-side.
+    A vertex is red-side when its edges to one in-layer side are all red, or
+    it has a red foothold in both; the rest are blue-side (each of which then
+    has a blue foothold in both in-layers and an all-blue side).
     """
-    x1, x2, x3, blue_side = [], [], [], []
+    red_side, blue_side = set(), set()
     for x in A2:
-        if not rows[BLUE][x] & b1mask:
-            x1.append(x)
-        elif not rows[BLUE][x] & c1mask:
-            x2.append(x)
-        elif rows[RED][x] & b1mask and rows[RED][x] & c1mask:
-            x3.append(x)
+        blue, red = rows[BLUE][x], rows[RED][x]
+        if not blue & b1mask or not blue & c1mask \
+                or (red & b1mask and red & c1mask):
+            red_side.add(x)
         else:
-            blue_side.append(x)
-    return A2Split(frozenset(x1), frozenset(x2), frozenset(x3),
-                   frozenset(blue_side))
+            blue_side.add(x)
+    return red_side, blue_side
 
 
 # ============================================================================

@@ -29,22 +29,23 @@ depend on the filter.
 ``compute_D`` maximizes the per-coloring minimal feasible d over all
 colorings of a shape up to symmetry.  ``_min_cover_d`` asks each d once, in
 ascending order, so the ladder keeps no memo across rungs.  The enumeration
-space is split into contiguous key ranges; each range is advanced in
-resumable chunks, and results merge through a commutative monoid (max of
-min-d with smallest-key tie-break, plus counters), so the outcome is
-independent of thread count, chunk size, and kill/resume boundaries.  One
-as-completed scheduler drives the chunks at every thread count: at most
-``threads`` are in flight, and each result is merged as it arrives.  Classes
-are skewed across the key space (60.7% of ``[2,2,2,2]`` lies in one of the 64
-initial ranges), so idle workers claim the free ranges with the most keys
-left first, which leaves a dense range's remainder for last, and whenever
-idle workers outnumber the free pending ranges, the widest free range is
-split at the midpoint of its remaining keys; the orderly enumeration
-restarts from any key, so a split is sound.  A checkpoint holds merged
-progress only: a range with a chunk in flight keeps its old cursor until the
-chunk's result is merged.  ``gk_survey`` is the same engine pointed at the
-k-parts-of-size-2 shapes with the clone pruning rules on, recording
-structural facts about any coloring that survives them.
+space is split into contiguous key ranges, each advanced in resumable chunks
+of at most ``CHUNK_CLASSES`` classes at every thread count.  A chunk's outcome
+is a ``_Tally`` (the biggest min-d with the smallest key on ties, rule counts,
+survivors, violations and notes); tallies merge as a commutative monoid, so
+the outcome is independent of thread count, chunk size, and kill/resume
+boundaries.  One as-completed scheduler drives the chunks at every thread
+count: at most ``threads`` are in flight, and each result is merged as it
+arrives.  Classes are skewed across the key space (60.7% of ``[2,2,2,2]``
+lies in one of the 64 initial ranges), so idle workers claim the free ranges
+with the most keys left first, which leaves a dense range's remainder for
+last, and whenever idle workers outnumber the free pending ranges, the
+widest free range is split at the midpoint of its remaining keys; the
+orderly enumeration restarts from any key, so a split is sound.  A
+checkpoint holds merged progress only: a range with a chunk in flight keeps
+its old cursor until the chunk's result is merged.  ``gk_survey`` is the
+same engine pointed at the k-parts-of-size-2 shapes with the clone pruning
+rules on, recording structural facts about any coloring that survives them.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import time
 from collections import Counter
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, wait)
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 from .construct import star_doublestar_search, two_stars_at
@@ -73,8 +74,11 @@ DEFAULT_CAP_EDGES = 28
 CAP_ENV_VAR = "MPCOVER_CAP_EDGES"
 
 # Bag color pairs for the exhaustive search, in the order tried.  Same-color
-# pairs are required: two components of one color can form a cover.
-_PAIR_ORDER = ((BLUE, RED), (RED, BLUE), (BLUE, BLUE), (RED, RED))
+# pairs are required: two components of one color can form a cover.  For two
+# colors the search ignores which bag is which (conflicts, the d = 2 support
+# test, the suffix kill and ``certifies`` all treat the bags alike), so
+# (RED, BLUE) would fail exactly when (BLUE, RED) has.
+_PAIR_ORDER = ((BLUE, RED), (BLUE, BLUE), (RED, RED))
 
 _SECTOR_ORDER = ((RED, RED), (RED, BLUE), (BLUE, RED), (BLUE, BLUE))
 
@@ -415,11 +419,11 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
 
 
 def _check_td(t: int, d: int) -> None:
-    if not isinstance(t, int) or t < 1:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise InvalidParameter(f"subgraph count must be a positive integer, got {t!r}")
     if t > 2:
         raise Unsupported(f"covers by {t} subgraphs are not supported (max 2)")
-    if not isinstance(d, int) or d < 0:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise InvalidParameter(f"diameter bound must be a non-negative integer, got {d!r}")
 
 
@@ -438,14 +442,13 @@ def find_cover(chi: EdgeColoring, t: int, d: int):
 
 
 def _min_cover_d(chi, t, d_max, prune, survey_d):
-    """(min feasible d or d_max+1, deciding label, survey info or None)."""
+    """(min feasible d or d_max+1, label, survivor violations or None)."""
     surv = None
     for d in range(d_max + 1):
         cover, label = _decide(chi, t, d, prune)
         if survey_d is not None and d == survey_d and prune and \
                 (cover is None or label == "trichotomy"):
-            has = cover is not None
-            surv = (True, tuple(survivor_property_violations(chi, has)))
+            surv = tuple(survivor_property_violations(chi, cover is not None))
         if cover is not None:
             return d, label, surv
     return d_max + 1, "uncovered", surv
@@ -512,17 +515,6 @@ class SearchResult:
                           rules or "-", secs])
 
 
-def _merge_best(a, b):
-    """Commutative merge of (min_d, key) candidates; bigger d, smaller key."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] != b[0]:
-        return a if a[0] > b[0] else b
-    return a if a[1] <= b[1] else b
-
-
 MAX_NOTES = 25
 
 
@@ -544,6 +536,112 @@ def keep_notes(*note_lists) -> list:
     return sorted(notes, key=_note_order)[:MAX_NOTES]
 
 
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"count {value!r} is not a non-negative integer")
+    return value
+
+
+@dataclass
+class _Tally:
+    """A survey's outcome over the classes counted so far: a commutative monoid.
+
+    ``best`` is the (min_d, key) with the biggest min_d, the smallest key on
+    ties (None before the first class); ``rules`` counts classes per deciding
+    rule; survivors, violations and the kept notes come from the survivor
+    checks.  ``merge`` is associative and commutative, so a survey's tally
+    does not depend on chunking, thread count or resume boundaries.
+    """
+
+    classes: int = 0
+    rules: Counter = field(default_factory=Counter)
+    best: tuple | None = None
+    survivors: int = 0
+    violations: int = 0
+    notes: list = field(default_factory=list)
+
+    def _take(self, best) -> None:
+        # the bigger min_d wins, then the smaller key
+        if best is not None and (self.best is None or (-best[0], best[1])
+                                 < (-self.best[0], self.best[1])):
+            self.best = best
+
+    def add(self, key: int, min_d: int, label: str, surv) -> None:
+        """Count one class; ``surv`` is its survivor violations or None."""
+        self.classes += 1
+        self.rules[label] += 1
+        self._take((min_d, key))
+        if surv is not None:
+            self.survivors += 1
+            self.violations += len(surv)
+            if surv:
+                self.notes = keep_notes(self.notes,
+                                        [f"key={key:x} {note}" for note in surv])
+
+    def merge(self, other: _Tally) -> None:
+        self.classes += other.classes
+        self.rules.update(other.rules)
+        self._take(other.best)
+        self.survivors += other.survivors
+        self.violations += other.violations
+        self.notes = keep_notes(self.notes, other.notes)
+
+    def to_checkpoint(self, seconds: float) -> dict:
+        """The checkpoint's ``best`` and ``counts`` entries."""
+        best = self.best
+        return {
+            "best": {"d": best[0] if best else None,
+                     "witness_bits": f"{best[1]:x}" if best else None},
+            "counts": {"classes_enumerated": self.classes,
+                       "pruned_by_rule": {k: self.rules[k] for k in sorted(self.rules)},
+                       "survivors": self.survivors,
+                       "property_violations": self.violations,
+                       "violation_notes": self.notes,
+                       "seconds": round(seconds, 3)},
+        }
+
+    @classmethod
+    def from_checkpoint(cls, state: dict, d_max: int, m: int) -> _Tally:
+        """The tally a checkpoint holds; ValueError when its counts do not fit.
+
+        Counts must be non-negative integers that fit together: the rule
+        counts add up to the class count, survivors are classes, and only
+        survivors carry violations and notes.  The best class, present once a
+        class was counted, must be a key of the shape with ``m`` edges
+        (lower-case hex, as written) with a diameter in 0..d_max + 1.
+        """
+        counts = state["counts"]
+        classes = _count(counts["classes_enumerated"])
+        rules = Counter({str(k): _count(v)
+                         for k, v in counts["pruned_by_rule"].items()})
+        if sum(rules.values()) != classes:
+            raise ValueError(f"rule counts add up to {sum(rules.values())}, "
+                             f"not to the {classes} classes enumerated")
+        d, bits = state["best"]["d"], state["best"]["witness_bits"]
+        best = None
+        if d is not None or bits is not None:
+            best = (_count(d), int(bits, 16))
+            if f"{best[1]:x}" != bits or best[0] > d_max + 1 \
+                    or best[1] >= 1 << m:
+                raise ValueError(f"best class {state['best']} is out of range")
+        if (best is None) != (classes == 0):
+            raise ValueError("a best class is kept exactly when some class "
+                             "was enumerated")
+        survivors = _count(counts.get("survivors", 0))
+        violations = _count(counts.get("property_violations", 0))
+        notes = counts.get("violation_notes", [])
+        if not isinstance(notes, list):
+            raise ValueError(f"violation_notes {notes!r} is not a list")
+        # a survivor is a class, and only survivors carry violations and notes
+        if survivors > classes or (violations and not survivors) \
+                or len(notes) > violations:
+            raise ValueError(f"{survivors} survivors, {violations} violations "
+                             f"and {len(notes)} notes do not fit {classes} "
+                             f"classes")
+        return cls(classes, rules, best, survivors, violations,
+                   keep_notes(notes))
+
+
 _ENGINE_CACHE = {}
 
 
@@ -557,33 +655,16 @@ def _engine(sizes, use_symmetry):
 
 
 def _chunk_worker(args):
-    """Advance one cursor range by up to ``limit`` classes (pure)."""
+    """(tally, next cursor) of one range advanced by up to ``limit`` classes."""
     (sizes, t, d_max, use_symmetry, prune, survey_d, lo, hi, pos, limit) = args
     shape, group = _engine(sizes, use_symmetry)
-    classes = 0
-    rules = Counter()
-    best = None
-    survivors = 0
-    violations = 0
-    notes = []
-    last_key = None
+    tally = _Tally()
     for key, bits in canonical_classes(shape, group, lo=lo, hi=hi, start=pos):
-        chi = EdgeColoring(shape, bits)
-        min_d, label, surv = _min_cover_d(chi, t, d_max, prune, survey_d)
-        classes += 1
-        rules[label] += 1
-        best = _merge_best(best, (min_d, key))
-        if surv is not None:
-            survivors += 1
-            violations += len(surv[1])
-            notes = keep_notes(notes, [f"key={key:x} {note}" for note in surv[1]])
-        last_key = key
-        if limit is not None and classes >= limit:
-            break
-    done = limit is None or classes < limit
-    next_pos = hi if done else last_key + 1
-    return (classes, dict(rules), best, survivors, violations, notes,
-            next_pos)
+        tally.add(key, *_min_cover_d(EdgeColoring(shape, bits), t, d_max,
+                                     prune, survey_d))
+        if tally.classes >= limit:
+            return tally, key + 1
+    return tally, hi
 
 
 # ---------------------------------------------------------------------------
@@ -642,22 +723,12 @@ def _check_ranges(ranges, end: int) -> None:
                          f"the key space {end}")
 
 
-def _count(value) -> int:
-    if type(value) is not int or value < 0:
-        raise ValueError(f"count {value!r} is not a non-negative integer")
-    return value
-
-
 def _resume(state: dict, path: str, config: dict, end: int, m: int):
-    """(ranges, classes, rules, best, survivors, violations, notes, seconds).
+    """(ranges, tally, seconds) of a checkpoint; InvalidParameter if malformed.
 
     ``end`` is the end of the key space the ranges must tile, ``m`` the
-    shape's edge count.  The config must equal the run's as JSON.  Counts
-    must be non-negative integers that fit together: the rule counts add up
-    to the class count, survivors are classes, and only survivors carry
-    violations and notes.  The best class, present once a class was counted,
-    must be a key of the shape (lower-case hex, as written) with a diameter
-    in 0..d_max + 1.
+    shape's edge count.  The config must equal the run's as JSON, and the
+    counts must fit together (``_Tally.from_checkpoint``).
     """
     try:
         # compared as JSON text, so that 1 and true or 2 and 2.0 differ
@@ -668,39 +739,11 @@ def _resume(state: dict, path: str, config: dict, end: int, m: int):
                 f"settings: {state['config']} vs {config}")
         ranges = state["cursor_ranges"]
         _check_ranges(ranges, end)
-        counts = state["counts"]
-        classes = _count(counts["classes_enumerated"])
-        rules = Counter({str(k): _count(v)
-                         for k, v in counts["pruned_by_rule"].items()})
-        if sum(rules.values()) != classes:
-            raise ValueError(f"rule counts add up to {sum(rules.values())}, "
-                             f"not to the {classes} classes enumerated")
-        d, bits = state["best"]["d"], state["best"]["witness_bits"]
-        best = None
-        if d is not None or bits is not None:
-            best = (_count(d), int(bits, 16))
-            if f"{best[1]:x}" != bits or best[0] > config["d_max"] + 1 \
-                    or best[1] >= 1 << m:
-                raise ValueError(f"best class {state['best']} is out of range")
-        if (best is None) != (classes == 0):
-            raise ValueError("a best class is kept exactly when some class "
-                             "was enumerated")
-        survivors = _count(counts.get("survivors", 0))
-        violations = _count(counts.get("property_violations", 0))
-        notes = counts.get("violation_notes", [])
-        if not isinstance(notes, list):
-            raise ValueError(f"violation_notes {notes!r} is not a list")
-        # a survivor is a class, and only survivors carry violations and notes
-        if survivors > classes or (violations and not survivors) \
-                or len(notes) > violations:
-            raise ValueError(f"{survivors} survivors, {violations} violations "
-                             f"and {len(notes)} notes do not fit {classes} "
-                             f"classes")
-        seconds = counts.get("seconds", 0.0)
+        tally = _Tally.from_checkpoint(state, config["d_max"], m)
+        seconds = state["counts"].get("seconds", 0.0)
         if type(seconds) not in (int, float) or not 0 <= seconds < float("inf"):
             raise ValueError(f"seconds {seconds!r} is not a non-negative number")
-        return ([list(r) for r in ranges], classes, rules, best, survivors,
-                violations, keep_notes(notes), float(seconds))
+        return [list(r) for r in ranges], tally, float(seconds)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise InvalidParameter(f"malformed checkpoint {path}: {e!r}")
 
@@ -725,9 +768,10 @@ def _edge_cap(cap_edges):
     return int(raw)
 
 
-# Classes per pool chunk.  Small, so that a dense range comes back often
-# enough to be split while another worker would otherwise idle.
-POOL_CHUNK_CLASSES = 500
+# Most classes per chunk, at every thread count.  Small, so that a dense range
+# comes back often enough to be split while another worker would otherwise
+# idle; restarting the enumeration at a key is cheap.
+CHUNK_CLASSES = 500
 
 
 def _initial_ranges(m: int, use_symmetry: bool):
@@ -779,10 +823,11 @@ def _run_inline(args) -> Future:
 MAX_THREADS = 64
 
 
-def _check_count(name: str, value, most: int | None = None) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1 \
+def _check_count(name: str, value, most: int | None = None,
+                 least: int = 1) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least \
             or (most is not None and value > most):
-        bound = ">= 1" if most is None else f"in 1..{most}"
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
         raise InvalidParameter(f"{name} must be an integer {bound}, got {value!r}")
 
 
@@ -800,24 +845,24 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     boundaries; wall-clock time is accumulated separately in ``seconds``.
 
     One as-completed scheduler runs at every thread count.  At most
-    ``threads`` chunks are in flight, each advancing one key range; results
-    merge as they arrive.  With ``threads > 1`` the chunks run in a process
-    pool and hold at most ``POOL_CHUNK_CLASSES`` classes, free ranges are
-    claimed most keys left first, and whenever idle workers outnumber the
-    free pending ranges the widest free range is split in two
-    (``_claim_ranges``).  With ``threads == 1`` each chunk runs inline,
-    up to ``checkpoint_every`` classes (no limit without a checkpoint), and no
-    range is ever split.  A checkpoint is written once ``checkpoint_every``
-    classes have merged since the last one, on stop and on finish.  It holds
-    merged progress only: a range with a chunk in flight keeps its old
-    cursor, so a resumed run redoes the chunks that were in flight and
-    whatever merged after the last write.
+    ``threads`` chunks are in flight, each advancing one key range by at most
+    ``min(checkpoint_every, CHUNK_CLASSES)`` classes, capped further by what
+    is left of ``stop_after_classes``.  Each chunk returns a ``_Tally``, and
+    the survey's tally merges it as it arrives.  Free ranges are claimed
+    most keys left first, and whenever idle workers outnumber the free
+    pending ranges the widest free range is split in two (``_claim_ranges``),
+    which never happens with ``threads == 1``, where chunks run inline.  A
+    checkpoint is written once ``checkpoint_every`` classes have merged since
+    the last one, on stop and on finish.  It holds merged progress only: a
+    range with a chunk in flight keeps its old cursor, so a resumed run redoes
+    the chunks that were in flight and whatever merged after the last write.
     """
     sizes = tuple(part_sizes.part_sizes) if isinstance(part_sizes, MultipartiteShape) \
         else tuple(build_shape(part_sizes).part_sizes)
     _check_td(t, 0)
-    if d_max < 0:
-        raise InvalidParameter(f"d_max must be >= 0, got {d_max}")
+    _check_count("d_max", d_max, least=0)
+    if survey_d is not None:
+        _check_count("survey_d", survey_d, least=0)
     _check_count("threads", threads, MAX_THREADS)
     _check_count("checkpoint_every", checkpoint_every)
     if stop_after_classes is not None:
@@ -837,42 +882,23 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
 
     config = _checkpoint_config(sizes, t, d_max, use_symmetry, prune, survey_d)
     ranges = _initial_ranges(shape.m, use_symmetry)
-    classes = 0
-    rules = Counter()
-    best = None
-    survivors = 0
-    violations = 0
-    notes = []
+    tally = _Tally()
     spent = 0.0
 
     resumed = bool(checkpoint_path) and os.path.exists(checkpoint_path)
     if resumed:
-        (ranges, classes, rules, best, survivors, violations, notes,
-         spent) = _resume(load_checkpoint(checkpoint_path), checkpoint_path,
-                          config, ranges[-1][1], shape.m)
+        ranges, tally, spent = _resume(load_checkpoint(checkpoint_path),
+                                       checkpoint_path, config,
+                                       ranges[-1][1], shape.m)
 
     def snapshot():
-        return {
-            "version": CHECKPOINT_VERSION,
-            "shape": list(sizes),
-            "t": t,
-            "config": config,
-            "cursor_ranges": [list(r) for r in ranges],
-            "best": {"d": best[0] if best else None,
-                     "witness_bits": f"{best[1]:x}" if best else None},
-            "counts": {"classes_enumerated": classes,
-                       "pruned_by_rule": {k: rules[k] for k in sorted(rules)},
-                       "survivors": survivors,
-                       "property_violations": violations,
-                       "violation_notes": notes,
-                       "seconds": round(spent, 3)},
-        }
+        return {"version": CHECKPOINT_VERSION, "shape": list(sizes), "t": t,
+                "config": config, "cursor_ranges": [list(r) for r in ranges],
+                **tally.to_checkpoint(spent)}
 
     # budget: classes still allowed, less the limits of the chunks in flight
     budget = stop_after_classes
-    limit = checkpoint_every if (checkpoint_path or budget is not None) else None
-    if threads > 1:
-        limit = min(limit or POOL_CHUNK_CLASSES, POOL_CHUNK_CLASSES)
+    limit = min(checkpoint_every, CHUNK_CLASSES)
     unsaved = 0
     prior_seconds = spent
     started = time.monotonic()
@@ -901,18 +927,12 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
             finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for fut in finished:
                 r, chunk = in_flight.pop(fut)
-                (done, chunk_rules, chunk_best, surv, viol, chunk_notes,
-                 next_pos) = fut.result()
-                classes += done
-                rules.update(chunk_rules)
-                best = _merge_best(best, chunk_best)
-                survivors += surv
-                violations += viol
-                notes = keep_notes(notes, chunk_notes)
-                r[2] = next_pos
-                unsaved += done
+                part, r[2] = fut.result()
+                tally.merge(part)
+                unsaved += part.classes
                 if budget is not None:
-                    budget += chunk - done  # a range ended short of its limit
+                    # a range ended short of its limit
+                    budget += chunk - part.classes
             spent = prior_seconds + (time.monotonic() - started)
             if checkpoint_path and unsaved >= checkpoint_every:
                 save_checkpoint(checkpoint_path, snapshot())
@@ -924,8 +944,9 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     if any(pos < hi for _, hi, pos in ranges):
         save_checkpoint(checkpoint_path, snapshot())  # the budget ran out
         return None
-    if best is None:
+    if tally.best is None:
         raise InvalidParameter("empty enumeration; nothing to survey")
+    classes = tally.classes
     expected = leader_count(shape, _engine(sizes, use_symmetry)[1])
     if classes != expected:
         # a resumed survey's counts came from the file, which is then at fault
@@ -933,13 +954,13 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
         source = f" after resuming checkpoint {checkpoint_path}" if resumed else ""
         raise error(f"survey of {list(sizes)} counted {classes} classes{source}, "
                     f"but the group has {expected} orbits")
-    d, key = best
+    d, key = tally.best
     result = SearchResult(
         part_sizes=sizes, t=t, d=d, exceeded=d > d_max,
         witness_bits=key_to_bits(key, shape.m), classes=classes,
-        rules={k: rules[k] for k in sorted(rules)},
-        use_symmetry=use_symmetry, survivors=survivors,
-        violations=violations, notes=tuple(notes), seconds=spent)
+        rules={k: tally.rules[k] for k in sorted(tally.rules)},
+        use_symmetry=use_symmetry, survivors=tally.survivors,
+        violations=tally.violations, notes=tuple(tally.notes), seconds=spent)
     if checkpoint_path:
         save_checkpoint(checkpoint_path, snapshot())
     return result

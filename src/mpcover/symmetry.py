@@ -114,25 +114,10 @@ def _perm_from_assignment(shape, part_map, offsets):
     return perm
 
 
-def _full_vertex_perms(shape):
-    fams = size_families(shape)
-    fam_perms = [list(permutations(fam)) for fam in fams]
-    within = [list(permutations(range(a))) for a in shape.part_sizes]
-    for fam_choice in product(*fam_perms):
-        part_map = [0] * shape.k
-        for fam, image in zip(fams, fam_choice):
-            for p, q in zip(fam, image):
-                part_map[p] = q
-        for offsets in product(*within):
-            yield _perm_from_assignment(shape, part_map, offsets)
-
-
-def _cyclic_vertex_perms(shape):
-    fams = size_families(shape)
-    fam_rots = [[fam[r:] + fam[:r] for r in range(len(fam))] for fam in fams]
-    within = [[tuple((o + t) % a for o in range(a)) for t in range(a)]
-              for a in shape.part_sizes]
-    for fam_choice in product(*fam_rots):
+def _vertex_perms(shape, fams, images, within):
+    """Each family ``fams[i]`` sent to one of ``images[i]``, times each
+    choice of per-part offsets ``within[p]``, in product order."""
+    for fam_choice in product(*images):
         part_map = [0] * shape.k
         for fam, image in zip(fams, fam_choice):
             for p, q in zip(fam, image):
@@ -151,9 +136,16 @@ def symmetry_group(shape: MultipartiteShape,
     """Expand the coloring symmetries, tiering down to a subgroup when huge."""
     full_vorder = vertex_group_order(shape)
     use_full = full_vorder <= cap
-    vperms = _full_vertex_perms(shape) if use_full else _cyclic_vertex_perms(shape)
+    fams = size_families(shape)
+    if use_full:
+        images = [list(permutations(fam)) for fam in fams]
+        within = [list(permutations(range(a))) for a in shape.part_sizes]
+    else:  # rotations of each family, cyclic shifts inside each part
+        images = [[fam[r:] + fam[:r] for r in range(len(fam))] for fam in fams]
+        within = [[tuple((o + t) % a for o in range(a)) for t in range(a)]
+                  for a in shape.part_sizes]
     elements = []
-    for vperm in vperms:
+    for vperm in _vertex_perms(shape, fams, images, within):
         ep = edge_perm(shape, vperm)
         inv = [0] * shape.m
         for i, j in enumerate(ep):

@@ -21,7 +21,7 @@ from mpcover.search import (MAX_NOTES, SearchResult, check_monotone_extension,
                             find_cover, gk_survey, keep_notes,
                             load_checkpoint, prune_with_constructions, save_checkpoint,
                             survivor_property_violations, two_bag_cover)
-from mpcover.symmetry import symmetry_group
+from mpcover.symmetry import canonical_classes, symmetry_group
 
 
 def oracle_cover_exists(chi, t, d):
@@ -61,6 +61,9 @@ def test_parameter_guards(rng):
         cover_exists(chi, 0, 2)
     with pytest.raises(InvalidParameter):
         cover_exists(chi, 2, -1)
+    for t, d in ((True, 2), (2, True), (2, False), (2.0, 2), (2, 2.5)):
+        with pytest.raises(InvalidParameter):
+            find_cover(chi, t, d)
 
 
 def test_single_bag_is_the_spanning_diameter():
@@ -128,6 +131,22 @@ def test_two_bag_matches_oracle_on_four_parts(rng):
                     (sizes, chi.bits, d)
                 if cover is not None:
                     assert verify_cover(chi, cover, d, 2) is None
+
+
+def test_two_bag_search_ignores_bag_order(rng):
+    # why _PAIR_ORDER holds (BLUE, RED) but not (RED, BLUE)
+    failed = 0
+    for sizes in ([2, 2, 1], [3, 2, 1], [2, 2, 2], [3, 2, 2], [2, 2, 1, 1]):
+        for _ in range(12):
+            chi = random_coloring(rng, sizes)
+            for d in (1, 2, 3):
+                far = (search.far_masks(chi, RED, d), search.far_masks(chi, BLUE, d))
+                pop = [[mask.bit_count() for mask in masks] for masks in far]
+                br = search._two_bag_pair(chi, d, BLUE, RED, far, pop)
+                rb = search._two_bag_pair(chi, d, RED, BLUE, far, pop)
+                assert (br is None) == (rb is None), (sizes, chi.bits, d)
+                failed += br is None
+    assert failed > 50
 
 
 def test_no_diameter_one_cover_when_a_part_exceeds_t(rng):
@@ -488,6 +507,58 @@ def test_keep_notes_keeps_the_smallest_keys_in_any_arrival_order(rng):
     assert keep_notes(want, want) == want
 
 
+def _class_stream(rng):
+    """(key, min_d, label, survivor violations) of every [3,2,2] class, with
+    made-up violations on some survivors so that notes overflow MAX_NOTES."""
+    shape = build_shape([3, 2, 2])
+    stream = []
+    for key, bits in canonical_classes(shape, symmetry_group(shape)):
+        min_d, label, surv = search._min_cover_d(EdgeColoring(shape, bits),
+                                                 2, 4, True, 2)
+        if surv is not None and rng.random() < 0.2:
+            surv = tuple(f"far-cell x={x} cell=(3,3)" for x in range(rng.randint(1, 3)))
+        stream.append((key, min_d, label, surv))
+    return stream
+
+
+def test_tally_is_a_monoid(rng):
+    stream = _class_stream(rng)
+    whole = search._Tally()
+    for entry in stream:
+        whole.add(*entry)
+    assert whole.survivors and whole.violations > MAX_NOTES == len(whole.notes)
+    top = max(min_d for _, min_d, _, _ in stream)
+    assert whole.best == (top, min(k for k, min_d, _, _ in stream if min_d == top))
+
+    for _ in range(5):
+        cuts = sorted(rng.sample(range(1, len(stream)), rng.randint(1, 40)))
+        parts = []
+        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+            parts.append(search._Tally())
+            for entry in stream[lo:hi]:
+                parts[-1].add(*entry)
+        parts.append(search._Tally())  # the empty tally is the identity
+        rng.shuffle(parts)
+        while len(parts) > 1:
+            into = parts.pop(rng.randrange(len(parts)))
+            into.merge(parts.pop(rng.randrange(len(parts))))
+            parts.append(into)
+        assert parts[0] == whole
+
+
+def test_tally_survives_a_checkpoint(rng):
+    m = build_shape([3, 2, 2]).m
+    tallies = [search._Tally()]
+    for entries in (_class_stream(rng)[:70], _class_stream(rng)):
+        tallies.append(search._Tally())
+        for entry in entries:
+            tallies[-1].add(*entry)
+    for tally in tallies:
+        state = json.loads(json.dumps(tally.to_checkpoint(1.25)))
+        assert state["counts"]["seconds"] == 1.25
+        assert search._Tally.from_checkpoint(state, 4, m) == tally
+
+
 def test_checkpoint_file_shape(tmp_path):
     cp = tmp_path / "cp.json"
     compute_D([2, 2, 1], checkpoint_path=str(cp))
@@ -569,8 +640,11 @@ def test_checkpoint_with_the_initial_layout_resumes(tmp_path):
     dict(checkpoint_every=0), dict(checkpoint_every=-5),
     dict(checkpoint_every=2.5), dict(stop_after_classes=0),
     dict(stop_after_classes=-3), dict(stop_after_classes=True),
+    dict(d_max=-1), dict(d_max=True), dict(d_max=2.5), dict(survey_d=-1),
+    dict(survey_d=True), dict(survey_d=1.5), dict(t=True),
 ], ids=["every-0", "every-negative", "every-float", "stop-0", "stop-negative",
-        "stop-bool"])
+        "stop-bool", "dmax-negative", "dmax-bool", "dmax-float",
+        "survey-negative", "survey-bool", "survey-float", "t-bool"])
 def test_budgets_must_be_positive_integers(tmp_path, kwargs):
     with pytest.raises(InvalidParameter):
         compute_D([2, 2, 1], checkpoint_path=str(tmp_path / "cp.json"),

@@ -226,7 +226,7 @@ def test_stopped_chunk_restarts_after_its_last_key():
     span = 1 << shape.m
     pos, counted = 0, 0
     while pos < span:
-        done, *_, pos = _chunk_worker(((3, 2, 2), 2, 4, True, True, None,
-                                       0, span, pos, 300))
-        counted += done
+        tally, pos = _chunk_worker(((3, 2, 2), 2, 4, True, True, None,
+                                    0, span, pos, 300))
+        counted += tally.classes
     assert counted == len(whole)
