@@ -7,15 +7,20 @@ normal form iff one exists at all.  Singletons are valid subgraphs of
 diameter 0, which also lets a cover use fewer than t useful parts.
 
 Verification never trusts the producer: coverage, per-subgraph connectivity
-and diameter are all recomputed from the coloring.  ``verify_cover`` reports
-the first violation with an exact witness; ``certifies`` gives the same
-verdict as a bare boolean and stops early, for searches that reject most of
-their candidates.
+and diameter are all recomputed from the coloring.  Each piece is decided
+with the early-exit ``diameter_at_most``, which bounds a dominated piece (one
+vertex adjacent in the piece's color to all the others, as in a star) at
+diameter 2 without growing a ball.  The exact diameter is computed only for
+a piece that fails, to build its witness.  ``verify_cover`` reports the
+first violation with an exact witness; ``certifies_masks`` gives the same
+verdict as a bare boolean on (color, mask) pieces, for searches that reject
+most of their candidates and build a ``Cover`` only for the one that wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidCover
 from .graphs import (COLOR_NAMES, COLORS, INF, EdgeColoring, color_from_name,
@@ -39,8 +44,10 @@ class MonoSubgraph:
         if not self.vertices:
             raise InvalidCover("subgraph with an empty vertex set")
 
-    @property
+    @cached_property
     def mask(self) -> int:
+        # kept in the instance dict, outside the fields: equality, hashing
+        # and the JSON form see only (color, vertices)
         return mask_of(self.vertices)
 
 
@@ -89,7 +96,9 @@ def verify_cover(chi: EdgeColoring, cover: Cover, d: int, t: int):
     """None if the cover certifies (t, d); otherwise the first Violation.
 
     Scan order is deterministic: subgraph count, then each subgraph's
-    connectivity and diameter by index, then coverage by vertex id.
+    connectivity and diameter by index, then coverage by vertex id.  A piece
+    is decided by ``diameter_at_most``; only a failing one pays for its
+    exact diameter, which tells a disconnected piece from a too-wide one.
     """
     if len(cover) > t:
         return Violation(TOO_MANY_SUBGRAPHS, None, (len(cover), t))
@@ -97,34 +106,39 @@ def verify_cover(chi: EdgeColoring, cover: Cover, d: int, t: int):
     for i, g in enumerate(cover):
         for v in g.vertices:
             chi.shape.check_vertex(v)
-        diam = subgraph_diameter(chi, g)
-        if diam >= INF:
-            return Violation(DISCONNECTED, i, tuple(sorted(g.vertices))[:2])
-        if diam > d:
+        mask = g.mask
+        if not diameter_at_most(chi, g.color, mask, d):
+            diam = subgraph_diameter(chi, g)
+            if diam >= INF:
+                return Violation(DISCONNECTED, i, tuple(sorted(g.vertices))[:2])
             return Violation(DIAMETER_EXCEEDED, i, (diam, d))
-        covered |= g.mask
+        covered |= mask
     if covered != chi.shape.full_mask:
         missing = next(v for v in range(chi.n) if not (covered >> v) & 1)
         return Violation(COVERAGE_GAP, None, (missing,))
     return None
 
 
-def certifies(chi: EdgeColoring, cover: Cover, d: int, t: int) -> bool:
-    """``verify_cover(chi, cover, d, t) is None``, without finding a witness.
+def certifies_masks(chi: EdgeColoring, pieces, d: int, t: int) -> bool:
+    """Whether (color, mask) pieces form a cover certifying (t, d).
 
     The search's reject test: the piece count first, then coverage as one OR
-    of the piece masks, then an early-exit diameter check on each piece.
+    of the masks, then an early-exit diameter check on each piece.  An empty
+    mask counts toward t, covers nothing and passes the diameter check.
     """
-    if len(cover) > t:
+    if len(pieces) > t:
         return False
-    masks = [g.mask for g in cover]
     covered = 0
-    for mask in masks:
+    for _, mask in pieces:
         covered |= mask
     if covered != chi.shape.full_mask:
         return False
-    return all(diameter_at_most(chi, g.color, mask, d)
-               for g, mask in zip(cover, masks))
+    return all(diameter_at_most(chi, c, mask, d) for c, mask in pieces)
+
+
+def certifies(chi: EdgeColoring, cover: Cover, d: int, t: int) -> bool:
+    """``verify_cover(chi, cover, d, t) is None``, without finding a witness."""
+    return certifies_masks(chi, [(g.color, g.mask) for g in cover], d, t)
 
 
 # ============================================================================

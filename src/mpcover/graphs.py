@@ -8,7 +8,12 @@ blue, 0 means red.  All distance work runs on per-color bitmask adjacency
 rows, so a BFS step is one OR-fold over the frontier (``_grow``, which peels
 the frontier's low bits inline instead of iterating ``bits_of``).  One ball
 kernel, ``_ball_radius``, backs both the exact mask diameter and the bounded
-test; ``far_masks`` gives, per vertex, what lies beyond its radius-d ball.
+test.  The bounded test ``diameter_at_most`` also bounds a dominated mask (one
+vertex adjacent to all the others) at diameter 2 when d >= 2, with no ball
+grown; stars and the covers built from them are dominated.  The exact
+``diameter_in_mask`` is left for callers that need the number itself, such as
+a failing piece's witness.  ``far_masks`` gives, per vertex, what lies beyond
+its radius-d ball.
 ``component_of`` floods one color component with the same OR-fold, and
 ``remap_edges`` carries edges through a vertex map onto a shape's edge
 indices (relabelings, file vertex orders, symmetries and clone extensions).
@@ -410,12 +415,29 @@ def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
 def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     """``diameter_in_mask(chi, c, allowed) <= d``, with early exit.
 
-    Stops at the first vertex whose radius-d ball misses part of the mask.
+    At d >= 2 a vertex adjacent in color c to every other vertex of the mask
+    dominates it, which bounds the diameter by 2: a scan of one AND per
+    vertex looks for one before any ball is grown.  Then one ball per vertex,
+    stopping with False at the first radius-d ball that misses part of the
+    mask.  An empty mask is vacuously True.
     """
     if d < 0:
         return False
     rows = chi.adj[c]
-    return all(_ball_radius(rows, u, allowed, d) <= d for u in bits_of(allowed))
+    rest = allowed
+    if d >= 2:
+        while rest:
+            low = rest & -rest
+            if allowed & ~rows[low.bit_length() - 1] == low:
+                return True
+            rest ^= low
+        rest = allowed
+    while rest:
+        low = rest & -rest
+        if _ball_radius(rows, low.bit_length() - 1, allowed, d) > d:
+            return False
+        rest ^= low
+    return True
 
 
 # ============================================================================

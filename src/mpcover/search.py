@@ -12,12 +12,15 @@ in the full color graph (``far_masks``): full-graph distances bound induced
 distances from below, so two vertices whose balls miss each other can share
 no bag, and the search stays exact.  Two stars are tried only at vertices of
 size-1 parts: at any other vertex they miss its co-part vertices.
-Candidates are accepted or rejected with the early-exit ``certifies``; the
-one cover the ladder returns is then checked again by ``verify_cover``, so
-every positive answer is backed by a cover that passed it, and
-classification is by certificate only.  Two rungs are settled by
-counting: a piece of diameter 0 is one vertex, and a piece of diameter 1 is a
-clique, so it holds at most one vertex per part.  So no cover exists at d = 0
+Candidates stay (color, mask) pieces from the prune rules down to the
+diameter kernel: ``certifies_masks`` takes coverage as one OR and then the
+early-exit ``diameter_at_most`` per piece, which settles a dominated piece
+such as a star at once when d >= 2.  A ``Cover`` is built only for the
+candidate that wins.  The one cover the ladder returns is then checked again
+by ``verify_cover``, so every positive answer is backed by a cover that
+passed it, and classification is by certificate only.  Two rungs are settled
+by counting: a piece of diameter 0 is one vertex, and a piece of diameter 1 is
+a clique, so it holds at most one vertex per part.  So no cover exists at d = 0
 when n > t, nor at d = 1 when some part has more than t vertices, and no
 single piece spans at d = 1 when some part has two.  What is left of d = 1
 goes through a reject filter first: two cliques cover V only if some
@@ -61,7 +64,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 from .construct import star_doublestar_search, two_stars_at
-from .covers import certifies, make_cover, verify_cover
+from .covers import certifies_masks, make_cover, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
                      bilayer_partition, bits_of, build_shape,
@@ -76,7 +79,7 @@ CAP_ENV_VAR = "MPCOVER_CAP_EDGES"
 # Bag color pairs for the exhaustive search, in the order tried.  Same-color
 # pairs are required: two components of one color can form a cover.  For two
 # colors the search ignores which bag is which (conflicts, the d = 2 support
-# test, the suffix kill and ``certifies`` all treat the bags alike), so
+# test, the suffix kill and ``certifies_masks`` all treat the bags alike), so
 # (RED, BLUE) would fail exactly when (BLUE, RED) has.
 _PAIR_ORDER = ((BLUE, RED), (BLUE, BLUE), (RED, RED))
 
@@ -101,9 +104,10 @@ def _two_stars(chi: EdgeColoring, d: int):
     shape = chi.shape
     for p, size in enumerate(shape.part_sizes):
         if size == 1:
-            cover = two_stars_at(chi, shape.part_start[p])
-            if certifies(chi, cover, d, 2):
-                return cover
+            u = shape.part_start[p]
+            if certifies_masks(chi, ((RED, _star_mask(chi, RED, u)),
+                                     (BLUE, _star_mask(chi, BLUE, u))), d, 2):
+                return two_stars_at(chi, u)
     return None
 
 
@@ -199,8 +203,9 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
     # 1/2 (the OR of their conflict masks), so no longer placeable there
     def dfs(i, in1, in2, ex1, ex2, bar1, bar2):
         if i == n:
-            cover = make_cover((c1, bits_of(in1)), (c2, bits_of(in2)))
-            return cover if certifies(chi, cover, d, 2) else None
+            if not certifies_masks(chi, ((c1, in1), (c2, in2)), d, 2):
+                return None
+            return make_cover((c1, bits_of(in1)), (c2, bits_of(in2)))
         # a later vertex already barred from both bags kills the branch
         if suffix[i] & bar1 & bar2:
             return None
@@ -236,12 +241,16 @@ def _clone_pairs(shape: MultipartiteShape):
 
 
 def _try(chi, d, *pieces):
-    """Build a candidate; None unless it certifies."""
-    pieces = [(c, list(vs)) for c, vs in pieces]
-    if any(not vs for _, vs in pieces):
+    """The cover of these (color, mask) pieces if it certifies, else None.
+
+    A candidate with an empty piece is rejected; a ``Cover`` is built only
+    for one that passes.
+    """
+    if not all(mask for _, mask in pieces):
         return None
-    cover = make_cover(*pieces)
-    return cover if certifies(chi, cover, d, 2) else None
+    if not certifies_masks(chi, pieces, d, 2):
+        return None
+    return make_cover(*((c, bits_of(mask)) for c, mask in pieces))
 
 
 def _prune_labeled(chi: EdgeColoring, d: int):
@@ -266,8 +275,8 @@ def _prune_labeled(chi: EdgeColoring, d: int):
             for i, j in _SECTOR_ORDER:
                 if not (chi.adj[i][v] & chi.adj[j][vp]):
                     cover = _try(chi, d,
-                                 (other_color(i), bits_of(_star_mask(chi, other_color(i), v))),
-                                 (other_color(j), bits_of(_star_mask(chi, other_color(j), vp))))
+                                 (other_color(i), _star_mask(chi, other_color(i), v)),
+                                 (other_color(j), _star_mask(chi, other_color(j), vp)))
                     if cover is not None:
                         return cover, "clone-star"
 
@@ -280,8 +289,8 @@ def _prune_labeled(chi: EdgeColoring, d: int):
             # far from both ends
             for y in sorted(cell(3, 2) | cell(3, 3)):
                 got = _try(chi, d,
-                           (RED, bits_of(_star_mask(chi, RED, base))),
-                           (RED, bits_of(_star_mask(chi, RED, y))))
+                           (RED, _star_mask(chi, RED, base)),
+                           (RED, _star_mask(chi, RED, y)))
                 if got is not None:
                     return got, "far-clone"
                 yp = clone[y]
@@ -289,39 +298,42 @@ def _prune_labeled(chi: EdgeColoring, d: int):
                     continue
                 if yp in cell(1, 1):
                     got = _try(chi, d,
-                               (RED, list(bits_of(_star_mask(chi, RED, cob))) + [base]),
-                               (BLUE, bits_of(_star_mask(chi, BLUE, cob))))
+                               (RED, _star_mask(chi, RED, cob) | 1 << base),
+                               (BLUE, _star_mask(chi, BLUE, cob)))
                 elif yp in cell(1, 2) | cell(1, 3):
                     got = (_try(chi, d,
-                                (RED, list(bits_of(_star_mask(chi, RED, yp))) + [y, base]),
-                                (BLUE, bits_of(_star_mask(chi, BLUE, yp))))
+                                (RED, _star_mask(chi, RED, yp) | 1 << y | 1 << base),
+                                (BLUE, _star_mask(chi, BLUE, yp)))
                            or _try(chi, d,
-                                   (RED, bits_of(_star_mask(chi, RED, y))),
-                                   (BLUE, bits_of(_star_mask(chi, BLUE, yp)))))
+                                   (RED, _star_mask(chi, RED, y)),
+                                   (BLUE, _star_mask(chi, BLUE, yp))))
                 else:
                     got = None
                 if got is not None:
                     return got, "far-clone"
 
             # adjacent to base, far from its clone
-            mid = cell(2, 2)
             near_cob = cell(2, 1) | cell(3, 1)
+            ring_core = ((1 << base) | (1 << cob) | mask_of(cell(2, 2))
+                         | mask_of(near_cob))
             for y in sorted(cell(1, 3)):
                 yp = clone[y]
-                ring = sorted(({base, cob, y} | mid | near_cob) - ({yp} if yp is not None else set()))
+                ring = ring_core | 1 << y
+                if yp is not None:
+                    ring &= ~(1 << yp)
                 if yp is None or yp not in near_cob:
                     got = _try(chi, d,
-                               (BLUE, bits_of(_star_mask(chi, BLUE, base))),
+                               (BLUE, _star_mask(chi, BLUE, base)),
                                (RED, ring))
                     if got is not None:
                         return got, "near-clone"
                 elif yp in cell(3, 1):
                     got = (_try(chi, d,
-                                (RED, bits_of(_star_mask(chi, RED, yp))),
+                                (RED, _star_mask(chi, RED, yp)),
                                 (RED, ring))
                            or _try(chi, d,
-                                   (RED, bits_of(_star_mask(chi, RED, yp))),
-                                   (RED, bits_of(_star_mask(chi, RED, cob)))))
+                                   (RED, _star_mask(chi, RED, yp)),
+                                   (RED, _star_mask(chi, RED, cob))))
                     if got is not None:
                         return got, "near-clone"
     return None, "none"
@@ -384,7 +396,10 @@ def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
 
 
 def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
-    """(cover | None, label of the deciding rule); covers pass ``certifies``."""
+    """(cover | None, label of the deciding rule).
+
+    Every cover it returns passed ``certifies_masks``.
+    """
     n = chi.n
     if n <= t:
         return make_cover(*((BLUE, [v]) for v in range(n))), "tiny"

@@ -8,8 +8,9 @@ from conftest import random_coloring
 from mpcover.construct import two_stars_at
 from mpcover.covers import (COVERAGE_GAP, DIAMETER_EXCEEDED, DISCONNECTED,
                             TOO_MANY_SUBGRAPHS, Cover, MonoSubgraph,
-                            certifies, cover_from_json, cover_to_json,
-                            make_cover, subgraph_diameter, verify_cover)
+                            Violation, certifies, certifies_masks,
+                            cover_from_json, cover_to_json, make_cover,
+                            subgraph_diameter, verify_cover)
 from mpcover.errors import InvalidCover
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, bits_of,
                             build_shape)
@@ -96,11 +97,69 @@ def test_certifies_agrees_with_verify_cover(shape, data, d, t):
     # random vertex sets make disconnected, too-wide and gap-leaving pieces;
     # the whole vertex set is drawn often enough to give passing covers too
     chi = EdgeColoring(shape, data.draw(st.integers(0, (1 << shape.m) - 1)))
-    masks = st.one_of(st.just(shape.full_mask), st.integers(1, shape.full_mask))
+    masks = st.one_of(st.just(shape.full_mask), st.integers(1, shape.full_mask),
+                      st.just(0))
     pieces = data.draw(st.lists(st.tuples(st.sampled_from((RED, BLUE)), masks),
                                 min_size=1, max_size=3))
     cover = make_cover(*((c, bits_of(m)) for c, m in pieces))
     assert certifies(chi, cover, d, t) == (verify_cover(chi, cover, d, t) is None)
+    if len(pieces) <= t:
+        # an empty piece passes as if make_cover had dropped it
+        assert certifies_masks(chi, pieces, d, t) == certifies(chi, cover, d, t)
+
+
+def reference_verify(chi, cover, d, t):
+    """Test-local verify_cover that takes every piece's exact diameter."""
+    if len(cover) > t:
+        return Violation(TOO_MANY_SUBGRAPHS, None, (len(cover), t))
+    covered = set()
+    for i, g in enumerate(cover):
+        diam = oracle_diameter(chi, g.color, g.vertices)
+        if diam >= INF:
+            return Violation(DISCONNECTED, i, tuple(sorted(g.vertices))[:2])
+        if diam > d:
+            return Violation(DIAMETER_EXCEEDED, i, (diam, d))
+        covered |= g.vertices
+    missing = sorted(set(range(chi.n)) - covered)
+    return Violation(COVERAGE_GAP, None, (missing[0],)) if missing else None
+
+
+@st.composite
+def covers_with_stars(draw):
+    """(chi, cover): pieces are stars (a center with some of its same-color
+    neighbors, so dominated), random vertex sets, or the whole vertex set."""
+    shape = draw(shapes_up_to_ten())
+    chi = EdgeColoring(shape, draw(st.integers(0, (1 << shape.m) - 1)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.sampled_from((RED, BLUE)))
+        kind = draw(st.sampled_from(("star", "random", "full")))
+        if kind == "star":
+            u = draw(st.integers(0, shape.n - 1))
+            mask = (1 << u) | (chi.adj[c][u]
+                               & draw(st.integers(0, shape.full_mask)))
+        elif kind == "random":
+            mask = draw(st.integers(1, shape.full_mask))
+        else:
+            mask = shape.full_mask
+        pieces.append((c, bits_of(mask)))
+    return chi, make_cover(*pieces)
+
+
+@settings(deadline=None, max_examples=400)
+@given(covers_with_stars(), st.integers(0, 4), st.integers(1, 3))
+def test_verify_cover_matches_exact_diameters(chi_cover, d, t):
+    chi, cover = chi_cover
+    assert verify_cover(chi, cover, d, t) == reference_verify(chi, cover, d, t)
+
+
+def test_mask_is_not_a_field():
+    g = MonoSubgraph(RED, frozenset({0, 3}))
+    assert g.mask == 0b1001
+    assert g == MonoSubgraph(RED, frozenset({3, 0}))
+    assert hash(g) == hash(MonoSubgraph(RED, frozenset({0, 3})))
+    assert cover_to_json(Cover((g,))) == {
+        "subgraphs": [{"color": "red", "vertices": [0, 3]}]}
 
 
 def test_verify_is_deterministic_first_fail():

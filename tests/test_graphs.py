@@ -191,6 +191,31 @@ def test_diameter_in_mask_matches_floyd_warshall(chi_mask, c):
 
 
 @st.composite
+def star_or_random_masks(draw):
+    """(chi, c, mask): a center u with a random subset of its color-c
+    neighbors (a dominated mask), or a plain random mask."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)
+                 .filter(lambda s: sum(s) <= 12))
+    shape = build_shape(sizes)
+    chi = EdgeColoring(shape, draw(st.integers(0, (1 << shape.m) - 1)))
+    c = draw(st.sampled_from((RED, BLUE)))
+    if draw(st.booleans()):
+        u = draw(st.integers(0, shape.n - 1))
+        mask = (1 << u) | (chi.adj[c][u] & draw(st.integers(0, shape.full_mask)))
+    else:
+        mask = draw(st.integers(0, shape.full_mask))
+    return chi, c, mask
+
+
+@settings(deadline=None, max_examples=400)
+@given(star_or_random_masks(), st.integers(0, 4))
+def test_diameter_at_most_matches_floyd_warshall(chi_c_mask, d):
+    chi, c, mask = chi_c_mask
+    assert diameter_at_most(chi, c, mask, d) == \
+        (_floyd_warshall_diameter(chi, c, mask) <= d)
+
+
+@st.composite
 def colorings_up_to_12(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)
                  .filter(lambda s: sum(s) <= 12))

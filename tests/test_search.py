@@ -14,7 +14,7 @@ from mpcover.construct import two_stars_at
 from mpcover.covers import certifies, make_cover, verify_cover
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
                             Unsupported)
-from mpcover.graphs import (BLUE, RED, EdgeColoring, build_shape,
+from mpcover.graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
                             diameter_in_mask)
 from mpcover.search import (MAX_NOTES, SearchResult, check_monotone_extension,
                             classify_tripartite, compute_D, cover_exists,
@@ -270,6 +270,39 @@ def test_prune_certificates_always_verify(rng):
             hits += 1
             assert verify_cover(chi, cover, 2, 2) is None
     assert hits > 250  # random colorings mostly die to the cheap rules
+
+
+@st.composite
+def candidate_pieces(draw):
+    """(chi, two (color, mask) pieces): stars, random, full or empty masks."""
+    shape = build_shape(draw(st.sampled_from(
+        ([2, 2, 2], [2, 2, 2, 2], [3, 2, 2], [3, 2, 1]))))
+    chi = EdgeColoring(shape, draw(st.integers(0, (1 << shape.m) - 1)))
+    vertex = st.integers(0, chi.n - 1)
+    pieces = []
+    for _ in range(2):
+        c = draw(st.sampled_from((RED, BLUE)))
+        star = search._star_mask(chi, c, draw(vertex))
+        pieces.append((c, draw(st.sampled_from((
+            star, star | (1 << draw(vertex)),
+            draw(st.integers(0, shape.full_mask)), shape.full_mask, 0)))))
+    return chi, pieces
+
+
+@settings(deadline=None, max_examples=300)
+@given(candidate_pieces(), st.integers(2, 4))
+def test_try_builds_the_cover_of_its_pieces(chi_pieces, d):
+    chi, pieces = chi_pieces
+    got = search._try(chi, d, *pieces)
+    if not all(mask for _, mask in pieces):
+        assert got is None
+        return
+    cover = make_cover(*((c, bits_of(mask)) for c, mask in pieces))
+    if got is None:
+        assert verify_cover(chi, cover, d, 2) is not None
+    else:
+        assert got == cover
+        assert verify_cover(chi, got, d, 2) is None
 
 
 def test_prune_finds_the_empty_sector_rule():
