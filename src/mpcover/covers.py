@@ -4,27 +4,28 @@ A subgraph is normalized to a (color, vertex set) pair and always means ALL
 edges of that color inside the set: among color-c subgraphs on a fixed vertex
 set this one has pointwise-minimal distances, so a cover certificate exists in
 normal form iff one exists at all.  Singletons are valid subgraphs of
-diameter 0, which also lets a cover use fewer than t useful parts.
+diameter 0, which also lets a cover use fewer than t useful parts.  A
+subgraph's vertex mask is set at construction (-1 for an id no shape has).
 
 Verification never trusts the producer: coverage, per-subgraph connectivity
-and diameter are all recomputed from the coloring.  Each piece is decided
-with the early-exit ``diameter_at_most``, which bounds a dominated piece (one
-vertex adjacent in the piece's color to all the others, as in a star) at
-diameter 2 without growing a ball.  The exact diameter is computed only for
-a piece that fails, to build its witness.  ``verify_cover`` reports the
-first violation with an exact witness; ``certifies_masks`` gives the same
-verdict as a bare boolean on (color, mask) pieces, for searches that reject
-most of their candidates and build a ``Cover`` only for the one that wins.
+and diameter are all recomputed from the coloring.  Vertex ids are checked
+by one mask test per piece.  Each piece is decided with the early-exit
+``diameter_at_most``, which bounds a dominated piece (one vertex adjacent in
+the piece's color to all the others, as in a star) at diameter 2 without
+growing a ball.  The exact diameter is computed only for a piece that fails,
+to build its witness.  ``verify_cover`` reports the first violation with an
+exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
+on (color, mask) pieces, for searches that reject most of their candidates
+and build a ``Cover`` only for the one that wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InvalidCover
-from .graphs import (COLOR_NAMES, COLORS, INF, EdgeColoring, color_from_name,
-                     diameter_at_most, diameter_in_mask, mask_of)
+from .graphs import (COLOR_NAMES, COLORS, INF, MAX_VERTICES, EdgeColoring,
+                     color_from_name, diameter_at_most, diameter_in_mask)
 
 # Violation kinds, in no particular order of severity.
 COVERAGE_GAP = "CoverageGap"
@@ -43,12 +44,15 @@ class MonoSubgraph:
     def __post_init__(self):
         if not self.vertices:
             raise InvalidCover("subgraph with an empty vertex set")
-
-    @cached_property
-    def mask(self) -> int:
-        # kept in the instance dict, outside the fields: equality, hashing
-        # and the JSON form see only (color, vertices)
-        return mask_of(self.vertices)
+        # outside the fields, so equality, hashing and the JSON form see
+        # only (color, vertices); -1 marks an id that no shape has
+        mask = 0
+        for v in self.vertices:
+            if not (isinstance(v, int) and 0 <= v < MAX_VERTICES):
+                mask = -1
+                break
+            mask |= 1 << v
+        object.__setattr__(self, "mask", mask)
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,17 @@ class Violation:
         return f"{self.kind}{where}, witness {self.witness}"
 
 
+def _checked_mask(chi: EdgeColoring, g: MonoSubgraph) -> int:
+    """g's mask; InvalidVertex names the first vertex outside chi's shape."""
+    if g.mask < 0 or g.mask >> chi.n:
+        for v in g.vertices:
+            chi.shape.check_vertex(v)
+    return g.mask
+
+
 def subgraph_diameter(chi: EdgeColoring, g: MonoSubgraph) -> int:
     """Diameter of the color-induced subgraph; INF iff disconnected."""
-    return diameter_in_mask(chi, g.color, g.mask)
+    return diameter_in_mask(chi, g.color, _checked_mask(chi, g))
 
 
 def verify_cover(chi: EdgeColoring, cover: Cover, d: int, t: int):
@@ -104,9 +116,7 @@ def verify_cover(chi: EdgeColoring, cover: Cover, d: int, t: int):
         return Violation(TOO_MANY_SUBGRAPHS, None, (len(cover), t))
     covered = 0
     for i, g in enumerate(cover):
-        for v in g.vertices:
-            chi.shape.check_vertex(v)
-        mask = g.mask
+        mask = _checked_mask(chi, g)
         if not diameter_at_most(chi, g.color, mask, d):
             diam = subgraph_diameter(chi, g)
             if diam >= INF:

@@ -18,13 +18,11 @@ its radius-d ball.
 ``remap_edges`` carries edges through a vertex map onto a shape's edge
 indices (relabelings, file vertex orders, symmetries and clone extensions).
 
-The prune rules read the nine blue-distance cells of a clone pair (the two
-vertices of a size-2 part) from ``bilayer_partition``.
+The prune rules AND the blue distance layers of a clone pair (the two
+vertices of a size-2 part), masks from ``bilayer_partition``, into cells.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import EmptySet, InvalidShape, InvalidVertex, NoUniqueClone
 
@@ -440,40 +438,23 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     return True
 
 
-# ============================================================================
-# BI-DISTANCE CELLS
-# ============================================================================
+def bilayer_partition(chi: EdgeColoring, x: int):
+    """Blue distance layers of a size-2-part vertex x and of its clone x'.
 
-@dataclass(frozen=True)
-class BiDistanceCells:
-    """Nine-cell split of V minus a clone pair by blue distances.
-
-    ``cell(i, j)`` (i, j in 1..3) holds the vertices at blue distance i from
-    x and j from x', where 3 means "at least 3" (unreachable included).
+    ``(lx, lxp)``, each ``(None, L1, L2, L3)``: the masks of V minus the pair
+    at blue distance 1, 2 and at least 3 (unreachable included).  Cell
+    (i, j) is ``lx[i] & lxp[j]``; the nine cells tile V minus the pair.
     """
-
-    x: int
-    clone: int
-    cells: dict
-
-    def cell(self, i: int, j: int) -> frozenset:
-        return self.cells[(i, j)]
-
-
-def bilayer_partition(chi: EdgeColoring, x: int) -> BiDistanceCells:
-    """Blue bi-distance cells from a size-2-part vertex and its clone."""
     xp = chi.shape.clone_of(x)
-    rows, n = chi.adj[BLUE], chi.n
-    dx = _bfs_dists(rows, x, n)
-    dxp = _bfs_dists(rows, xp, n)
-    cells = {(i, j): [] for i in (1, 2, 3) for j in (1, 2, 3)}
-    for v in range(chi.n):
-        if v in (x, xp):
-            continue
-        cells[(min(dx[v], 3), min(dxp[v], 3))].append(v)
-    return BiDistanceCells(
-        x=x, clone=xp,
-        cells={ij: frozenset(vs) for ij, vs in cells.items()})
+    rows = chi.adj[BLUE]
+    rest = chi.shape.full_mask & ~(1 << x | 1 << xp)
+
+    def layers(v):
+        near = rows[v] & rest
+        mid = _grow(rows, rows[v]) & rest & ~near
+        return None, near, mid, rest & ~(near | mid)
+
+    return layers(x), layers(xp)
 
 
 # ============================================================================

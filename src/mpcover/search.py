@@ -67,7 +67,7 @@ from .construct import star_doublestar_search, two_stars_at
 from .covers import certifies_masks, make_cover, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
-                     bilayer_partition, bits_of, build_shape,
+                     _ball_radius, bilayer_partition, bits_of, build_shape,
                      canonical_vertex_map, diameter_at_most, far_masks,
                      mask_of, other_color, remap_edges)
 from .symmetry import (canonical_classes, key_to_bits, leader_count,
@@ -91,8 +91,18 @@ def _star_mask(chi: EdgeColoring, c: int, v: int) -> int:
 
 
 def _spanning_diameter(chi: EdgeColoring, c: int, d: int) -> bool:
-    """Whether the whole color-c graph has diameter <= d (early exit)."""
-    return diameter_at_most(chi, c, chi.shape.full_mask, d)
+    """Whether the whole color-c graph has diameter <= d (early exit).
+
+    Only a size-1 part's vertex can dominate V; without one, the balls are
+    grown at once, with no scan for a dominating vertex.
+    """
+    rows, full = chi.adj[c], chi.shape.full_mask
+    if chi.shape.part_sizes[-1] == 1:
+        return diameter_at_most(chi, c, full, d)
+    for u in range(chi.n):
+        if _ball_radius(rows, u, full, d) > d:
+            return False
+    return True
 
 
 def _two_stars(chi: EdgeColoring, d: int):
@@ -280,14 +290,12 @@ def _prune_labeled(chi: EdgeColoring, d: int):
                     if cover is not None:
                         return cover, "clone-star"
 
-    for x, _ in pairs:  # one pass per clone pair; orientations handle the swap
-        bl = bilayer_partition(chi, x)
-        for o in (0, 1):
-            base, cob = (bl.x, bl.clone) if o == 0 else (bl.clone, bl.x)
-            cell = (lambda i, j: bl.cell(i, j)) if o == 0 else (lambda i, j: bl.cell(j, i))
-
+    for x, xp in pairs:  # one pass per clone pair; orientations handle the swap
+        lx, lxp = bilayer_partition(chi, x)
+        # lb, lc: the layers of base and cob; cell (i, j) is lb[i] & lc[j]
+        for base, cob, lb, lc in ((x, xp, lx, lxp), (xp, x, lxp, lx)):
             # far from both ends
-            for y in sorted(cell(3, 2) | cell(3, 3)):
+            for y in bits_of(lb[3] & ~lc[1]):
                 got = _try(chi, d,
                            (RED, _star_mask(chi, RED, base)),
                            (RED, _star_mask(chi, RED, y)))
@@ -296,11 +304,11 @@ def _prune_labeled(chi: EdgeColoring, d: int):
                 yp = clone[y]
                 if yp is None:
                     continue
-                if yp in cell(1, 1):
+                if ((lb[1] & lc[1]) >> yp) & 1:
                     got = _try(chi, d,
                                (RED, _star_mask(chi, RED, cob) | 1 << base),
                                (BLUE, _star_mask(chi, BLUE, cob)))
-                elif yp in cell(1, 2) | cell(1, 3):
+                elif ((lb[1] & ~lc[1]) >> yp) & 1:
                     got = (_try(chi, d,
                                 (RED, _star_mask(chi, RED, yp) | 1 << y | 1 << base),
                                 (BLUE, _star_mask(chi, BLUE, yp)))
@@ -313,21 +321,20 @@ def _prune_labeled(chi: EdgeColoring, d: int):
                     return got, "far-clone"
 
             # adjacent to base, far from its clone
-            near_cob = cell(2, 1) | cell(3, 1)
-            ring_core = ((1 << base) | (1 << cob) | mask_of(cell(2, 2))
-                         | mask_of(near_cob))
-            for y in sorted(cell(1, 3)):
+            near_cob = lc[1] & ~lb[1]
+            ring_core = (1 << base) | (1 << cob) | (lb[2] & lc[2]) | near_cob
+            for y in bits_of(lb[1] & lc[3]):
                 yp = clone[y]
                 ring = ring_core | 1 << y
                 if yp is not None:
                     ring &= ~(1 << yp)
-                if yp is None or yp not in near_cob:
+                if yp is None or not (near_cob >> yp) & 1:
                     got = _try(chi, d,
                                (BLUE, _star_mask(chi, BLUE, base)),
                                (RED, ring))
                     if got is not None:
                         return got, "near-clone"
-                elif yp in cell(3, 1):
+                elif ((lb[3] & lc[1]) >> yp) & 1:
                     got = (_try(chi, d,
                                 (RED, _star_mask(chi, RED, yp)),
                                 (RED, ring))
@@ -364,18 +371,18 @@ def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
             if not (chi.adj[i][v] & chi.adj[j][vp]):
                 out.append(f"empty-sector v={v} pair=({i},{j})")
     for x, _ in pairs:
-        bl = bilayer_partition(chi, x)
+        lx, lxp = bilayer_partition(chi, x)
         for i, j in ((3, 2), (2, 3), (3, 3)):
-            if bl.cell(i, j):
+            if lx[i] & lxp[j]:
                 out.append(f"far-cell x={x} cell=({i},{j})")
         if not has_cover:
-            for y in sorted(bl.cell(1, 3)):
+            for y in bits_of(lx[1] & lxp[3]):
                 yp = clone[y]
-                if yp is None or yp not in bl.cell(2, 1):
+                if yp is None or not ((lx[2] & lxp[1]) >> yp) & 1:
                     out.append(f"clone-location x={x} y={y}")
-            for z in sorted(bl.cell(3, 1)):
+            for z in bits_of(lx[3] & lxp[1]):
                 zp = clone[z]
-                if zp is None or zp not in bl.cell(1, 2):
+                if zp is None or not ((lx[1] & lxp[2]) >> zp) & 1:
                     out.append(f"clone-location x={x} z={z}")
     return out
 

@@ -317,6 +317,13 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     _assert_config_error(tmp_path, files, argv, timeout=120)
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 10 ** 18], ids=["negative", "n", "huge"])
+def test_verify_hostile_vertex_id_exits_2_without_traceback(tmp_path, bad):
+    cover = {"subgraphs": [{"color": "red", "vertices": [0, 1, bad]}]}
+    _assert_config_error(tmp_path, {"chi.json": GOOD_COLORING,
+                                    "cover.json": cover}, VERIFY, timeout=60)
+
+
 def test_resume_with_overlapping_ranges_exits_2(tmp_path, capsys):
     # A checkpoint stopped after 3 classes, its ranges rewound to lo and
     # listed twice: resuming it would enumerate every key twice and report

@@ -1,5 +1,8 @@
 """Cover certificates and their independent verification."""
 
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,7 @@ from mpcover.covers import (COVERAGE_GAP, DIAMETER_EXCEEDED, DISCONNECTED,
                             Violation, certifies, certifies_masks,
                             cover_from_json, cover_to_json, make_cover,
                             subgraph_diameter, verify_cover)
-from mpcover.errors import InvalidCover
+from mpcover.errors import InvalidCover, InvalidVertex
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, bits_of,
                             build_shape)
 from mpcover.search import find_cover
@@ -160,6 +163,30 @@ def test_mask_is_not_a_field():
     assert hash(g) == hash(MonoSubgraph(RED, frozenset({0, 3})))
     assert cover_to_json(Cover((g,))) == {
         "subgraphs": [{"color": "red", "vertices": [0, 3]}]}
+
+
+def test_mask_stays_outside_the_fields():
+    assert [f.name for f in dataclasses.fields(MonoSubgraph)] == ["color",
+                                                                  "vertices"]
+    g = MonoSubgraph(RED, frozenset({0, 3}))
+    h = MonoSubgraph(RED, frozenset({0, 3}))
+    object.__setattr__(h, "mask", 0b111)  # a different mask is not seen
+    assert g == h and hash(g) == hash(h)
+    assert cover_to_json(Cover((g,))) == cover_to_json(Cover((h,)))
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 10 ** 18], ids=["negative", "n", "huge"])
+def test_hostile_vertex_ids_raise_invalid_vertex(bad):
+    chi = EdgeColoring.all_same(build_shape([2, 2]), RED)
+    g = MonoSubgraph(RED, frozenset({0, bad}))
+    assert g.mask == (0b10001 if bad == 4 else -1)  # no 10**18-bit mask
+    cover = Cover((MonoSubgraph(RED, frozenset(range(4))), g))
+    message = re.escape(f"vertex {bad!r} outside 0..3")
+    with pytest.raises(InvalidVertex, match=message):
+        verify_cover(chi, cover, 2, 2)
+    with pytest.raises(InvalidVertex, match=message):
+        subgraph_diameter(chi, g)
+    assert not certifies(chi, cover, 2, 2)
 
 
 def test_verify_is_deterministic_first_fail():

@@ -240,27 +240,32 @@ def test_far_masks_match_the_distance_matrix(chi, c, d):
 
 def test_bilayer_partition_examples():
     g3 = build_shape([2, 2, 2])
-    bl = bilayer_partition(EdgeColoring.all_same(g3, BLUE), 0)
-    assert bl.cell(1, 1) == frozenset({2, 3, 4, 5})
-    bl = bilayer_partition(EdgeColoring.all_same(g3, RED), 0)
-    assert bl.cell(3, 3) == frozenset({2, 3, 4, 5})
+    lx, lxp = bilayer_partition(EdgeColoring.all_same(g3, BLUE), 0)
+    assert lx[1] & lxp[1] == mask_of({2, 3, 4, 5})
+    lx, lxp = bilayer_partition(EdgeColoring.all_same(g3, RED), 0)
+    assert lx[3] & lxp[3] == mask_of({2, 3, 4, 5})
 
 
 def test_bilayer_partition_matches_bfs(rng):
     for _ in range(20):
         chi = random_coloring(rng, [2] * 5)
         x = rng.randrange(chi.n)
-        bl = bilayer_partition(chi, x)
-        seen = set()
+        xp = chi.shape.clone_of(x)
+        lx, lxp = bilayer_partition(chi, x)
+        assert lx[0] is None and lxp[0] is None
+        cells = {(i, j): lx[i] & lxp[j] for i in (1, 2, 3) for j in (1, 2, 3)}
+        # the nine cells are disjoint and tile V minus the pair
+        union = 0
+        for mask in cells.values():
+            assert union & mask == 0
+            union |= mask
+        assert union == chi.shape.full_mask & ~(1 << x | 1 << xp)
         for v in range(chi.n):
-            if v in (x, bl.clone):
+            if v in (x, xp):
                 continue
             i = min(color_distance(chi, BLUE, x, v), 3)
-            j = min(color_distance(chi, BLUE, bl.clone, v), 3)
-            assert v in bl.cell(i, j)
-            seen.add(v)
-        assert seen == set().union(*(bl.cell(i, j)
-                                     for i in (1, 2, 3) for j in (1, 2, 3)))
+            j = min(color_distance(chi, BLUE, xp, v), 3)
+            assert (cells[(i, j)] >> v) & 1
 
 
 def test_component_of(rng):

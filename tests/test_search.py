@@ -15,7 +15,7 @@ from mpcover.covers import certifies, make_cover, verify_cover
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
                             Unsupported)
 from mpcover.graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
-                            diameter_in_mask)
+                            color_distance, diameter_in_mask)
 from mpcover.search import (MAX_NOTES, SearchResult, check_monotone_extension,
                             classify_tripartite, compute_D, cover_exists,
                             find_cover, gk_survey, keep_notes,
@@ -331,6 +331,56 @@ def test_survivor_facts_empty_on_clean_colorings(rng):
         if prune_with_constructions(chi, 2) is None:
             has = cover_exists(chi, 2, 2)
             assert survivor_property_violations(chi, has) == []
+
+
+def reference_survivor_violations(chi, has_cover):
+    """Frozenset re-derivation of the survivor facts from ``color_distance``."""
+    shape, n = chi.shape, chi.n
+
+    def clone(v):
+        others = [u for u in shape.part_vertices(shape.part_id[v]) if u != v]
+        return others[0] if len(others) == 1 else None
+
+    pairs = [(s, s + 1) for s, a in zip(shape.part_start, shape.part_sizes)
+             if a == 2]
+    out = []
+    for v, vp in pairs:
+        for i, j in ((RED, RED), (RED, BLUE), (BLUE, RED), (BLUE, BLUE)):
+            if not any(color_distance(chi, i, v, w) == 1
+                       and color_distance(chi, j, vp, w) == 1
+                       for w in range(n)):
+                out.append(f"empty-sector v={v} pair=({i},{j})")
+    for x, xp in pairs:
+        cells = {(i, j): set() for i in (1, 2, 3) for j in (1, 2, 3)}
+        for v in range(n):
+            if v not in (x, xp):
+                cells[(min(color_distance(chi, BLUE, x, v), 3),
+                       min(color_distance(chi, BLUE, xp, v), 3))].add(v)
+        cells = {ij: frozenset(vs) for ij, vs in cells.items()}
+        for ij in ((3, 2), (2, 3), (3, 3)):
+            if cells[ij]:
+                out.append(f"far-cell x={x} cell=({ij[0]},{ij[1]})")
+        if not has_cover:
+            for y in sorted(cells[(1, 3)]):
+                if clone(y) not in cells[(2, 1)]:
+                    out.append(f"clone-location x={x} y={y}")
+            for z in sorted(cells[(3, 1)]):
+                if clone(z) not in cells[(1, 2)]:
+                    out.append(f"clone-location x={x} z={z}")
+    return out
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_survivor_facts_match_a_frozenset_rederivation(rng, k):
+    # on arbitrary colorings, not only prune survivors, so violations show up
+    seen = 0
+    for _ in range(60):
+        chi = random_coloring(rng, [2] * k)
+        for has in (True, False):
+            got = survivor_property_violations(chi, has)
+            assert got == reference_survivor_violations(chi, has)
+            seen += len(got)
+    assert seen
 
 
 # ---------------------------------------------------------------------------
