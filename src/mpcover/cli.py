@@ -39,13 +39,17 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _emit(obj, output=None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, output=None) -> None:
+    """Write report text to the file named by output, or to stdout."""
     if output and output != "-":
         with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj, output=None) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", output)
 
 
 def _warn(msg: str) -> None:
@@ -156,12 +160,8 @@ def cmd_compute_d(args) -> int:
                "config": cfg}, args.output)
         return OK
     if args.format == "tsv":
-        text = SearchResult.TSV_HEADER + "\n" + result.tsv_row(args.timing) + "\n"
-        if args.output and args.output != "-":
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(SearchResult.TSV_HEADER + "\n" + result.tsv_row(args.timing)
+               + "\n", args.output)
     else:
         _emit({"complete": True, "result": result.to_json(args.timing),
                "config": cfg}, args.output)

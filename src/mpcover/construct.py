@@ -5,14 +5,16 @@ and two connected subgraphs with no diameter bound for any multipartite
 The diameter-3 pipeline is an executable case analysis driven by color-BFS
 layers from a far-eccentric root.  The root is the first vertex whose ball
 needs more than 3 steps to fill the graph (the bounded ``_ball_radius``
-test), and only that root's distance list is computed.  The unbounded
-connected cover (``tc2_cover``) grows its pieces from color components
-(``graphs.component_of``).  Each case emits candidate covers that are
-*always* re-checked by ``verify_cover`` before being returned, so the
-pipeline doubles as a machine check of the underlying case analysis: a
-coloring that defeats every case raises ``ConstructionExhausted`` with a full
-trace, which would mean either a bug here or a counterexample to the
-diameter-3 guarantee.
+test), and the cases read that root's distance layers as masks: layers 0 to
+3 grown with ``_grow``, and layer 4 for everything farther or unreachable.
+The unbounded connected cover (``tc2_cover``) grows its pieces from color
+components (``graphs.component_of``).  Each case emits candidates as (color,
+mask) pieces, rejected with ``certifies_masks``; the one that wins is built
+into a ``Cover`` and checked again by ``verify_cover`` before it is
+returned, so the pipeline doubles as a machine check of the underlying case
+analysis: a coloring that defeats every case raises
+``ConstructionExhausted`` with a full trace, which would mean either a bug
+here or a counterexample to the diameter-3 guarantee.
 
 Shapes with more than three parts are handled by grouping the parts into
 three groups and ignoring within-group edges during construction; the final
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .covers import Cover, MonoSubgraph, make_cover, verify_cover
+from .covers import Cover, certifies_masks, cover_from_masks, verify_cover
 from .errors import ConstructionExhausted, InvalidShape
 from .graphs import (BLUE, INF, RED, EdgeColoring, MultipartiteShape,
-                     _ball_radius, _bfs_dists, bits_of, color_diameter,
-                     component_of, mask_of, other_color)
+                     _ball_radius, _grow, bits_of, component_of, mask_of,
+                     other_color)
 
 
 @dataclass
@@ -49,28 +51,19 @@ class CaseTrace:
 # STARS AND DOUBLE STARS
 # ============================================================================
 
-def two_stars_at(chi: EdgeColoring, u: int) -> Cover:
-    """The red star and the blue star centered at u (returned unverified).
-
-    Covers the whole graph at diameter <= 2 exactly when u is adjacent to
-    every other vertex, i.e. u's part has size 1.
-    """
-    chi.shape.check_vertex(u)
-    return make_cover((RED, {u} | set(bits_of(chi.adj[RED][u]))),
-                      (BLUE, {u} | set(bits_of(chi.adj[BLUE][u]))))
-
-
 def star_doublestar_search(chi: EdgeColoring, d: int = 3):
-    """First verified cover by one star plus one double star, else None.
+    """First cover by one star plus one double star that certifies, else None.
 
     Exhausts all O(n^3) candidates: star centers in vertex order with the
     star color blue first, double stars in edge order (the center edge's
     color fixes the double star's color).
     """
-    return _star_doublestar(chi, chi.adj, d)
+    pieces = _star_doublestar(chi, chi.adj, d)
+    return None if pieces is None else cover_from_masks(pieces)
 
 
 def _star_doublestar(chi, rows, d):
+    """The (color, mask) pieces of the first candidate that certifies."""
     full = chi.shape.full_mask
     stars = []
     for c in (BLUE, RED):
@@ -87,15 +80,15 @@ def _star_doublestar(chi, rows, d):
         doubles.append((c, u, v, (1 << u) | (1 << v) | rows[c][u] | rows[c][v]))
     for c1, u, s1 in stars:
         if s1 == full:
-            cover = make_cover((c1, bits_of(s1)), (c1, {u}))
-            if verify_cover(chi, cover, d, 2) is None:
-                return cover
+            pieces = ((c1, s1), (c1, 1 << u))
+            if certifies_masks(chi, pieces, d, 2):
+                return pieces
         for c2, w1, w2, s2 in doubles:
             if s1 | s2 != full:
                 continue
-            cover = make_cover((c1, bits_of(s1)), (c2, bits_of(s2)))
-            if verify_cover(chi, cover, d, 2) is None:
-                return cover
+            pieces = ((c1, s1), (c2, s2))
+            if certifies_masks(chi, pieces, d, 2):
+                return pieces
     return None
 
 
@@ -164,37 +157,44 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
             for v in shape.part_vertices(p):
                 group_of[v] = gi
                 gmask[gi] |= 1 << v
-    # Between-group adjacency only: the construction treats the three groups
-    # as the sides of a complete tripartite graph.
-    rows = tuple(tuple(chi.adj[c][v] & ~gmask[group_of[v]]
-                       for v in range(shape.n)) for c in (RED, BLUE))
     full = shape.full_mask
 
-    def emit(label, witnesses, cover, d=3):
-        if verify_cover(chi, cover, d, 2) is None:
-            trace.add(label, *witnesses)
-            return cover
-        return None
+    def emit(label, witnesses, pieces, d=3):
+        """The cover of the pieces if they certify, verified and traced."""
+        if not certifies_masks(chi, pieces, d, 2):
+            return None
+        cover = cover_from_masks(pieces)
+        violation = verify_cover(chi, cover, d, 2)
+        if violation is not None:
+            raise RuntimeError(f"case {label!r} built a cover that fails "
+                               f"verify_cover: {violation.describe()}")
+        trace.add(label, *witnesses)
+        return cover
 
     # Case 1: a group that is a single vertex sees everything; two stars.
     for gi in range(3):
         if gmask[gi].bit_count() == 1:
             u = gmask[gi].bit_length() - 1
-            got = emit("size-one-group", (u,), two_stars_at(chi, u), d=2)
+            got = emit("size-one-group", (u,),
+                       ((RED, chi.adj[RED][u] | 1 << u),
+                        (BLUE, chi.adj[BLUE][u] | 1 << u)), d=2)
             if got:
                 return got, trace
             trace.add("size-one-group-failed", u)
 
     # Case 2: a spanning color class of diameter <= 3 finishes alone.
     for c in (RED, BLUE):
-        diam = color_diameter(chi, c)
-        if diam <= 3:
-            got = emit("spanning", (c,),
-                       make_cover((c, range(shape.n)), (other_color(c), {0})),
-                       d=diam)
-            if got:
-                return got, trace
-            trace.add("spanning-failed", c)
+        got = emit("spanning", (c,), ((c, full), (other_color(c), 1)))
+        if got:
+            return got, trace
+
+    # Between-group adjacency only: from here on the construction treats the
+    # three groups as the sides of a complete tripartite graph.
+    rows = tuple(tuple(chi.adj[c][v] & ~gmask[group_of[v]]
+                       for v in range(shape.n)) for c in (RED, BLUE))
+
+    def star(c, u):
+        return rows[c][u] | 1 << u
 
     # Case 3: a vertex joined to an entire group in a single color forces a
     # star + double-star cover.
@@ -212,9 +212,9 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
         if dominator:
             break
     if dominator:
-        got = _star_doublestar(chi, rows, 3)
-        if got is not None:
-            trace.add("dominating-vertex", *dominator[:2])
+        pieces = _star_doublestar(chi, rows, 3)
+        got = pieces and emit("dominating-vertex", dominator[:2], pieces)
+        if got:
             return got, trace
         trace.add("dominating-vertex-failed", *dominator[:2])
 
@@ -237,12 +237,20 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     blue = other_color(red)
     ga = group_of[v]
     gb, gc = [gi for gi in range(3) if gi != ga]
-    dist = _bfs_dists(rows[red], v, shape.n)
+    # the root's red distance layers: L[i] at distance i for i <= 3, and
+    # L[4] farther or unreachable
+    L = [1 << v]
+    seen = L[0]
+    for _ in range(3):
+        L.append(_grow(rows[red], L[-1]) & ~seen)
+        seen |= L[-1]
+    L.append(full & ~seen)
 
     def layer(gi, lo, hi=None):
-        hi = lo if hi is None else hi
-        return [u for u in bits_of(gmask[gi])
-                if lo <= min(dist[u], 4) <= hi]
+        mask = 0
+        for i in range(lo, (lo if hi is None else hi) + 1):
+            mask |= L[i]
+        return mask & gmask[gi]
 
     B1, C1 = layer(gb, 1), layer(gc, 1)
     B2, C2 = layer(gb, 2), layer(gc, 2)
@@ -250,101 +258,84 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     A3 = layer(ga, 3)
     A4 = layer(ga, 4)
 
-    def star(c, u):
-        return {u} | set(bits_of(rows[c][u]))
-
     # Case 4: someone in the far groups is at red distance >= 4; cover with
     # two blue double stars.
-    far = sorted(layer(gb, 4) + layer(gc, 4))
+    far = layer(gb, 4) | layer(gc, 4)
     if far:
-        trace.add("far-group-layer", *far[:1])
-        for u4 in far:
+        trace.add("far-group-layer", next(bits_of(far)))
+        for u4 in bits_of(far):
             s1 = star(blue, v) | star(blue, u4)
-            for u1 in sorted(B1 + C1):
-                u3_pool = (layer(ga, 3, 4) + layer(gc, 3, 4) if u1 in B1
-                           else layer(ga, 3, 4) + layer(gb, 3, 4))
-                u3_pool.sort(key=lambda u: (min(dist[u], 4), u))
-                for u3 in u3_pool:
-                    if not (rows[blue][u1] >> u3) & 1:
-                        continue
-                    s2 = star(blue, u1) | star(blue, u3)
-                    if mask_of(s1 | s2) != full:
-                        continue
-                    got = emit("double-stars", (v, u4, u1, u3),
-                               make_cover((blue, s1), (blue, s2)))
-                    if got:
-                        return got, trace
+            for u1 in bits_of(B1 | C1):
+                # u1's blue neighbors in the root group and in the other far
+                # group, layer 3 before layer 4
+                other = gc if (B1 >> u1) & 1 else gb
+                pool = rows[blue][u1] & (gmask[ga] | gmask[other])
+                for lay in (L[3], L[4]):
+                    for u3 in bits_of(pool & lay):
+                        s2 = star(blue, u1) | star(blue, u3)
+                        if s1 | s2 != full:
+                            continue
+                        got = emit("double-stars", (v, u4, u1, u3),
+                                   ((blue, s1), (blue, s2)))
+                        if got:
+                            return got, trace
         trace.add("double-stars-failed")
 
     # Case 5: someone in the far groups at red distance exactly 2; peel the
     # root group's middle layers against the blue bulk.
-    if B2 or C2:
-        trace.add("middle-layer", *(sorted(B2 + C2)[:1]))
-        for x in sorted(B2 + C2):
-            bulk = (full & ~mask_of(A2 + A3)) | rows[blue][x] | (1 << x)
+    if B2 | C2:
+        trace.add("middle-layer", next(bits_of(B2 | C2)))
+        for x in bits_of(B2 | C2):
+            bulk = (full & ~(A2 | A3)) | star(blue, x)
             got = emit("layer2-peel", (x,),
-                       make_cover((blue, bits_of(bulk)), (red, star(red, x))))
+                       ((blue, bulk), (red, star(red, x))))
             if got:
                 return got, trace
         trace.add("layer2-peel-failed")
 
     if A3:
         # Provably empty at this point; record the oddity and keep going.
-        trace.add("layer3-nonempty", *A3[:2])
+        trace.add("layer3-nonempty", *list(bits_of(A3))[:2])
 
-    B3, C3 = layer(gb, 3, 4), layer(gc, 3, 4)
-    cycle = {v} | set(B3) | set(C1) | set(A4) | set(B1) | set(C3)
+    cycle = (1 << v) | layer(gb, 3, 4) | C1 | A4 | B1 | layer(gc, 3, 4)
 
     # Case 6: a blue edge between the two distance-1 layers pulls the rest of
     # the graph into the blue cycle blow-up.
-    blue_bridge = [(b, cv) for b in B1 for cv in C1
-                   if (rows[blue][b] >> cv) & 1]
+    blue_bridge = [(b, cv) for b in bits_of(B1)
+                   for cv in bits_of(rows[blue][b] & C1)]
     if blue_bridge:
         trace.add("blue-bridge", *blue_bridge[0])
         for b, cv in blue_bridge:
             for x in (b, cv):
                 gstar = cycle | star(blue, x)
                 got = emit("bridge-peel", (x,),
-                           make_cover((blue, gstar), (red, star(red, x))))
+                           ((blue, gstar), (red, star(red, x))))
                 if got:
                     return got, trace
         trace.add("bridge-peel-failed")
 
     # Case 7: all cross edges between the distance-1 layers are red; split
     # the root group's distance-2 layer between a blue cycle blow-up and the
-    # red cross-block.
-    b1mask, c1mask = mask_of(B1), mask_of(C1)
-    if any((rows[blue][b] & c1mask) for b in B1):
+    # red cross-block.  A vertex is red-side when its edges to one
+    # distance-1 layer are all red, or it has a red foothold in both; the
+    # rest (each with a blue foothold in both and an all-blue side) go blue.
+    # The sides read the RED and BLUE rows: every run that gets here has a
+    # RED root, since case 2 ends every coloring of red diameter <= 3.
+    if blue_bridge:
         trace.add("cross-edges-not-all-red")
-    red_side, blue_side = a2_split(rows, A2, b1mask, c1mask)
-    blue_piece = cycle | blue_side
-    red_piece = set(B1) | set(C1) | red_side
+    red_side = 0
+    for x in bits_of(A2):
+        xblue, xred = rows[BLUE][x], rows[RED][x]
+        if not xblue & B1 or not xblue & C1 or (xred & B1 and xred & C1):
+            red_side |= 1 << x
     got = emit("cycle-blowup-split", (v,),
-               make_cover((blue, blue_piece), (red, red_piece)))
+               ((blue, cycle | (A2 & ~red_side)), (red, B1 | C1 | red_side)))
     if got:
         return got, trace
     trace.add("cycle-blowup-split-failed")
 
     raise ConstructionExhausted(
         "no case produced a verified cover", chi, trace)
-
-
-def a2_split(rows, A2, b1mask: int, c1mask: int):
-    """(red side, blue side) of the distance-2 root-group layer.
-
-    A vertex is red-side when its edges to one in-layer side are all red, or
-    it has a red foothold in both; the rest are blue-side (each of which then
-    has a blue foothold in both in-layers and an all-blue side).
-    """
-    red_side, blue_side = set(), set()
-    for x in A2:
-        blue, red = rows[BLUE][x], rows[RED][x]
-        if not blue & b1mask or not blue & c1mask \
-                or (red & b1mask and red & c1mask):
-            red_side.add(x)
-        else:
-            blue_side.add(x)
-    return red_side, blue_side
 
 
 # ============================================================================
@@ -370,18 +361,14 @@ def tc2_cover(chi: EdgeColoring) -> Cover:
         comp = component_of(chi.adj[red], v)
         a1, b1 = comp & amask, comp & bmask
         if a1 == amask:
-            cover = make_cover((red, bits_of(comp)),
-                               (blue, bits_of(component_of(chi.adj[blue], v))))
+            pieces = ((red, comp), (blue, component_of(chi.adj[blue], v)))
         elif b1 == bmask:
-            cover = make_cover((red, bits_of(comp)),
-                               (blue, bits_of((amask & ~a1) | bmask)))
+            pieces = ((red, comp), (blue, (amask & ~a1) | bmask))
         else:
             if b1 == 0 and (amask & ~a1).bit_count() >= 2:
                 continue  # would strand the rest of the first part; swap colors
-            cover = make_cover((blue, bits_of((amask & ~a1) | b1)),
-                               (blue, bits_of(a1 | (bmask & ~b1))))
-        if len(cover) < 2:
-            cover = Cover(cover.subgraphs + (MonoSubgraph(blue, frozenset({v})),))
+            pieces = ((blue, (amask & ~a1) | b1), (blue, a1 | (bmask & ~b1)))
+        cover = cover_from_masks(pieces)
         if verify_cover(chi, cover, INF, 2) is None:
             return cover
     raise ConstructionExhausted("connected 2-cover construction failed", chi)

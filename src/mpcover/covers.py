@@ -15,8 +15,9 @@ the piece's color to all the others, as in a star) at diameter 2 without
 growing a ball.  The exact diameter is computed only for a piece that fails,
 to build its witness.  ``verify_cover`` reports the first violation with an
 exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
-on (color, mask) pieces, for searches that reject most of their candidates
-and build a ``Cover`` only for the one that wins.
+on (color, mask) pieces.  The search ladder and the diameter-3 pipeline keep
+their candidates as such pieces, reject them with ``certifies_masks``, and
+build a ``Cover`` only for the one that wins (``cover_from_masks``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidCover
 from .graphs import (COLOR_NAMES, COLORS, INF, MAX_VERTICES, EdgeColoring,
-                     color_from_name, diameter_at_most, diameter_in_mask)
+                     bits_of, color_from_name, diameter_at_most,
+                     diameter_in_mask)
 
 # Violation kinds, in no particular order of severity.
 COVERAGE_GAP = "CoverageGap"
@@ -76,6 +78,11 @@ def make_cover(*parts) -> Cover:
         if vs:
             subs.append(MonoSubgraph(color, vs))
     return Cover(tuple(subs))
+
+
+def cover_from_masks(pieces) -> Cover:
+    """Build a cover from (color, vertex mask) pairs, dropping empties."""
+    return make_cover(*((c, bits_of(mask)) for c, mask in pieces))
 
 
 @dataclass(frozen=True)
@@ -144,11 +151,6 @@ def certifies_masks(chi: EdgeColoring, pieces, d: int, t: int) -> bool:
     if covered != chi.shape.full_mask:
         return False
     return all(diameter_at_most(chi, c, mask, d) for c, mask in pieces)
-
-
-def certifies(chi: EdgeColoring, cover: Cover, d: int, t: int) -> bool:
-    """``verify_cover(chi, cover, d, t) is None``, without finding a witness."""
-    return certifies_masks(chi, [(g.color, g.mask) for g in cover], d, t)
 
 
 # ============================================================================

@@ -163,11 +163,10 @@ def build_shape(part_sizes) -> MultipartiteShape:
 class EdgeColoring:
     """A 2-coloring of a shape's edges, stored as a bitstring (1 = blue).
 
-    Immutable; per-color adjacency rows are precomputed at construction, and
-    the all-pairs distance matrices are cached on first use.
+    Immutable; per-color adjacency rows are precomputed at construction.
     """
 
-    __slots__ = ("shape", "bits", "adj", "_dist")
+    __slots__ = ("shape", "bits", "adj")
 
     def __init__(self, shape: MultipartiteShape, bits: int):
         if not 0 <= bits < (1 << shape.m):
@@ -184,7 +183,6 @@ class EdgeColoring:
                 red[u] |= 1 << v
                 red[v] |= 1 << u
         self.adj = (tuple(red), tuple(blue))
-        self._dist = [None, None]
 
     @classmethod
     def from_edges(cls, shape: MultipartiteShape, colored_edges) -> "EdgeColoring":
@@ -237,11 +235,8 @@ class EdgeColoring:
 
     def distances(self, c: int):
         """All-pairs color-c distance matrix (tuple of tuples, INF-padded)."""
-        if self._dist[c] is None:
-            rows = self.adj[c]
-            self._dist[c] = tuple(tuple(_bfs_dists(rows, v, self.shape.n))
-                                  for v in range(self.shape.n))
-        return self._dist[c]
+        return tuple(tuple(_bfs_dists(self.adj[c], v, self.shape.n))
+                     for v in range(self.shape.n))
 
     def __eq__(self, other):
         return (isinstance(other, EdgeColoring)
@@ -332,7 +327,7 @@ def color_distance(chi: EdgeColoring, c: int, u: int, v: int) -> int:
     """Shortest color-c path length between u and v (INF if none)."""
     chi.shape.check_vertex(u)
     chi.shape.check_vertex(v)
-    return chi.distances(c)[u][v]
+    return _bfs_dists(chi.adj[c], u, chi.n)[v]
 
 
 def color_diameter(chi: EdgeColoring, c: int, S=None) -> int:

@@ -63,8 +63,9 @@ from concurrent.futures import (FIRST_COMPLETED, Future,
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
-from .construct import star_doublestar_search, two_stars_at
-from .covers import certifies_masks, make_cover, verify_cover
+from .construct import star_doublestar_search
+from .covers import (certifies_masks, cover_from_masks, make_cover,
+                     verify_cover)
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
                      _ball_radius, bilayer_partition, bits_of, build_shape,
@@ -109,15 +110,16 @@ def _two_stars(chi: EdgeColoring, d: int):
     """The two stars at the first size-1-part vertex that certify, else None.
 
     At any other vertex the pair misses the vertex's co-part vertices, so it
-    can never cover (see ``two_stars_at``).
+    can never cover.
     """
     shape = chi.shape
     for p, size in enumerate(shape.part_sizes):
         if size == 1:
             u = shape.part_start[p]
-            if certifies_masks(chi, ((RED, _star_mask(chi, RED, u)),
-                                     (BLUE, _star_mask(chi, BLUE, u))), d, 2):
-                return two_stars_at(chi, u)
+            pieces = ((RED, _star_mask(chi, RED, u)),
+                      (BLUE, _star_mask(chi, BLUE, u)))
+            if certifies_masks(chi, pieces, d, 2):
+                return cover_from_masks(pieces)
     return None
 
 
@@ -213,9 +215,10 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
     # 1/2 (the OR of their conflict masks), so no longer placeable there
     def dfs(i, in1, in2, ex1, ex2, bar1, bar2):
         if i == n:
-            if not certifies_masks(chi, ((c1, in1), (c2, in2)), d, 2):
+            pieces = ((c1, in1), (c2, in2))
+            if not certifies_masks(chi, pieces, d, 2):
                 return None
-            return make_cover((c1, bits_of(in1)), (c2, bits_of(in2)))
+            return cover_from_masks(pieces)
         # a later vertex already barred from both bags kills the branch
         if suffix[i] & bar1 & bar2:
             return None
@@ -260,7 +263,7 @@ def _try(chi, d, *pieces):
         return None
     if not certifies_masks(chi, pieces, d, 2):
         return None
-    return make_cover(*((c, bits_of(mask)) for c, mask in pieces))
+    return cover_from_masks(pieces)
 
 
 def _prune_labeled(chi: EdgeColoring, d: int):

@@ -1,16 +1,20 @@
 """The diameter-3 two-piece pipeline and the unbounded connected 2-cover."""
 
+import json
+import os
 import random
 
 import pytest
 
-from conftest import random_coloring
+from conftest import final_case_tally, random_coloring, two_star_pieces
+from mpcover import construct
 from mpcover.construct import (GROUPINGS, balanced_grouping,
                                first_fit_grouping, multipartite_cover,
                                star_doublestar_search, tc2_cover,
-                               tripartite_cover, two_stars_at)
-from mpcover.covers import verify_cover
-from mpcover.errors import InvalidShape
+                               tripartite_cover)
+from mpcover.covers import (COVERAGE_GAP, Violation, cover_from_masks,
+                            cover_to_json, verify_cover)
+from mpcover.errors import InvalidShape, MpcoverError
 from mpcover.families import gen_fig4, gen_thm31
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, build_shape,
                             mask_of)
@@ -19,10 +23,12 @@ from mpcover.search import check_monotone_extension
 
 def test_two_stars_need_an_all_seeing_center(rng):
     chi = random_coloring(rng, [5, 1, 1])
-    assert verify_cover(chi, two_stars_at(chi, 5), 2, 2) is None
+    assert verify_cover(chi, cover_from_masks(two_star_pieces(chi, 5)),
+                        2, 2) is None
     allred = EdgeColoring.all_same(build_shape([2, 2, 2]), RED)
     for u in range(6):
-        bad = verify_cover(allred, two_stars_at(allred, u), 2, 2)
+        bad = verify_cover(allred, cover_from_masks(two_star_pieces(allred, u)),
+                           2, 2)
         assert bad is not None and bad.kind == "CoverageGap"
 
 
@@ -66,6 +72,17 @@ def test_allred_tripartite_spans_at_diameter_two():
     cover, trace = multipartite_cover(chi)
     assert verify_cover(chi, cover, 2, 2) is None
     assert trace.cases[-1][0] == "spanning"
+
+
+def test_a_certified_cover_that_fails_verification_is_an_internal_error(
+        monkeypatch):
+    # the winner of certifies_masks meets verify_cover once before it returns
+    monkeypatch.setattr(construct, "verify_cover",
+                        lambda *args: Violation(COVERAGE_GAP, None, (0,)))
+    chi = EdgeColoring.all_same(build_shape([4, 3, 2]), RED)
+    with pytest.raises(RuntimeError, match="case 'spanning'") as err:
+        multipartite_cover(chi)
+    assert not isinstance(err.value, MpcoverError)
 
 
 def test_triangle_shapes_finish_at_diameter_two(rng):
@@ -124,6 +141,38 @@ def test_pipeline_fuzz_and_case_facts(rng):
             assert "cross-edges-not-all-red" not in labels
     # the corpus should exercise more than the trivial early exits
     assert len(labels_seen) >= 3
+
+
+# Every orbit leader of the eight shapes [2,2,2] .. [2,2,2,2] whose pipeline
+# ends past the early cases (spanning, dominating vertex, size-one group),
+# plus one 4-part split, with the (trace, cover) a trusted commit produced.
+# Never regenerate the file to make a failing run pass.
+with open(os.path.join(os.path.dirname(__file__), "golden",
+                       "construct-rare-cases.json")) as _fh:
+    RARE_CASES = json.load(_fh)
+
+
+@pytest.mark.parametrize("case", RARE_CASES, ids=lambda case: "-".join(
+    map(str, case["parts"])) + "-" + case["bits"])
+def test_rare_cases_match_golden(case):
+    chi = EdgeColoring(build_shape(case["parts"]), int(case["bits"], 16))
+    if "groups" in case:
+        cover, trace = tripartite_cover(chi, case["groups"])
+    else:
+        cover, trace = multipartite_cover(chi)
+    assert verify_cover(chi, cover, 3, 2) is None
+    assert trace.to_json() == case["trace"]
+    assert cover_to_json(cover) == case["cover"]
+
+
+@pytest.mark.parametrize("sizes, tally", [
+    ([3, 3, 2], {"spanning": 8507, "dominating-vertex": 892,
+                 "double-stars": 1}),
+    ([4, 2, 2], {"spanning": 3464, "dominating-vertex": 851,
+                 "cycle-blowup-split": 1}),
+])
+def test_final_case_tallies_over_orbit_leaders(sizes, tally):
+    assert final_case_tally(sizes) == tally
 
 
 def test_cover_survives_color_swap_and_regrouping(rng):

@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coloring
-from mpcover.construct import two_stars_at
+from conftest import random_coloring, two_star_pieces
 from mpcover.covers import (COVERAGE_GAP, DIAMETER_EXCEEDED, DISCONNECTED,
                             TOO_MANY_SUBGRAPHS, Cover, MonoSubgraph,
-                            Violation, certifies, certifies_masks,
-                            cover_from_json, cover_to_json, make_cover,
+                            Violation, certifies_masks, cover_from_json,
+                            cover_from_masks, cover_to_json, make_cover,
                             subgraph_diameter, verify_cover)
 from mpcover.errors import InvalidCover, InvalidVertex
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, bits_of,
                             build_shape)
 from mpcover.search import find_cover
+
+
+def mask_pieces(cover):
+    """A cover's subgraphs as the (color, mask) pieces ``certifies_masks`` reads."""
+    return [(g.color, g.mask) for g in cover]
 
 
 def oracle_diameter(chi, c, vs):
@@ -50,11 +54,17 @@ def test_make_cover_drops_empty_parts():
         MonoSubgraph(RED, frozenset())
 
 
+def test_cover_from_masks_keeps_order_and_drops_empty_masks():
+    cover = cover_from_masks([(BLUE, 0b1010), (RED, 0), (RED, 0b1)])
+    assert cover == make_cover((BLUE, [1, 3]), (RED, [0]))
+
+
 def test_two_stars_cover_a_singleton_part(rng):
     shape = build_shape([3, 1, 1])
     for _ in range(5):
         chi = EdgeColoring(shape, rng.getrandbits(shape.m))
-        cover = two_stars_at(chi, 3)  # vertex 3 is a part of its own
+        # vertex 3 is a part of its own
+        cover = cover_from_masks(two_star_pieces(chi, 3))
         assert verify_cover(chi, cover, 2, 2) is None
 
 
@@ -79,11 +89,15 @@ def test_violation_kinds():
 
 def test_certifies_on_each_violation_kind():
     chi = EdgeColoring.all_same(build_shape([2, 2]), RED)
-    assert certifies(chi, make_cover((RED, range(4))), 2, 1)
-    assert not certifies(chi, make_cover((RED, [0, 2, 3])), 2, 2)  # gap
-    assert not certifies(chi, make_cover((RED, [0, 1]), (RED, [2, 3])), 2, 2)
-    assert not certifies(chi, make_cover((RED, [0, 1, 2]), (RED, [3])), 1, 2)
-    assert not certifies(chi, make_cover((RED, [0]), (RED, [1]), (RED, [2, 3])), 2, 2)
+
+    def certifies(cover, d, t):
+        return certifies_masks(chi, mask_pieces(cover), d, t)
+
+    assert certifies(make_cover((RED, range(4))), 2, 1)
+    assert not certifies(make_cover((RED, [0, 2, 3])), 2, 2)  # gap
+    assert not certifies(make_cover((RED, [0, 1]), (RED, [2, 3])), 2, 2)
+    assert not certifies(make_cover((RED, [0, 1, 2]), (RED, [3])), 1, 2)
+    assert not certifies(make_cover((RED, [0]), (RED, [1]), (RED, [2, 3])), 2, 2)
 
 
 @st.composite
@@ -105,10 +119,11 @@ def test_certifies_agrees_with_verify_cover(shape, data, d, t):
     pieces = data.draw(st.lists(st.tuples(st.sampled_from((RED, BLUE)), masks),
                                 min_size=1, max_size=3))
     cover = make_cover(*((c, bits_of(m)) for c, m in pieces))
-    assert certifies(chi, cover, d, t) == (verify_cover(chi, cover, d, t) is None)
+    certified = certifies_masks(chi, mask_pieces(cover), d, t)
+    assert certified == (verify_cover(chi, cover, d, t) is None)
     if len(pieces) <= t:
         # an empty piece passes as if make_cover had dropped it
-        assert certifies_masks(chi, pieces, d, t) == certifies(chi, cover, d, t)
+        assert certifies_masks(chi, pieces, d, t) == certified
 
 
 def reference_verify(chi, cover, d, t):
@@ -186,7 +201,7 @@ def test_hostile_vertex_ids_raise_invalid_vertex(bad):
         verify_cover(chi, cover, 2, 2)
     with pytest.raises(InvalidVertex, match=message):
         subgraph_diameter(chi, g)
-    assert not certifies(chi, cover, 2, 2)
+    assert not certifies_masks(chi, mask_pieces(cover), 2, 2)
 
 
 def test_verify_is_deterministic_first_fail():

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coloring
+from conftest import random_coloring, two_star_pieces
 from test_graphs import colorings_up_to_12
 from mpcover import search
-from mpcover.construct import two_stars_at
-from mpcover.covers import certifies, make_cover, verify_cover
+from mpcover.covers import certifies_masks, make_cover, verify_cover
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
                             Unsupported)
 from mpcover.graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
@@ -225,11 +224,13 @@ def test_two_stars_cover_only_at_size_one_parts(rng):
             chi = random_coloring(rng, sizes)
             shape = chi.shape
             for u in range(chi.n):
-                cover = two_stars_at(chi, u)
+                pieces = two_star_pieces(chi, u)
                 if shape.part_sizes[shape.part_id[u]] == 1:
-                    assert all(certifies(chi, cover, d, 2) for d in (2, 3, 4))
+                    assert all(certifies_masks(chi, pieces, d, 2)
+                               for d in (2, 3, 4))
                 else:
-                    assert not any(certifies(chi, cover, d, 2) for d in range(5))
+                    assert not any(certifies_masks(chi, pieces, d, 2)
+                                   for d in range(5))
 
 
 def test_a_returned_cover_that_fails_verification_is_an_internal_error(
