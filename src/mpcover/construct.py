@@ -2,9 +2,9 @@
 and two connected subgraphs with no diameter bound for any multipartite
 2-coloring.
 
-The diameter-3 pipeline is an executable case analysis driven by color-BFS
-layers from a far-eccentric root.  The root is the first vertex whose ball
-needs more than 3 steps to fill the graph (the bounded ``_ball_radius``
+The diameter-3 pipeline is an executable case analysis driven by red BFS
+layers from a far-eccentric root.  The root is the first vertex whose red
+ball needs more than 3 steps to fill the graph (the bounded ``_ball_radius``
 test), and the cases read that root's distance layers as masks: layers 0 to
 3 grown with ``_grow``, and layer 4 for everything farther or unreachable.
 The unbounded connected cover (``tc2_cover``) grows its pieces from color
@@ -218,23 +218,17 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
             return got, trace
         trace.add("dominating-vertex-failed", *dominator[:2])
 
-    # Case 4+: layer the graph from a far-eccentric root.  A root exists in
-    # both colors once case 2 has failed; the tie-break is red, then the
-    # smallest vertex id.
-    root = None
-    for red in (RED, BLUE):
-        for v in range(shape.n):
-            if _ball_radius(rows[red], v, full, 3) > 3:
-                root = (v, red)
-                break
-        if root:
-            break
-    if root is None:
+    # Case 4+: layer the graph from a far-eccentric red root, the smallest
+    # vertex id whose red ball needs more than 3 steps.  Case 2 ends every
+    # coloring of red diameter <= 3, and between-group rows only lengthen
+    # distances, so a red root exists past it; only a harness that rejects
+    # every candidate reaches the raise.
+    v = next((u for u in range(shape.n)
+              if _ball_radius(rows[RED], u, full, 3) > 3), None)
+    if v is None:
         trace.add("no-far-root")
         raise ConstructionExhausted(
             "no case produced a verified cover", chi, trace)
-    v, red = root
-    blue = other_color(red)
     ga = group_of[v]
     gb, gc = [gi for gi in range(3) if gi != ga]
     # the root's red distance layers: L[i] at distance i for i <= 3, and
@@ -242,7 +236,7 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     L = [1 << v]
     seen = L[0]
     for _ in range(3):
-        L.append(_grow(rows[red], L[-1]) & ~seen)
+        L.append(_grow(rows[RED], L[-1]) & ~seen)
         seen |= L[-1]
     L.append(full & ~seen)
 
@@ -264,19 +258,19 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     if far:
         trace.add("far-group-layer", next(bits_of(far)))
         for u4 in bits_of(far):
-            s1 = star(blue, v) | star(blue, u4)
+            s1 = star(BLUE, v) | star(BLUE, u4)
             for u1 in bits_of(B1 | C1):
                 # u1's blue neighbors in the root group and in the other far
                 # group, layer 3 before layer 4
                 other = gc if (B1 >> u1) & 1 else gb
-                pool = rows[blue][u1] & (gmask[ga] | gmask[other])
+                pool = rows[BLUE][u1] & (gmask[ga] | gmask[other])
                 for lay in (L[3], L[4]):
                     for u3 in bits_of(pool & lay):
-                        s2 = star(blue, u1) | star(blue, u3)
+                        s2 = star(BLUE, u1) | star(BLUE, u3)
                         if s1 | s2 != full:
                             continue
                         got = emit("double-stars", (v, u4, u1, u3),
-                                   ((blue, s1), (blue, s2)))
+                                   ((BLUE, s1), (BLUE, s2)))
                         if got:
                             return got, trace
         trace.add("double-stars-failed")
@@ -286,9 +280,9 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     if B2 | C2:
         trace.add("middle-layer", next(bits_of(B2 | C2)))
         for x in bits_of(B2 | C2):
-            bulk = (full & ~(A2 | A3)) | star(blue, x)
+            bulk = (full & ~(A2 | A3)) | star(BLUE, x)
             got = emit("layer2-peel", (x,),
-                       ((blue, bulk), (red, star(red, x))))
+                       ((BLUE, bulk), (RED, star(RED, x))))
             if got:
                 return got, trace
         trace.add("layer2-peel-failed")
@@ -302,14 +296,14 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     # Case 6: a blue edge between the two distance-1 layers pulls the rest of
     # the graph into the blue cycle blow-up.
     blue_bridge = [(b, cv) for b in bits_of(B1)
-                   for cv in bits_of(rows[blue][b] & C1)]
+                   for cv in bits_of(rows[BLUE][b] & C1)]
     if blue_bridge:
         trace.add("blue-bridge", *blue_bridge[0])
         for b, cv in blue_bridge:
             for x in (b, cv):
-                gstar = cycle | star(blue, x)
+                gstar = cycle | star(BLUE, x)
                 got = emit("bridge-peel", (x,),
-                           ((blue, gstar), (red, star(red, x))))
+                           ((BLUE, gstar), (RED, star(RED, x))))
                 if got:
                     return got, trace
         trace.add("bridge-peel-failed")
@@ -319,8 +313,9 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     # red cross-block.  A vertex is red-side when its edges to one
     # distance-1 layer are all red, or it has a red foothold in both; the
     # rest (each with a blue foothold in both and an all-blue side) go blue.
-    # The sides read the RED and BLUE rows: every run that gets here has a
-    # RED root, since case 2 ends every coloring of red diameter <= 3.
+    # The root is red for the reason case 4+ gives: case 2 ends every
+    # coloring of red diameter <= 3, and between-group rows only lengthen
+    # distances.
     if blue_bridge:
         trace.add("cross-edges-not-all-red")
     red_side = 0
@@ -329,7 +324,7 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
         if not xblue & B1 or not xblue & C1 or (xred & B1 and xred & C1):
             red_side |= 1 << x
     got = emit("cycle-blowup-split", (v,),
-               ((blue, cycle | (A2 & ~red_side)), (red, B1 | C1 | red_side)))
+               ((BLUE, cycle | (A2 & ~red_side)), (RED, B1 | C1 | red_side)))
     if got:
         return got, trace
     trace.add("cycle-blowup-split-failed")

@@ -13,10 +13,16 @@ prefix may still differ from the prefix, and is event-driven: it waits in the
 bucket of the depth at which that comparison can first be decided, and only
 the bucket of a node's own depth is visited there.  A subtree is abandoned as
 soon as some image is provably smaller, and an element drops out once its
-image is provably larger.  Visiting leaves in key order makes the enumeration
-restartable from any key, which is what checkpoints and work sharding rely
-on.  ``leader_count`` gives the number of leaders by Burnside's lemma, which
-every finished survey is checked against.
+image is provably larger.  Elements that agree on the first ``j + 1``
+positions of their inverse edge permutation form one coset of the pointwise
+stabilizer of those positions (the base ``0, 1, ..., m - 1`` is fixed by the
+key order), and they decide comparisons ``0..j`` alike.  So the scan runs
+over a coset chain (``SymmetryGroup.chain``): one entry stands for a whole
+coset until its members part, and a larger image drops the coset at once.
+Visiting leaves in key order makes the enumeration restartable from any
+key, which is what checkpoints and work sharding rely on.  ``leader_count``
+gives the number of leaders by Burnside's lemma, which every finished survey
+is checked against.
 
 For shapes whose full group is too large to expand, enumeration falls back
 to a smaller subgroup (per-part cyclic shifts, cyclic rotation of equal-size
@@ -53,37 +59,85 @@ class SymmetryGroup:
     when only a subgroup was expanded (``is_full`` tells which).
     """
 
-    __slots__ = ("shape", "order", "elements", "is_full", "_wake_entries")
+    __slots__ = ("shape", "order", "elements", "is_full", "_chain")
 
     def __init__(self, shape: MultipartiteShape, elements, is_full: bool, order: int):
         self.shape = shape
         self.elements = elements
         self.is_full = is_full
         self.order = order
-        self._wake_entries = None
+        self._chain = None
 
-    def wake_entries(self) -> list:
-        """``(wake, (inv, wake_row, flip))`` per element, built on first use.
+    def chain(self) -> tuple:
+        """The elements as a coset chain, one per flip, built on first use.
 
-        ``wake_row[j] = max(j, inv[j]) + 1`` is the first scan depth at which
-        comparison ``j`` can be decided; ``wake_row[m] = m + 1`` parks an
-        element that matched a whole leaf.  Rows are shared by the two flips
-        of a vertex permutation.  Kept on the group, so every later scan over
-        it (one per worker chunk) reuses the table.
+        Elements with the same flip that agree on ``inv[0..j]`` form one
+        coset of the pointwise stabilizer of edge positions ``0..j``, and
+        each level of the chain at least halves a coset, so it is shallow.
+        An entry is ``(inv, row, j, kids)`` with pointer ``j``:
+        - a lone element has ``kids = None``;
+        - a *node* stands for two or more elements.  ``inv`` is one of them,
+          valid before the position ``split`` where they part, and ``kids``
+          holds an entry at pointer ``split`` for each value of
+          ``inv[split]``, paired with the bucket it first waits in.
+
+        ``row[j] = max(j, inv[j]) + 1`` is the first scan depth at which
+        comparison ``j`` can be decided.  A lone row ends with ``m + 1``,
+        which parks an element that matched a whole leaf, and is shared by
+        the two flips of a vertex permutation; a node's row holds ``m + 2``
+        at its split.  Built by sorting the distinct elements and grouping
+        runs, so a repeated element is held once.
+
+        Returns the entries a scan starts from, for flip 0 and for flip 1.
+        Every entry a scan pushes at a split is built here too, and the chain
+        is kept on the group, so every later scan over it (one per worker
+        chunk) reuses it.
         """
-        if self._wake_entries is None:
+        if self._chain is None:
             m = self.shape.m
-            pack = bytes if m < 255 else tuple  # bytes hold depths <= 255
+            pack = bytes if m < 254 else tuple  # bytes hold depths <= 255
             rows = {}
-            entries = []
-            for inv, flip in self.elements:
+
+            def row_of(inv):
                 row = rows.get(inv)
                 if row is None:
                     row = rows[inv] = pack([max(j, i) + 1 for j, i in enumerate(inv)]
                                            + [m + 1])
-                entries.append((row[0], (inv, row, flip)))
-            self._wake_entries = entries
-        return self._wake_entries
+                return row
+
+            def entry(invs, j):
+                # invs: sorted, distinct, and sharing inv[0..j-1]
+                first, last = invs[0], invs[-1]
+                if len(invs) == 1:
+                    return first, row_of(first), j, None
+                split = j
+                while first[split] == last[split]:
+                    split += 1
+                kids = []
+                lo = 0
+                for hi in range(1, len(invs) + 1):
+                    if hi < len(invs) and invs[hi][split] == invs[lo][split]:
+                        continue
+                    kid = entry(invs[lo:hi], split)
+                    kids.append((kid[1][split], kid))
+                    lo = hi
+                row = list(row_of(first))
+                row[split] = m + 2
+                return first, pack(row), j, tuple(kids)
+
+            sides = []
+            for flip in (0, 1):
+                invs = sorted({inv for inv, f in self.elements if f == flip})
+                if not invs:
+                    sides.append(())
+                    continue
+                root = entry(invs, 0)
+                if root[1][0] == m + 2:  # no comparison is shared: start at the parts
+                    sides.append(tuple(kid for _, kid in root[3]))
+                else:
+                    sides.append((root,))
+            self._chain = tuple(sides)
+        return self._chain
 
 
 def size_families(shape: MultipartiteShape):
@@ -185,15 +239,20 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
     ``leader_count`` gives the number of leaders the full scan yields.
 
     The scan is an iterative depth-first walk of the prefix tree, choosing
-    edge ``d`` at depth ``d``.  Each group element carries a pointer ``j``:
-    its image agrees with the prefix before position ``j``.  It waits in the
-    bucket for depth ``max(j, inv[j]) + 1``, the first depth at which both
-    sides of comparison ``j`` are chosen (``SymmetryGroup.wake_entries``).  A
+    edge ``d`` at depth ``d``, over the group's coset chain
+    (``SymmetryGroup.chain``), one set of buckets per flip.  Each entry
+    carries a pointer ``j``: its image agrees with the prefix before
+    position ``j``.  It waits in the bucket for depth ``max(j, inv[j]) + 1``,
+    the first depth at which both sides of comparison ``j`` are chosen.  A
     node at depth ``nd`` visits bucket ``nd`` only.  A smaller image prunes
-    the node, a larger one drops the element, and equal images advance the
-    pointer until the element waits for a later bucket.  Those pushes are
-    popped when the node returns, so both children of a node read its
-    buckets unchanged.
+    the node, a larger one drops the entry, and equal images advance the
+    pointer until the entry waits for a later bucket.  An entry that stands
+    for a coset makes each comparison once for all its elements, so a larger
+    image drops the whole coset.  When its pointer reaches the position
+    where the elements part, its kids take over: each waits in its own
+    bucket, or joins the current one to be compared at once when its wake is
+    the current depth or earlier.  Those pushes are popped when the node
+    returns, so both children of a node read its buckets unchanged.
     """
     m = shape.m
     if hi is None:
@@ -209,12 +268,17 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
         yield 0, 0
         return
 
-    # bucket m + 1 holds the elements that matched a whole leaf; never read
-    buckets = [[] for _ in range(m + 2)]
+    # bucket m + 1 holds the lone elements that matched a whole leaf; never
+    # read.  A coset always parts before position m.
     b = [0] * m
     nb = [1] * m  # the prefix with its colors swapped, read by flip elements
-    for wake, (inv, row, flip) in group.wake_entries():
-        buckets[wake].append((inv, row, nb if flip else b, 0))
+    sides = []
+    for src, entries in zip((b, nb), group.chain()):
+        buckets = [[] for _ in range(m + 2)]
+        for entry in entries:
+            buckets[entry[1][0]].append(entry)
+        sides.append((src, buckets))
+    parts = m + 2  # the row value that marks a node's split
     nxt = [0] * m           # next bit to try at each depth; 2 = both done
     prefs = [0] * m         # key of the prefix at each depth
     bits_at = [0] * m       # stored bits of the prefix at each depth
@@ -239,20 +303,30 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
         b[d] = bit
         nb[d] = 1 - bit
         nd = d + 1
-        for inv, wake, src, j in buckets[nd]:
-            img = src[inv[j]]
-            while img == b[j]:
-                j += 1
-                w = wake[j]
-                if w > nd:
-                    target = buckets[w]
-                    target.append((inv, wake, src, j))
-                    undo.append(target)
-                    break
+        for src, buckets in sides:
+            for inv, wake, j, kids in buckets[nd]:
                 img = src[inv[j]]
+                while img == b[j]:
+                    j += 1
+                    w = wake[j]
+                    if w > nd:
+                        if w == parts:  # the coset parts here
+                            for w, kid in kids:
+                                target = buckets[w if w > nd else nd]
+                                target.append(kid)
+                                undo.append(target)
+                        else:
+                            target = buckets[w]
+                            target.append((inv, wake, j, kids))
+                            undo.append(target)
+                        break
+                    img = src[inv[j]]
+                else:
+                    if img < b[j]:
+                        break  # the image beats every extension: prune the child
             else:
-                if img < b[j]:
-                    break  # the image beats every extension: prune the child
+                continue
+            break  # pruned
         else:
             bits = bits_at[d] | (bit << d)
             if nd == m:

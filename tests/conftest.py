@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -33,6 +34,20 @@ def final_case_tally(sizes):
         assert verify_cover(chi, cover, 3, 2) is None, chi
         tally[trace.cases[-1][0]] += 1
     return dict(tally)
+
+
+def scan_digest(shape, group, lo=0, hi=None):
+    """Leader count and sha256 of the key sequence of one scan.
+
+    The hash runs over each key in decimal with a newline after it, in the
+    order the scan yields them.
+    """
+    h = hashlib.sha256()
+    leaders = 0
+    for key, _ in canonical_classes(shape, group, lo=lo, hi=hi):
+        h.update(b"%d\n" % key)
+        leaders += 1
+    return {"leaders": leaders, "sha256": h.hexdigest()}
 
 
 def all_shapes_with_few_edges(max_edges):
