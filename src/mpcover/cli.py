@@ -32,11 +32,23 @@ REFUTED = 1
 CONFIG_ERROR = 2
 
 
+class _Unreadable(Exception):
+    """An input that cannot be read or decoded as JSON."""
+
+
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in a file, or on stdin for "-".
+
+    Bad UTF-8, nesting too deep for the parser and integer literals past the
+    interpreter's digit limit are unreadable input, like a syntax error.
+    """
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except (RecursionError, ValueError) as e:
+        raise _Unreadable(e) from None
 
 
 def _write(text: str, output=None) -> None:
@@ -425,7 +437,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, OSError) as e:
+    except (_Unreadable, OSError) as e:
         _warn(f"cannot read input: {e}")
         return CONFIG_ERROR
     except CapExceeded as e:

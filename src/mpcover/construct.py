@@ -4,9 +4,10 @@ and two connected subgraphs with no diameter bound for any multipartite
 
 The diameter-3 pipeline is an executable case analysis driven by red BFS
 layers from a far-eccentric root.  The root is the first vertex whose red
-ball needs more than 3 steps to fill the graph (the bounded ``_ball_radius``
-test), and the cases read that root's distance layers as masks: layers 0 to
-3 grown with ``_grow``, and layer 4 for everything farther or unreachable.
+ball of radius 3 (``graphs._ball``) misses part of the graph, and the cases
+read that root's distance layers as masks: layer r is its ball of radius r
+minus its ball of radius r - 1, and layer 4 is everything outside the ball
+of radius 3.
 The unbounded connected cover (``tc2_cover``) grows its pieces from color
 components (``graphs.component_of``).  Each case emits candidates as (color,
 mask) pieces, rejected with ``certifies_masks``; the one that wins is built
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 from .covers import Cover, certifies_masks, cover_from_masks, verify_cover
 from .errors import ConstructionExhausted, InvalidShape
 from .graphs import (BLUE, INF, RED, EdgeColoring, MultipartiteShape,
-                     _ball_radius, _grow, bits_of, component_of, mask_of,
-                     other_color)
+                     _ball, bits_of, component_of, mask_of, other_color)
 
 
 @dataclass
@@ -224,27 +224,20 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
     # distances, so a red root exists past it; only a harness that rejects
     # every candidate reaches the raise.
     v = next((u for u in range(shape.n)
-              if _ball_radius(rows[RED], u, full, 3) > 3), None)
+              if _ball(rows[RED], u, 3, full) != full), None)
     if v is None:
         trace.add("no-far-root")
         raise ConstructionExhausted(
             "no case produced a verified cover", chi, trace)
     ga = group_of[v]
     gb, gc = [gi for gi in range(3) if gi != ga]
-    # the root's red distance layers: L[i] at distance i for i <= 3, and
-    # L[4] farther or unreachable
-    L = [1 << v]
-    seen = L[0]
-    for _ in range(3):
-        L.append(_grow(rows[RED], L[-1]) & ~seen)
-        seen |= L[-1]
-    L.append(full & ~seen)
+    # the root's red balls of radius 0 to 3, then the whole graph: layer
+    # r >= 1 is ball[r] minus ball[r - 1], and layer 4 is farther or
+    # unreachable
+    ball = [_ball(rows[RED], v, r, full) for r in range(4)] + [full]
 
     def layer(gi, lo, hi=None):
-        mask = 0
-        for i in range(lo, (lo if hi is None else hi) + 1):
-            mask |= L[i]
-        return mask & gmask[gi]
+        return ball[lo if hi is None else hi] & ~ball[lo - 1] & gmask[gi]
 
     B1, C1 = layer(gb, 1), layer(gc, 1)
     B2, C2 = layer(gb, 2), layer(gc, 2)
@@ -264,7 +257,7 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
                 # group, layer 3 before layer 4
                 other = gc if (B1 >> u1) & 1 else gb
                 pool = rows[BLUE][u1] & (gmask[ga] | gmask[other])
-                for lay in (L[3], L[4]):
+                for lay in (ball[3] & ~ball[2], full & ~ball[3]):
                     for u3 in bits_of(pool & lay):
                         s2 = star(BLUE, u1) | star(BLUE, u3)
                         if s1 | s2 != full:

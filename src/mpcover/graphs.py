@@ -5,21 +5,23 @@ vertices 0..n-1 are numbered so that each part occupies a contiguous block.
 Edges (u < v, u and v in different parts) are ordered lexicographically and a
 2-coloring is a dense bitstring over that order: bit i = 1 means edge i is
 blue, 0 means red.  All distance work runs on per-color bitmask adjacency
-rows, so a BFS step is one OR-fold over the frontier (``_grow``, which peels
-the frontier's low bits inline instead of iterating ``bits_of``).  One ball
-kernel, ``_ball_radius``, backs both the exact mask diameter and the bounded
-test.  The bounded test ``diameter_at_most`` also bounds a dominated mask (one
-vertex adjacent to all the others) at diameter 2 when d >= 2, with no ball
-grown; stars and the covers built from them are dominated.  The exact
-``diameter_in_mask`` is left for callers that need the number itself, such as
-a failing piece's witness.  ``far_masks`` gives, per vertex, what lies beyond
-its radius-d ball.
-``component_of`` floods one color component with the same OR-fold, and
-``remap_edges`` carries edges through a vertex map onto a shape's edge
-indices (relabelings, file vertex orders, symmetries and clone extensions).
+rows, so a BFS step is one OR-fold over the frontier (``_grow``).  One ball
+kernel, ``_ball``, gives the vertices of a mask within distance d of a vertex
+in the graph induced on the mask, and every graph walk but the all-pairs BFS
+oracle (``distances``, ``color_distance``) goes through it: a mask has
+diameter <= d exactly when each vertex's radius-d ball fills it
+(``diameter_at_most``, which first bounds a dominated mask, one vertex
+adjacent to all the others, at diameter 2 when d >= 2; stars and the covers
+built from them are dominated), the exact ``diameter_in_mask`` raises a
+running bound until every ball fills the mask, ``far_masks`` is the
+complement of each vertex's radius-d ball, and ``component_of`` is a ball of
+radius n.  ``remap_edges`` carries edges through a vertex map onto a shape's
+edge indices (relabelings, file vertex orders, symmetries and clone
+extensions).
 
 The prune rules AND the blue distance layers of a clone pair (the two
-vertices of a size-2 part), masks from ``bilayer_partition``, into cells.
+vertices of a size-2 part), masks from ``bilayer_partition``, into cells;
+each end's layer 2 comes from its radius-2 ball.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class MultipartiteShape:
     """
 
     __slots__ = ("part_sizes", "n", "k", "part_id", "part_start", "edges",
-                 "edge_index", "m", "full_mask", "adjacent_mask", "clone")
+                 "edge_index", "m", "full_mask", "clone")
 
     def __init__(self, part_sizes):
         sizes = tuple(sorted(part_sizes, reverse=True))
@@ -114,12 +116,6 @@ class MultipartiteShape:
         self.edge_index = {e: i for i, e in enumerate(edges)}
         self.m = len(edges)
         self.full_mask = (1 << self.n) - 1
-        adj = []
-        for u in range(self.n):
-            p = part_id[u]
-            block = ((1 << sizes[p]) - 1) << starts[p]
-            adj.append(self.full_mask & ~block)
-        self.adjacent_mask = tuple(adj)
 
     def part_of(self, u: int) -> int:
         self.check_vertex(u)
@@ -264,13 +260,27 @@ def _grow(rows, frontier: int) -> int:
     return grow
 
 
+def _ball(rows, u: int, d: int, allowed: int) -> int:
+    """The vertices of ``allowed`` within distance d of u (u in the mask).
+
+    Distances are taken in the graph induced on ``allowed``.  The ball grows
+    one OR-fold at a time and stops once it fills the mask or stops growing,
+    so a d of n or more gives u's component inside the mask.
+    """
+    ball = 1 << u
+    frontier = rows[u] & allowed if d else 0  # the first fold, from u alone
+    while frontier:
+        ball |= frontier
+        d -= 1
+        if not d or ball == allowed:
+            break
+        frontier = _grow(rows, frontier) & allowed & ~ball
+    return ball
+
+
 def component_of(rows, v: int) -> int:
     """Mask of v's component in the graph with these adjacency rows."""
-    comp = frontier = 1 << v
-    while frontier:
-        frontier = _grow(rows, frontier) & ~comp
-        comp |= frontier
-    return comp
+    return _ball(rows, v, len(rows), (1 << len(rows)) - 1)
 
 
 def _bfs_dists(adj_rows, root: int, n: int):
@@ -348,60 +358,33 @@ def color_diameter(chi: EdgeColoring, c: int, S=None) -> int:
     return diameter_in_mask(chi, c, allowed)
 
 
-def _ball_radius(rows, u: int, allowed: int, limit: int) -> int:
-    """Eccentricity of u in the graph induced on ``allowed`` (u in the mask).
-
-    Grows u's ball inside the mask one OR-fold at a time.  Returns
-    ``limit + 1`` once the ball needs more than ``limit`` steps, and INF when
-    it stops growing short of the mask.
-    """
-    ball = frontier = 1 << u
-    r = 0
-    while ball != allowed:
-        if r == limit:
-            return limit + 1
-        frontier = _grow(rows, frontier) & allowed & ~ball
-        if not frontier:
-            return INF
-        ball |= frontier
-        r += 1
-    return r
-
-
 def far_masks(chi: EdgeColoring, c: int, d: int) -> tuple:
     """Per vertex u, the mask of vertices v != u at color-c distance > d.
 
     Distances are taken in the full color-c graph, and unreachable vertices
-    count as far.  Each mask is the complement of u's radius-d ball, grown
-    with at most d OR-folds.  Entry u is in v's mask exactly when v is in u's.
+    count as far: each mask is the complement of u's radius-d ball.  Entry u
+    is in v's mask exactly when v is in u's.
     """
     rows = chi.adj[c]
     full = chi.shape.full_mask
-    out = []
-    for u in range(chi.n):
-        ball = 1 << u
-        if d:
-            frontier = rows[u]  # the first fold, from u alone
-            ball |= frontier
-            for _ in range(d - 1):
-                frontier = _grow(rows, frontier) & ~ball
-                if not frontier:
-                    break
-                ball |= frontier
-        out.append(full & ~ball)
-    return tuple(out)
+    return tuple(full & ~_ball(rows, u, d, full) for u in range(chi.n))
 
 
 def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
-    """Diameter of the color-c graph induced on a vertex bitmask."""
+    """Diameter of the color-c graph induced on a vertex bitmask.
+
+    INF when the first vertex's full ball misses part of the mask; otherwise
+    a running bound rises until each vertex's ball of that radius fills the
+    mask.  An empty mask has diameter 0.
+    """
     rows = chi.adj[c]
+    vs = list(bits_of(allowed))
+    if vs and _ball(rows, vs[0], INF, allowed) != allowed:
+        return INF
     best = 0
-    for u in bits_of(allowed):
-        r = _ball_radius(rows, u, allowed, INF)
-        if r >= INF:
-            return INF
-        if r > best:
-            best = r
+    for u in vs:
+        while _ball(rows, u, best, allowed) != allowed:
+            best += 1
     return best
 
 
@@ -427,7 +410,7 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
         rest = allowed
     while rest:
         low = rest & -rest
-        if _ball_radius(rows, low.bit_length() - 1, allowed, d) > d:
+        if _ball(rows, low.bit_length() - 1, d, allowed) != allowed:
             return False
         rest ^= low
     return True
@@ -441,12 +424,12 @@ def bilayer_partition(chi: EdgeColoring, x: int):
     (i, j) is ``lx[i] & lxp[j]``; the nine cells tile V minus the pair.
     """
     xp = chi.shape.clone_of(x)
-    rows = chi.adj[BLUE]
-    rest = chi.shape.full_mask & ~(1 << x | 1 << xp)
+    rows, full = chi.adj[BLUE], chi.shape.full_mask
+    rest = full & ~(1 << x | 1 << xp)
 
     def layers(v):
         near = rows[v] & rest
-        mid = _grow(rows, rows[v]) & rest & ~near
+        mid = _ball(rows, v, 2, full) & rest & ~near
         return None, near, mid, rest & ~(near | mid)
 
     return layers(x), layers(xp)

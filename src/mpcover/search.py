@@ -68,7 +68,7 @@ from .covers import (certifies_masks, cover_from_masks, make_cover,
                      verify_cover)
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
-                     _ball_radius, bilayer_partition, bits_of, build_shape,
+                     _ball, bilayer_partition, bits_of, build_shape,
                      canonical_vertex_map, diameter_at_most, far_masks,
                      mask_of, other_color, remap_edges)
 from .symmetry import (canonical_classes, key_to_bits, leader_count,
@@ -101,7 +101,7 @@ def _spanning_diameter(chi: EdgeColoring, c: int, d: int) -> bool:
     if chi.shape.part_sizes[-1] == 1:
         return diameter_at_most(chi, c, full, d)
     for u in range(chi.n):
-        if _ball_radius(rows, u, full, d) > d:
+        if _ball(rows, u, d, full) != full:
             return False
     return True
 
@@ -714,8 +714,11 @@ def save_checkpoint(path: str, state: dict) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    with open(path) as fh:
-        state = json.load(fh)
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except (RecursionError, ValueError) as e:
+        raise InvalidParameter(f"malformed checkpoint {path}: {e!r}")
     if not isinstance(state, dict) or type(state.get("version")) is not int \
             or state["version"] != CHECKPOINT_VERSION:
         raise InvalidParameter(f"unsupported checkpoint version in {path}")

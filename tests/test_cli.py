@@ -279,6 +279,9 @@ GOOD_COLORING = {"parts": [2, 1], "bits": "0"}
 GOOD_COVER = {"subgraphs": [{"color": "red", "vertices": [0, 1, 2]}]}
 VERIFY = ("verify", "--coloring", "chi.json", "--cover", "cover.json",
           "--d", "2", "--t", "2")
+# raw file contents that fail to decode before any JSON is parsed
+NOT_UTF8 = b"\xff\xfe\x00{}"
+TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
 
 
 @pytest.mark.parametrize("files,argv", [
@@ -308,11 +311,23 @@ VERIFY = ("verify", "--coloring", "chi.json", "--cover", "cover.json",
     ({}, ("compute-d", "--parts", "2,2,1", "--threads", "0")),
     ({}, ("gk", "--k", "3", "--threads", "100000")),
     ({}, ("gk", "--k", "3", "--threads", "0")),
+    ({"chi.json": NOT_UTF8, "cover.json": GOOD_COVER}, VERIFY),
+    ({"chi.json": GOOD_COLORING, "cover.json": NOT_UTF8}, VERIFY),
+    ({"chi.json": TOO_DEEP, "cover.json": GOOD_COVER}, VERIFY),
+    ({"chi.json": b'{"parts": [' + b"1" * 5000 + b'], "bits": "0"}',
+      "cover.json": GOOD_COVER}, VERIFY),
+    ({"cp.json": TOO_DEEP},
+     ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")),
+    ({"cp.json": NOT_UTF8},
+     ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")),
 ], ids=["bits-not-hex", "edge-without-color", "subgraph-without-color",
         "checkpoint-without-config", "part-size-not-int",
         "vertices-not-a-list", "checkpoint-every-0", "checkpoint-every-negative",
         "gk-checkpoint-every-0", "stop-after-0", "stop-after-negative",
-        "threads-huge", "threads-0", "gk-threads-huge", "gk-threads-0"])
+        "threads-huge", "threads-0", "gk-threads-huge", "gk-threads-0",
+        "coloring-not-utf8", "cover-not-utf8", "coloring-nested-too-deep",
+        "part-size-too-many-digits", "checkpoint-nested-too-deep",
+        "checkpoint-not-utf8"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     _assert_config_error(tmp_path, files, argv, timeout=120)
 
@@ -367,7 +382,10 @@ def test_oversized_shape_exits_2_quickly(tmp_path):
 
 def _assert_config_error(tmp_path, files, argv, timeout, env=None):
     for name, obj in files.items():
-        (tmp_path / name).write_text(json.dumps(obj))
+        if isinstance(obj, bytes):
+            (tmp_path / name).write_bytes(obj)
+        else:
+            (tmp_path / name).write_text(json.dumps(obj))
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "mpcover.cli", *argv],

@@ -8,7 +8,7 @@ from conftest import random_coloring
 from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
                             NoUniqueClone)
 from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
-                            bilayer_partition, bits_of, build_shape,
+                            _ball, bilayer_partition, bits_of, build_shape,
                             color_diameter, color_distance, coloring_from_json,
                             coloring_to_json, component_of, diameter_at_most,
                             diameter_in_mask, far_masks, mask_of, other_color)
@@ -43,9 +43,7 @@ def test_shape_blocks_and_adjacency():
     assert list(s.part_vertices(1)) == [3, 4]
     for u in range(s.n):
         for v in range(u + 1, s.n):
-            adjacent = bool((s.adjacent_mask[u] >> v) & 1)
-            assert adjacent == (s.part_id[u] != s.part_id[v])
-            assert ((u, v) in s.edge_index) == adjacent
+            assert ((u, v) in s.edge_index) == (s.part_id[u] != s.part_id[v])
 
 
 @pytest.mark.parametrize("bad", [[], [0, 2], [3, -1], [MAX_VERTICES + 1],
@@ -188,6 +186,35 @@ def masked_colorings(draw):
 def test_diameter_in_mask_matches_floyd_warshall(chi_mask, c):
     chi, mask = chi_mask
     assert diameter_in_mask(chi, c, mask) == _floyd_warshall_diameter(chi, c, mask)
+
+
+def _bfs_ball(chi, c, u, d, mask):
+    """Reference: the mask's vertices within color-c distance d of u, by a
+    plain BFS that never leaves the mask."""
+    pid = chi.shape.part_id
+    inside = {v for v in range(chi.n) if (mask >> v) & 1}
+    dist = {u: 0}
+    queue = [u]
+    for x in queue:
+        if dist[x] == d:
+            continue
+        for y in sorted(inside - set(dist)):
+            if pid[x] != pid[y] and chi.color_of(x, y) == c:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return set(dist)
+
+
+@settings(deadline=None, max_examples=400)
+@given(masked_colorings(), st.sampled_from((RED, BLUE)), st.data(),
+       st.one_of(st.integers(0, 14), st.just(INF)))
+def test_ball_matches_bfs_inside_the_mask(chi_mask, c, data, d):
+    chi, mask = chi_mask
+    if not mask:
+        mask = 1 << data.draw(st.integers(0, chi.n - 1))
+    u = data.draw(st.sampled_from(list(bits_of(mask))))
+    ball = _ball(chi.adj[c], u, d, mask)
+    assert set(bits_of(ball)) == _bfs_ball(chi, c, u, d, mask)
 
 
 @st.composite
