@@ -52,18 +52,17 @@ class CaseTrace:
 # ============================================================================
 
 def star_doublestar_search(chi: EdgeColoring, d: int = 3):
-    """First cover by one star plus one double star that certifies, else None.
+    """(color, mask) pieces of the first star plus double star that
+    certify, else None.
 
     Exhausts all O(n^3) candidates: star centers in vertex order with the
     star color blue first, double stars in edge order (the center edge's
     color fixes the double star's color).
     """
-    pieces = _star_doublestar(chi, chi.adj, d)
-    return None if pieces is None else cover_from_masks(pieces)
+    return _star_doublestar(chi, chi.adj, d)
 
 
 def _star_doublestar(chi, rows, d):
-    """The (color, mask) pieces of the first candidate that certifies."""
     full = chi.shape.full_mask
     stars = []
     for c in (BLUE, RED):

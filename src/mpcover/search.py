@@ -1,54 +1,28 @@
 """Exact cover-existence decisions and exhaustive shape surveys.
 
-``cover_exists`` decides whether a coloring admits a cover by t monochromatic
-pieces of diameter <= d (t in {1, 2}).  The decision ladder runs certificate
-producers from cheap to expensive — spanning diameter, two stars at a vertex,
-star + double-star pairs — and only then the exhaustive assignment of every
-vertex to bag 1 / bag 2 / both.  No rung reads the all-pairs distance
-matrix.  The spanning rung asks the graphs ball kernel whether the color
-diameter is at most d (``diameter_at_most``), stopping at the first ball that
-falls short.  The exhaustive search takes its conflicts from radius-d balls
-in the full color graph (``far_masks``): full-graph distances bound induced
-distances from below, so two vertices whose balls miss each other can share
-no bag, and the search stays exact.  Two stars are tried only at vertices of
-size-1 parts: at any other vertex they miss its co-part vertices.
-Candidates stay (color, mask) pieces from the prune rules down to the
-diameter kernel: ``certifies_masks`` takes coverage as one OR and then the
-early-exit ``diameter_at_most`` per piece, which settles a dominated piece
-such as a star at once when d >= 2.  A ``Cover`` is built only for the
-candidate that wins.  The one cover the ladder returns is then checked again
-by ``verify_cover``, so every positive answer is backed by a cover that
-passed it, and classification is by certificate only.  Two rungs are settled
-by counting: a piece of diameter 0 is one vertex, and a piece of diameter 1 is
-a clique, so it holds at most one vertex per part.  So no cover exists at d = 0
-when n > t, nor at d = 1 when some part has more than t vertices, and no
-single piece spans at d = 1 when some part has two.  What is left of d = 1
-goes through a reject filter first: two cliques cover V only if some
-monochromatic clique through vertex 0 leaves a monochromatic clique behind
-(``_clique_pair_exists``).  The filter never supplies the cover; when it
-passes, the exhaustive search still finds it, so labels and witnesses do not
-depend on the filter.
+``find_cover`` decides whether a coloring admits a cover by t monochromatic
+pieces of diameter <= d (t in {1, 2}).  The decision ladder (``_ladder``)
+runs its rungs from cheap to expensive: counting bounds, the spanning
+diameter, two stars at a size-1 part's vertex, the clone-pair prune rules,
+star + double-star pairs, and last the exhaustive two-bag search, which
+takes its conflicts from radius-d balls in the full color graph
+(``far_masks``) and so stays exact.  At d = 1 a clique-pair filter rejects
+first but never supplies the cover.  Every rung tests its candidates as
+(color, mask) pieces with ``certifies_masks`` and returns the winning
+pieces; ``_decide`` builds the one ``Cover`` and checks it with
+``verify_cover``, so every positive answer is backed by a cover that passed
+it.
 
-``compute_D`` maximizes the per-coloring minimal feasible d over all
-colorings of a shape up to symmetry.  ``_min_cover_d`` asks each d once, in
-ascending order, so the ladder keeps no memo across rungs.  The enumeration
-space is split into contiguous key ranges, each advanced in resumable chunks
-of at most ``CHUNK_CLASSES`` classes at every thread count.  A chunk's outcome
-is a ``_Tally`` (the biggest min-d with the smallest key on ties, rule counts,
-survivors, violations and notes); tallies merge as a commutative monoid, so
-the outcome is independent of thread count, chunk size, and kill/resume
-boundaries.  One as-completed scheduler drives the chunks at every thread
-count: at most ``threads`` are in flight, and each result is merged as it
-arrives.  Classes are skewed across the key space (60.7% of ``[2,2,2,2]``
-lies in one of the 64 initial ranges), so idle workers claim the free ranges
-with the most keys left first, which leaves a dense range's remainder for
-last, and whenever idle workers outnumber the free pending ranges, the
-widest free range is split at the midpoint of its remaining keys; the
-orderly enumeration restarts from any key, so a split is sound.  A
-checkpoint holds merged progress only: a range with a chunk in flight keeps
-its old cursor until the chunk's result is merged.  ``gk_survey`` is the
-same engine pointed at the k-parts-of-size-2 shapes with the clone pruning
-rules on, recording structural facts about any coloring that survives them.
+``compute_D`` maximizes the per-coloring minimal feasible d over the orbit
+leaders of a shape, asking each d once in ascending order
+(``_min_cover_d``).  A survey starts from one key range; chunks of at most
+``CHUNK_CLASSES`` classes advance the ranges, and whenever idle workers
+outnumber the free ranges the widest is split (``_claim_ranges``).  Each
+chunk returns a ``_Tally``, a commutative monoid, so the report does not
+depend on thread count, chunking or kill/resume boundaries.  A checkpoint
+holds merged progress only.  ``gk_survey`` is the same engine on the
+k-parts-of-size-2 shapes with the prune rules on, checking the structural
+facts of any coloring that survives them.
 """
 
 from __future__ import annotations
@@ -64,8 +38,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 from .construct import star_doublestar_search
-from .covers import (certifies_masks, cover_from_masks, make_cover,
-                     verify_cover)
+from .covers import certifies_masks, cover_from_masks, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
                      _ball, bilayer_partition, bits_of, build_shape,
@@ -107,7 +80,8 @@ def _spanning_diameter(chi: EdgeColoring, c: int, d: int) -> bool:
 
 
 def _two_stars(chi: EdgeColoring, d: int):
-    """The two stars at the first size-1-part vertex that certify, else None.
+    """The (color, mask) pieces of the first size-1-part vertex's two stars
+    that certify, else None.
 
     At any other vertex the pair misses the vertex's co-part vertices, so it
     can never cover.
@@ -119,7 +93,7 @@ def _two_stars(chi: EdgeColoring, d: int):
             pieces = ((RED, _star_mask(chi, RED, u)),
                       (BLUE, _star_mask(chi, BLUE, u)))
             if certifies_masks(chi, pieces, d, 2):
-                return cover_from_masks(pieces)
+                return pieces
     return None
 
 
@@ -171,7 +145,7 @@ def _clique_pair_exists(chi: EdgeColoring) -> bool:
 # ============================================================================
 
 def two_bag_cover(chi: EdgeColoring, d: int):
-    """Exhaustive search for a 2-bag cover at diameter d; None if impossible.
+    """(color, mask) pieces of a 2-bag cover at diameter d; None if impossible.
 
     Every vertex is assigned to bag 1, bag 2, or both; bags get colors from
     ``_PAIR_ORDER``.  Two vertices conflict in a bag of color c when their
@@ -184,9 +158,9 @@ def two_bag_cover(chi: EdgeColoring, d: int):
     far = (far_masks(chi, RED, d), far_masks(chi, BLUE, d))
     pop = [[m.bit_count() for m in masks] for masks in far]
     for c1, c2 in _PAIR_ORDER:
-        cover = _two_bag_pair(chi, d, c1, c2, far, pop)
-        if cover is not None:
-            return cover
+        pieces = _two_bag_pair(chi, d, c1, c2, far, pop)
+        if pieces is not None:
+            return pieces
     return None
 
 
@@ -216,9 +190,7 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
     def dfs(i, in1, in2, ex1, ex2, bar1, bar2):
         if i == n:
             pieces = ((c1, in1), (c2, in2))
-            if not certifies_masks(chi, pieces, d, 2):
-                return None
-            return cover_from_masks(pieces)
+            return pieces if certifies_masks(chi, pieces, d, 2) else None
         # a later vertex already barred from both bags kills the branch
         if suffix[i] & bar1 & bar2:
             return None
@@ -254,20 +226,18 @@ def _clone_pairs(shape: MultipartiteShape):
 
 
 def _try(chi, d, *pieces):
-    """The cover of these (color, mask) pieces if it certifies, else None.
+    """These (color, mask) pieces if they certify, else None.
 
-    A candidate with an empty piece is rejected; a ``Cover`` is built only
-    for one that passes.
+    A candidate with an empty piece is rejected.
     """
-    if not all(mask for _, mask in pieces):
-        return None
-    if not certifies_masks(chi, pieces, d, 2):
-        return None
-    return cover_from_masks(pieces)
+    if all(mask for _, mask in pieces) and certifies_masks(chi, pieces, d, 2):
+        return pieces
+    return None
 
 
 def _prune_labeled(chi: EdgeColoring, d: int):
-    """(cover, rule label) from the cheap certified constructions, else None.
+    """(pieces, rule label) from the cheap certified constructions, or
+    (None, "none").
 
     Rules in order: two stars at one vertex; an empty sent-color sector of a
     clone pair (both opposite-color stars); a vertex far from both ends of a
@@ -276,9 +246,9 @@ def _prune_labeled(chi: EdgeColoring, d: int):
     fallbacks).  Soundness is by verification, never by derivation.
     """
     shape = chi.shape
-    cover = _two_stars(chi, d)
-    if cover is not None:
-        return cover, "two-stars"
+    pieces = _two_stars(chi, d)
+    if pieces is not None:
+        return pieces, "two-stars"
 
     pairs = _clone_pairs(shape)
     clone = shape.clone
@@ -287,11 +257,11 @@ def _prune_labeled(chi: EdgeColoring, d: int):
         for v, vp in ((x, xp), (xp, x)):
             for i, j in _SECTOR_ORDER:
                 if not (chi.adj[i][v] & chi.adj[j][vp]):
-                    cover = _try(chi, d,
-                                 (other_color(i), _star_mask(chi, other_color(i), v)),
-                                 (other_color(j), _star_mask(chi, other_color(j), vp)))
-                    if cover is not None:
-                        return cover, "clone-star"
+                    got = _try(chi, d,
+                               (other_color(i), _star_mask(chi, other_color(i), v)),
+                               (other_color(j), _star_mask(chi, other_color(j), vp)))
+                    if got is not None:
+                        return got, "clone-star"
 
     for x, xp in pairs:  # one pass per clone pair; orientations handle the swap
         lx, lxp = bilayer_partition(chi, x)
@@ -351,8 +321,8 @@ def _prune_labeled(chi: EdgeColoring, d: int):
 
 def prune_with_constructions(chi: EdgeColoring, d: int = 2):
     """Certified cover from the cheap construction rules, or None."""
-    cover, _ = _prune_labeled(chi, d)
-    return cover
+    pieces, _ = _prune_labeled(chi, d)
+    return None if pieces is None else cover_from_masks(pieces)
 
 
 def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
@@ -395,24 +365,29 @@ def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
 # ============================================================================
 
 def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
-    """(verified cover | None, label of the deciding rule)."""
-    cover, label = _ladder(chi, t, d, prune)
-    if cover is not None:
-        violation = verify_cover(chi, cover, d, t)
-        if violation is not None:
-            raise RuntimeError(f"rule {label!r} returned a cover that fails "
-                               f"verify_cover: {violation.describe()}")
+    """(verified cover | None, label of the deciding rule).
+
+    The one place the ladder's winning pieces become a ``Cover``.
+    """
+    pieces, label = _ladder(chi, t, d, prune)
+    if pieces is None:
+        return None, label
+    cover = cover_from_masks(pieces)
+    violation = verify_cover(chi, cover, d, t)
+    if violation is not None:
+        raise RuntimeError(f"rule {label!r} returned a cover that fails "
+                           f"verify_cover: {violation.describe()}")
     return cover, label
 
 
 def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
-    """(cover | None, label of the deciding rule).
+    """((color, mask) pieces | None, label of the deciding rule).
 
-    Every cover it returns passed ``certifies_masks``.
+    Every candidate it returns passed ``certifies_masks``.
     """
     n = chi.n
     if n <= t:
-        return make_cover(*((BLUE, [v]) for v in range(n))), "tiny"
+        return tuple((BLUE, 1 << v) for v in range(n)), "tiny"
     if d == 0:
         return None, "none"  # diameter-0 pieces are singletons; n > t
     if d == 1 and chi.shape.part_sizes[0] > t:
@@ -421,26 +396,26 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
     if d >= 2 or chi.shape.part_sizes[0] == 1:
         for c in (RED, BLUE):
             if _spanning_diameter(chi, c, d):
-                return make_cover((c, range(n))), "spanning"
+                return ((c, chi.shape.full_mask),), "spanning"
     if t == 1:
         return None, "none"
     if d >= 2:
         if prune:
-            cover, label = _prune_labeled(chi, d)
-            if cover is not None:
-                return cover, label
+            pieces, label = _prune_labeled(chi, d)
+            if pieces is not None:
+                return pieces, label
         else:
-            cover = _two_stars(chi, d)
-            if cover is not None:
-                return cover, "two-stars"
+            pieces = _two_stars(chi, d)
+            if pieces is not None:
+                return pieces, "two-stars"
     if d >= 3:
-        cover = star_doublestar_search(chi, d)
-        if cover is not None:
-            return cover, "star-doublestar"
+        pieces = star_doublestar_search(chi, d)
+        if pieces is not None:
+            return pieces, "star-doublestar"
     if d == 1 and not _clique_pair_exists(chi):
-        return None, "none"  # a reject filter: the cover comes from two_bag
-    cover = two_bag_cover(chi, d)
-    return cover, ("trichotomy" if cover is not None else "none")
+        return None, "none"  # a reject filter: the pieces come from two_bag
+    pieces = two_bag_cover(chi, d)
+    return pieces, ("trichotomy" if pieces is not None else "none")
 
 
 def _check_td(t: int, d: int) -> None:
@@ -454,9 +429,7 @@ def _check_td(t: int, d: int) -> None:
 
 def cover_exists(chi: EdgeColoring, t: int, d: int) -> bool:
     """Does chi admit a cover by t monochromatic pieces of diameter <= d?"""
-    _check_td(t, d)
-    cover, _ = _decide(chi, t, d, False)
-    return cover is not None
+    return find_cover(chi, t, d) is not None
 
 
 def find_cover(chi: EdgeColoring, t: int, d: int):
@@ -802,28 +775,14 @@ def _edge_cap(cap_edges):
 CHUNK_CLASSES = 500
 
 
-def _initial_ranges(m: int, use_symmetry: bool):
-    # Orbit leaders always start with a red edge (the color swap would beat
-    # them otherwise), so the top half of the key space is empty.
-    span = 1 << m
-    if use_symmetry and m >= 1:
-        span = 1 << (m - 1)
-    count = min(64, span)
-    bounds = [span * i // count for i in range(count + 1)]
-    return [[bounds[i], bounds[i + 1], bounds[i]] for i in range(count)]
-
-
 def _claim_ranges(ranges, busy, idle: int):
     """Up to ``idle`` pending ranges not in ``busy`` (ids), most keys left first.
 
-    Ties go in key order, so every range is claimed once before any range
-    whose chunk came back unfinished; a dense range's remainder is left for
-    last, where it is split for the workers that run out of other ranges,
-    however fast the ladder runs.  While idle workers outnumber the free
-    ranges, the free range with the most keys left is split at the midpoint
-    of those keys: ``[lo, hi, pos]`` becomes ``[lo, mid, pos]`` plus
-    ``[mid, hi, mid]``.  Enumeration restarts from any key, so both halves are
-    sound cursors and together cover exactly the keys the range had left.
+    Ties go in key order.  While idle workers outnumber the free ranges, the
+    free range with the most keys left is split at the midpoint of those
+    keys: ``[lo, hi, pos]`` becomes ``[lo, mid, pos]`` plus ``[mid, hi,
+    mid]``.  Enumeration restarts from any key, so both halves are sound
+    cursors and together cover exactly the keys the range had left.
     """
     while True:
         free = sorted((r for r in ranges if r[2] < r[1] and id(r) not in busy),
@@ -909,15 +868,18 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
             estimate=estimate)
 
     config = _checkpoint_config(sizes, t, d_max, use_symmetry, prune, survey_d)
-    ranges = _initial_ranges(shape.m, use_symmetry)
+    # One range of all keys, split as workers go idle.  Orbit leaders always
+    # start with a red edge (the color swap would beat them otherwise), so
+    # the top half of the key space is empty.
+    end = 1 << (shape.m - 1 if use_symmetry and shape.m >= 1 else shape.m)
+    ranges = [[0, end, 0]]
     tally = _Tally()
     spent = 0.0
 
     resumed = bool(checkpoint_path) and os.path.exists(checkpoint_path)
     if resumed:
         ranges, tally, spent = _resume(load_checkpoint(checkpoint_path),
-                                       checkpoint_path, config,
-                                       ranges[-1][1], shape.m)
+                                       checkpoint_path, config, end, shape.m)
 
     def snapshot():
         return {"version": CHECKPOINT_VERSION, "shape": list(sizes), "t": t,

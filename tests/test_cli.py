@@ -97,6 +97,16 @@ def test_cover_two_parts_falls_back(tmp_path, capsys, rng):
     assert obj["ok"]
 
 
+def test_cover_two_parts_checks_the_requested_d(tmp_path, capsys):
+    # the all-red K_{3,2} is one red piece of diameter 2, so d = 1 fails
+    allred = EdgeColoring.all_same(build_shape([3, 2]), RED)
+    path = write_coloring(tmp_path, allred)
+    code, out, _ = run(capsys, "cover", "--input", path, "--d", "1")
+    obj = json.loads(out)
+    assert code == REFUTED
+    assert obj["ok"] is False and obj["achieved_d"] == 2
+
+
 def test_cover_single_part_is_config_error(tmp_path, capsys, rng):
     path = write_coloring(tmp_path, random_coloring(rng, [4]))
     code, _, err = run(capsys, "cover", "--input", path)

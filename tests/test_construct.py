@@ -34,9 +34,9 @@ def test_two_stars_need_an_all_seeing_center(rng):
 
 def test_star_doublestar_finds_the_easy_cases(rng):
     allblue = EdgeColoring.all_same(build_shape([3, 2, 2]), BLUE)
-    cover = star_doublestar_search(allblue, 3)
-    assert cover is not None
-    assert verify_cover(allblue, cover, 3, 2) is None
+    pieces = star_doublestar_search(allblue, 3)
+    assert pieces is not None
+    assert verify_cover(allblue, cover_from_masks(pieces), 3, 2) is None
 
     # force vertex 0 to send blue to the whole last part; a cover must exist
     for _ in range(10):
@@ -46,7 +46,8 @@ def test_star_doublestar_finds_the_easy_cases(rng):
             bits |= 1 << chi.shape.edge_index[(0, v)]
         forced = EdgeColoring(chi.shape, bits)
         got = star_doublestar_search(forced, 3)
-        assert got is not None and verify_cover(forced, got, 3, 2) is None
+        assert got is not None
+        assert verify_cover(forced, cover_from_masks(got), 3, 2) is None
 
 
 def test_star_doublestar_cannot_beat_the_lower_bound_family():

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import random_coloring, two_star_pieces
 from test_graphs import colorings_up_to_12
 from mpcover import search
-from mpcover.covers import certifies_masks, make_cover, verify_cover
+from mpcover.covers import (certifies_masks, cover_from_masks, make_cover,
+                            verify_cover)
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
                             Unsupported)
+from mpcover.families import gen_thm31
 from mpcover.graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
                             color_distance, diameter_in_mask)
 from mpcover.search import (MAX_NOTES, SearchResult, check_monotone_extension,
@@ -125,11 +127,11 @@ def test_two_bag_matches_oracle_on_four_parts(rng):
         chis += [EdgeColoring.all_same(shape, c) for c in (RED, BLUE)]
         for chi in chis:
             for d in (1, 2):
-                cover = two_bag_cover(chi, d)
-                assert (cover is not None) == oracle_cover_exists(chi, 2, d), \
+                pieces = two_bag_cover(chi, d)
+                assert (pieces is not None) == oracle_cover_exists(chi, 2, d), \
                     (sizes, chi.bits, d)
-                if cover is not None:
-                    assert verify_cover(chi, cover, d, 2) is None
+                if pieces is not None:
+                    assert verify_cover(chi, cover_from_masks(pieces), d, 2) is None
 
 
 def test_two_bag_search_ignores_bag_order(rng):
@@ -237,10 +239,31 @@ def test_a_returned_cover_that_fails_verification_is_an_internal_error(
         rng, monkeypatch):
     chi = random_coloring(rng, [2, 2, 1])
     monkeypatch.setattr(search, "_ladder",
-                        lambda *args: (make_cover((RED, [0])), "spanning"))
+                        lambda *args: (((RED, 1),), "spanning"))
     with pytest.raises(RuntimeError, match="CoverageGap") as err:
         find_cover(chi, 2, 2)
     assert not isinstance(err.value, MpcoverError)  # never a config error
+
+
+def test_one_verify_cover_per_class(tmp_path, monkeypatch):
+    # the ladder's rungs return pieces; only _decide builds and verifies a
+    # cover, once per class at its minimal d and never for a refutation
+    calls = []
+    original = search.verify_cover
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search, "verify_cover", counted)
+    result = compute_D([3, 2, 2])
+    assert len(calls) == result.classes > 0
+    calls.clear()
+    result = gk_survey(3, checkpoint_path=str(tmp_path / "gk3.json"))
+    assert len(calls) == result.classes > 0
+    calls.clear()
+    assert find_cover(gen_thm31(2), 2, 2) is None
+    assert calls == []
 
 
 def test_a_fresh_survey_that_miscounts_is_an_internal_error(monkeypatch):
@@ -292,7 +315,7 @@ def candidate_pieces(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(candidate_pieces(), st.integers(2, 4))
-def test_try_builds_the_cover_of_its_pieces(chi_pieces, d):
+def test_try_returns_its_pieces_when_they_verify(chi_pieces, d):
     chi, pieces = chi_pieces
     got = search._try(chi, d, *pieces)
     if not all(mask for _, mask in pieces):
@@ -302,8 +325,8 @@ def test_try_builds_the_cover_of_its_pieces(chi_pieces, d):
     if got is None:
         assert verify_cover(chi, cover, d, 2) is not None
     else:
-        assert got == cover
-        assert verify_cover(chi, got, d, 2) is None
+        assert got == tuple(pieces)
+        assert verify_cover(chi, cover, d, 2) is None
 
 
 def test_prune_finds_the_empty_sector_rule():
@@ -490,6 +513,15 @@ def test_checkpoint_rejects_mismatched_settings(tmp_path):
         compute_D([2, 2, 1], checkpoint_path=str(cp))
 
 
+def _equal_ranges(sizes, pos):
+    """The 64 equal key ranges that surveys once started from, enumerated up
+    to key ``pos``: the layout of every checkpoint written back then."""
+    span = 1 << (build_shape(sizes).m - 1)
+    bounds = [span * i // 64 for i in range(65)]
+    return [[lo, hi, min(max(pos, lo), hi)]
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _rewound_and_doubled(good):
     # every range rewound to lo and the list given twice, so a resume would
     # enumerate each key twice
@@ -534,7 +566,9 @@ def _with_range(i, change):
 def test_checkpoint_rejects_malformed_files(tmp_path, corrupt):
     cp = tmp_path / "cp.json"
     compute_D([2, 2, 1], checkpoint_path=str(cp))
-    cp.write_text(json.dumps(corrupt(json.loads(cp.read_text()))))
+    good = json.loads(cp.read_text())
+    good["cursor_ranges"] = _equal_ranges([2, 2, 1], 1 << 7)
+    cp.write_text(json.dumps(corrupt(good)))
     with pytest.raises(InvalidParameter):
         compute_D([2, 2, 1], checkpoint_path=str(cp))
 
@@ -655,10 +689,10 @@ def test_checkpoint_file_shape(tmp_path):
                                     "seconds"}
 
 
-# A shape whose classes sit mostly in one initial range (60.7% of its 24 607
-# classes in range 2 of 64).  With t = 1 only the spanning rung runs, so a
-# survey takes seconds, and the report still has two rules and a witness that
-# is not the smallest key.
+# A shape whose classes sit mostly in a narrow band of keys (60.7% of its
+# 24 607 classes in the third 64th of the key space).  With t = 1 only the
+# spanning rung runs, so a survey takes seconds, and the report still has two
+# rules and a witness that is not the smallest key.
 SKEWED = dict(part_sizes=[2, 2, 2, 2], t=1, d_max=2)
 
 
@@ -684,11 +718,13 @@ def test_skewed_reports_are_thread_count_independent(skewed_straight,
 def test_idle_workers_split_pending_ranges(skewed_two_threads):
     state = skewed_two_threads[1]
     ranges = state["cursor_ranges"]
-    initial = search._initial_ranges(build_shape([2, 2, 2, 2]).m, True)
-    assert len(ranges) > len(initial)
+    # the survey starts from the one range [0, end, 0], which the second
+    # worker splits on its first claim
+    end = 1 << (build_shape([2, 2, 2, 2]).m - 1)
+    assert len(ranges) > 1
     assert all(pos == hi for _, hi, pos in ranges)
-    # the split ranges still tile the key space of the initial ones
-    assert ranges[0][0] == initial[0][0] and ranges[-1][1] == initial[-1][1]
+    # the split ranges still tile the key space
+    assert ranges[0][0] == 0 and ranges[-1][1] == end
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
 
@@ -705,17 +741,18 @@ def test_stop_and_resume_across_thread_counts(tmp_path, first, second):
 
 
 def test_checkpoint_with_the_initial_layout_resumes(tmp_path):
-    # 64 equal-width ranges, one of them part-way through: what a run that
-    # never splits a range leaves behind
+    # 64 equal-width ranges, one of them part-way through: what a stopped
+    # run that started from 64 ranges and never split one leaves behind
     straight = compute_D([3, 2, 2]).to_json()
     cp = str(tmp_path / "cp.json")
     assert compute_D([3, 2, 2], checkpoint_path=cp, checkpoint_every=100,
                      stop_after_classes=100) is None
-    ranges = load_checkpoint(cp)["cursor_ranges"]
-    initial = search._initial_ranges(build_shape([3, 2, 2]).m, True)
-    assert len(initial) == 64
-    assert [r[:2] for r in ranges] == [r[:2] for r in initial]
-    assert any(lo < pos < hi for lo, hi, pos in ranges)
+    state = load_checkpoint(cp)
+    [[lo, hi, pos]] = state["cursor_ranges"]  # one range, stopped at pos
+    assert lo < pos < hi
+    state["cursor_ranges"] = _equal_ranges([3, 2, 2], pos)
+    assert any(lo < pos < hi for lo, hi, pos in state["cursor_ranges"])
+    save_checkpoint(cp, state)
     result = compute_D([3, 2, 2], threads=2, checkpoint_path=cp)
     assert result.to_json() == straight
 
