@@ -5,7 +5,12 @@ edges of that color inside the set: among color-c subgraphs on a fixed vertex
 set this one has pointwise-minimal distances, so a cover certificate exists in
 normal form iff one exists at all.  Singletons are valid subgraphs of
 diameter 0, which also lets a cover use fewer than t useful parts.  A
-subgraph's vertex mask is set at construction (-1 for an id no shape has).
+subgraph built from its vertex set (``make_cover``, ``cover_from_json``)
+sets its vertex mask once, -1 for an id no shape has (a bool included).  One
+built from a mask (``cover_from_masks``) keeps that mask and builds its
+vertex set only when something reads it: equality, hashing, ``repr``, the
+JSON form or a failure witness.  A passing ``verify_cover`` reads masks
+alone, so a survey builds no vertex set.
 
 Verification never trusts the producer: coverage, per-subgraph connectivity
 and diameter are all recomputed from the coloring.  Vertex ids are checked
@@ -47,14 +52,26 @@ class MonoSubgraph:
         if not self.vertices:
             raise InvalidCover("subgraph with an empty vertex set")
         # outside the fields, so equality, hashing and the JSON form see
-        # only (color, vertices); -1 marks an id that no shape has
+        # only (color, vertices); -1 marks an id that no shape has, and a
+        # bool is no vertex id even though it is an int
         mask = 0
         for v in self.vertices:
-            if not (isinstance(v, int) and 0 <= v < MAX_VERTICES):
+            if not (isinstance(v, int) and not isinstance(v, bool)
+                    and 0 <= v < MAX_VERTICES):
                 mask = -1
                 break
             mask |= 1 << v
         object.__setattr__(self, "mask", mask)
+
+    def __getattr__(self, name):
+        # reached only when a subgraph from ``cover_from_masks`` is first
+        # asked for its vertex set, which is then built from the mask
+        if name != "vertices" or "mask" not in self.__dict__:
+            raise AttributeError(f"'MonoSubgraph' object has no attribute "
+                                 f"{name!r}")
+        vertices = frozenset(bits_of(self.mask))
+        object.__setattr__(self, "vertices", vertices)
+        return vertices
 
 
 @dataclass(frozen=True)
@@ -81,8 +98,19 @@ def make_cover(*parts) -> Cover:
 
 
 def cover_from_masks(pieces) -> Cover:
-    """Build a cover from (color, vertex mask) pairs, dropping empties."""
-    return make_cover(*((c, bits_of(mask)) for c, mask in pieces))
+    """Build a cover from (color, vertex mask) pairs, dropping empties.
+
+    Each subgraph keeps the mask it is given; its vertex set is built only
+    when something reads it.
+    """
+    subs = []
+    for color, mask in pieces:
+        if mask:
+            g = object.__new__(MonoSubgraph)
+            object.__setattr__(g, "color", color)
+            object.__setattr__(g, "mask", mask)
+            subs.append(g)
+    return Cover(tuple(subs))
 
 
 @dataclass(frozen=True)

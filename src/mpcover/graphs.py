@@ -133,7 +133,8 @@ class MultipartiteShape:
         return self.clone[u]
 
     def check_vertex(self, u: int) -> None:
-        if not isinstance(u, int) or not 0 <= u < self.n:
+        if (not isinstance(u, int) or isinstance(u, bool)
+                or not 0 <= u < self.n):
             raise InvalidVertex(f"vertex {u!r} outside 0..{self.n - 1}")
 
     def __eq__(self, other):
@@ -363,10 +364,14 @@ def far_masks(chi: EdgeColoring, c: int, d: int) -> tuple:
 
     Distances are taken in the full color-c graph, and unreachable vertices
     count as far: each mask is the complement of u's radius-d ball.  Entry u
-    is in v's mask exactly when v is in u's.
+    is in v's mask exactly when v is in u's.  At d = 2 that ball is u, its
+    row and one fold of the row, with none of ``_ball``'s stop tests.
     """
     rows = chi.adj[c]
     full = chi.shape.full_mask
+    if d == 2:
+        return tuple(full & ~(1 << u | row | _grow(rows, row))
+                     for u, row in enumerate(rows))
     return tuple(full & ~_ball(rows, u, d, full) for u in range(chi.n))
 
 

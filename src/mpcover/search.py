@@ -152,8 +152,11 @@ def two_bag_cover(chi: EdgeColoring, d: int):
     radius-d balls in the full color-c graph miss each other
     (``far_masks``).  Full-graph distances bound induced distances from
     below, so a conflicting pair can share no bag and no feasible assignment
-    is cut.  At d = 2 a common-neighbor support test prunes further; leaves
-    are checked exactly.
+    is cut.  At d = 2 a support test prunes further: v joins a bag only if
+    each bag vertex u not adjacent to v shares with v a neighbor not yet
+    excluded from the bag, one AND of whole rows per such u.  The bags of a
+    leaf cover V by construction, so a leaf is decided by the two diameter
+    checks alone.
     """
     far = (far_masks(chi, RED, d), far_masks(chi, BLUE, d))
     pop = [[m.bit_count() for m in masks] for masks in far]
@@ -164,10 +167,27 @@ def two_bag_cover(chi: EdgeColoring, d: int):
     return None
 
 
+def _supported(rows, v: int, inb: int, exb: int) -> bool:
+    """The d = 2 support test of v against the vertices already in a bag.
+
+    Each bag vertex u not adjacent to v needs a common neighbor outside the
+    excluded mask; the low bits of those u are peeled inline.
+    """
+    row = rows[v]
+    keep = row & ~exb
+    rest = inb & ~row
+    while rest:
+        low = rest & -rest
+        if not rows[low.bit_length() - 1] & keep:
+            return False
+        rest ^= low
+    return True
+
+
 def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
     n = chi.n
-    conf = (far[c1], far[c2])
-    adj = (chi.adj[c1], chi.adj[c2])
+    conf1, conf2 = far[c1], far[c2]
+    adj1, adj2 = chi.adj[c1], chi.adj[c2]
     # most-constrained vertices first; the stable sort keeps ties ascending
     pop1, pop2 = pop[c1], pop[c2]
     order = sorted(range(n), key=lambda v: -(pop1[v] + pop2[v]))
@@ -175,41 +195,39 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << order[i])
     same = c1 == c2
-
-    def bag_ok(b, v, inb, exb, bar):
-        if (bar >> v) & 1:
-            return False
-        if d == 2:
-            for u in bits_of(inb & ~adj[b][v]):
-                if not (adj[b][u] & adj[b][v] & ~exb):
-                    return False
-        return True
+    support = d == 2
 
     # bar1/bar2: the vertices in conflict with some vertex already in bag
-    # 1/2 (the OR of their conflict masks), so no longer placeable there
+    # 1/2 (the OR of their conflict masks), so no longer placeable there;
+    # ex1/ex2: the vertices placed outside bag 1/2.  Each bag's test is
+    # taken once per vertex and shared by the choices (both, 1 only, 2 only),
+    # tried in that order.
     def dfs(i, in1, in2, ex1, ex2, bar1, bar2):
         if i == n:
-            pieces = ((c1, in1), (c2, in2))
-            return pieces if certifies_masks(chi, pieces, d, 2) else None
+            if (diameter_at_most(chi, c1, in1, d)
+                    and diameter_at_most(chi, c2, in2, d)):
+                return (c1, in1), (c2, in2)
+            return None
         # a later vertex already barred from both bags kills the branch
         if suffix[i] & bar1 & bar2:
             return None
         v = order[i]
         bv = 1 << v
-        choices = ((1, 1), (1, 0)) if (same and i == 0) else ((1, 1), (1, 0), (0, 1))
-        for w1, w2 in choices:
-            nex1 = ex1 if w1 else ex1 | bv
-            nex2 = ex2 if w2 else ex2 | bv
-            if w1 and not bag_ok(0, v, in1, nex1, bar1):
-                continue
-            if w2 and not bag_ok(1, v, in2, nex2, bar2):
-                continue
-            got = dfs(i + 1, in1 | bv if w1 else in1, in2 | bv if w2 else in2,
-                      nex1, nex2,
-                      bar1 | conf[0][v] if w1 else bar1,
-                      bar2 | conf[1][v] if w2 else bar2)
+        ok1 = not bar1 & bv and (not support or _supported(adj1, v, in1, ex1))
+        ok2 = not bar2 & bv and (not support or _supported(adj2, v, in2, ex2))
+        if ok1:
+            if ok2:
+                got = dfs(i + 1, in1 | bv, in2 | bv, ex1, ex2,
+                          bar1 | conf1[v], bar2 | conf2[v])
+                if got is not None:
+                    return got
+            got = dfs(i + 1, in1 | bv, in2, ex1, ex2 | bv,
+                      bar1 | conf1[v], bar2)
             if got is not None:
                 return got
+        if ok2 and not (same and i == 0):
+            return dfs(i + 1, in1, in2 | bv, ex1 | bv, ex2, bar1,
+                       bar2 | conf2[v])
         return None
 
     return dfs(0, 0, 0, 0, 0, 0, 0)

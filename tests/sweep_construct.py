@@ -1,14 +1,15 @@
-"""Exhaustive construct sweep: every orbit leader of three larger shapes.
+"""Exhaustive construct sweep: every orbit leader of three larger shapes,
+and a larger sample of colorings grown from the rare-case file.
 
-Too slow for the tier-1 suite (about half a minute), so it is named to stay
-out of test discovery; run it with ``python -m pytest tests/sweep_construct.py``.
+Too slow for the tier-1 suite (about a minute), so it is named to stay out
+of test discovery; run it with ``python -m pytest tests/sweep_construct.py``.
 Each cover must pass ``verify_cover``, and the count of each pipeline case
 that ends a run must match the counts a trusted commit produced.
 """
 
 import pytest
 
-from conftest import final_case_tally
+from conftest import final_case_tally, grown_case_tally
 
 
 @pytest.mark.parametrize("sizes, tally", [
@@ -22,3 +23,9 @@ from conftest import final_case_tally
 ])
 def test_final_case_tallies_over_orbit_leaders(sizes, tally):
     assert final_case_tally(sizes) == tally
+
+
+def test_final_case_tally_over_grown_rare_cases():
+    assert grown_case_tally(1, 20000) == {
+        "spanning": 7567, "dominating-vertex": 1118, "double-stars": 9579,
+        "layer2-peel": 378, "bridge-peel": 5, "cycle-blowup-split": 1353}

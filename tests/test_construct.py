@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from conftest import final_case_tally, random_coloring, two_star_pieces
+from conftest import (final_case_tally, grown_case_tally, random_coloring,
+                      two_star_pieces)
 from mpcover import construct
 from mpcover.construct import (GROUPINGS, balanced_grouping,
                                first_fit_grouping, multipartite_cover,
@@ -174,6 +175,17 @@ def test_rare_cases_match_golden(case):
 ])
 def test_final_case_tallies_over_orbit_leaders(sizes, tally):
     assert final_case_tally(sizes) == tally
+
+
+def test_final_case_tally_over_grown_rare_cases():
+    # 1 000 colorings grown from the rare-case file, n from 8 to 21, each
+    # cover verified at (3, 2), pinned as a trusted commit produced them.
+    # Seed 4 is one whose sample ends in every far-root case, bridge-peel
+    # included (about 1 grown coloring in 4 000 ends there), so a broken
+    # candidate in any of them moves the tally or raises.
+    assert grown_case_tally(4, 1000) == {
+        "spanning": 381, "dominating-vertex": 55, "double-stars": 468,
+        "layer2-peel": 22, "bridge-peel": 1, "cycle-blowup-split": 73}
 
 
 def test_cover_survives_color_swap_and_regrouping(rng):

@@ -1,6 +1,8 @@
 """Cover certificates and their independent verification."""
 
+import copy
 import dataclasses
+import pickle
 import re
 
 import pytest
@@ -202,6 +204,98 @@ def test_hostile_vertex_ids_raise_invalid_vertex(bad):
     with pytest.raises(InvalidVertex, match=message):
         subgraph_diameter(chi, g)
     assert not certifies_masks(chi, mask_pieces(cover), 2, 2)
+
+
+@pytest.mark.parametrize("bad", [True, False], ids=["true", "false"])
+def test_bool_vertex_ids_raise_invalid_vertex(bad):
+    # a bool is an int to isinstance, yet no shape has it as a vertex id
+    chi = EdgeColoring.all_same(build_shape([2, 2]), RED)
+    g = MonoSubgraph(RED, frozenset({bad, 2}))
+    assert g.mask == -1
+    cover = Cover((MonoSubgraph(RED, frozenset(range(4))), g))
+    message = re.escape(f"vertex {bad!r} outside 0..3")
+    with pytest.raises(InvalidVertex, match=message):
+        verify_cover(chi, cover, 2, 2)
+    with pytest.raises(InvalidVertex, match=message):
+        subgraph_diameter(chi, g)
+    with pytest.raises(InvalidVertex, match=message):
+        chi.shape.check_vertex(bad)
+    assert not certifies_masks(chi, mask_pieces(cover), 2, 2)
+
+
+def test_a_bool_id_cover_is_refused_as_it_is_written():
+    # the JSON form of a bool id is refused on reading, so verify refuses it
+    chi = EdgeColoring.all_same(build_shape([2, 2]), RED)
+    cover = make_cover((RED, [True, 2]))
+    with pytest.raises(InvalidVertex, match="vertex True outside 0..3"):
+        verify_cover(chi, cover, 2, 2)
+    with pytest.raises(InvalidCover):
+        cover_from_json(cover_to_json(cover))
+
+
+# Piece lists for the lazy-vertex-set contract: one and two pieces, an
+# empty mask to drop, and pieces that fail each way on a [3, 2, 2] coloring.
+MASK_PIECES = [
+    [(RED, 0b1111111)],
+    [(BLUE, 0b1010), (RED, 0), (RED, 0b1)],
+    [(RED, 0b0011101), (BLUE, 0b1100011)],
+    [(BLUE, 0b1000001), (RED, 0b0111110)],
+    [(RED, 0b1), (BLUE, 0b10), (RED, 0b100)],
+]
+
+
+def _eager(pieces):
+    return make_cover(*((c, list(bits_of(mask))) for c, mask in pieces))
+
+
+@pytest.mark.parametrize("pieces", MASK_PIECES)
+def test_cover_from_masks_reads_as_make_cover(pieces):
+    eager = _eager(pieces)
+    # a fresh cover for each reader, so none sees a set another one built
+    assert cover_from_masks(pieces) == eager
+    assert hash(cover_from_masks(pieces)) == hash(eager)
+    assert repr(cover_from_masks(pieces)) == repr(eager)
+    assert cover_to_json(cover_from_masks(pieces)) == cover_to_json(eager)
+    assert pickle.loads(pickle.dumps(cover_from_masks(pieces))) == eager
+    assert copy.deepcopy(cover_from_masks(pieces)) == eager
+    for g, h in zip(cover_from_masks(pieces), eager):
+        assert dataclasses.fields(g) == dataclasses.fields(h)
+        assert [f.name for f in dataclasses.fields(g)] == ["color", "vertices"]
+        assert (g.color, g.mask, g.vertices) == (h.color, h.mask, h.vertices)
+
+
+def test_a_passing_verify_builds_no_vertex_set(rng):
+    found = 0
+    for _ in range(40):
+        chi = random_coloring(rng, [3, 2, 2])
+        cover = find_cover(chi, 2, 2)  # verified once on the way out
+        if cover is None:
+            continue
+        found += 1
+        assert verify_cover(chi, cover, 2, 2) is None
+        assert all("vertices" not in vars(g) for g in cover)
+    assert found
+
+
+def test_cover_from_masks_fails_verify_as_make_cover(rng):
+    kinds = set()
+    for _ in range(20):
+        chi = random_coloring(rng, [3, 2, 2])
+        for pieces in MASK_PIECES:
+            for d, t in ((0, 2), (1, 2), (1, 3), (2, 1), (2, 2)):
+                got = verify_cover(chi, cover_from_masks(pieces), d, t)
+                assert got == verify_cover(chi, _eager(pieces), d, t)
+                kinds.add(got and got.kind)
+    assert kinds == {None, COVERAGE_GAP, DISCONNECTED, DIAMETER_EXCEEDED,
+                     TOO_MANY_SUBGRAPHS}
+
+
+def test_cover_from_masks_names_an_outside_vertex():
+    chi = EdgeColoring.all_same(build_shape([2, 2]), RED)
+    pieces = [(RED, 0b1111), (BLUE, 0b1000000001)]
+    for cover in (cover_from_masks(pieces), _eager(pieces)):
+        with pytest.raises(InvalidVertex, match="vertex 9 outside 0..3"):
+            verify_cover(chi, cover, 2, 2)
 
 
 def test_verify_is_deterministic_first_fail():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coloring, two_star_pieces
+from conftest import random_coloring, two_bag_digest, two_star_pieces
 from test_graphs import colorings_up_to_12
 from mpcover import search
 from mpcover.covers import (certifies_masks, cover_from_masks, make_cover,
@@ -148,6 +148,40 @@ def test_two_bag_search_ignores_bag_order(rng):
                 assert (br is None) == (rb is None), (sizes, chi.bits, d)
                 failed += br is None
     assert failed > 50
+
+
+# sha256 of the two-bag output over every orbit leader
+# (``conftest.two_bag_digest``), as a trusted commit's search produced it;
+# tests/sweep_two_bag.py holds the same pins for two larger shapes.  Never
+# regenerate these to make a failing run pass.
+@pytest.mark.parametrize("sizes, d, sha256", [
+    pytest.param(
+        (3, 2, 2), 1,
+        "96a138e81675a3bb3c7e57753117f6506f725b7b5584b53e75e18f0381fcd384",
+        id="3-2-2-d1"),
+    pytest.param(
+        (3, 2, 2), 2,
+        "fa620840ea106f96526df9287bc746e5dfd1425a947e3f286d5be10e7e734942",
+        id="3-2-2-d2"),
+    pytest.param(
+        (3, 2, 2), 3,
+        "1bd6386eaafd56a68107af632631f79c563c041f14460dbba026903f8c01279d",
+        id="3-2-2-d3"),
+    pytest.param(
+        (3, 3, 2), 1,
+        "030163747cb6c44710be4ec83bc071822906f61711d80151ca5644a6c8a4796e",
+        id="3-3-2-d1"),
+    pytest.param(
+        (3, 3, 2), 2,
+        "d4901a3f3eb41ee1d299eae4fa6d98cf8f0fdb57497afdc7ddfaf3b248c71bfc",
+        id="3-3-2-d2"),
+    pytest.param(
+        (3, 3, 2), 3,
+        "69cd2411aad2d4e4e9090207c982f088b0cb5804353f921c0a4e830d0bc802bf",
+        id="3-3-2-d3"),
+])
+def test_two_bag_output_matches_pinned_digest(sizes, d, sha256):
+    assert two_bag_digest(sizes, d) == sha256
 
 
 def test_no_diameter_one_cover_when_a_part_exceeds_t(rng):
