@@ -5,10 +5,16 @@ vertices 0..n-1 are numbered so that each part occupies a contiguous block.
 Edges (u < v, u and v in different parts) are ordered lexicographically and a
 2-coloring is a dense bitstring over that order: bit i = 1 means edge i is
 blue, 0 means red.  All distance work runs on per-color bitmask adjacency
-rows, so a BFS step is one OR-fold over the frontier (``_grow``).  One ball
-kernel, ``_ball``, gives the vertices of a mask within distance d of a vertex
-in the graph induced on the mask, and every graph walk but the all-pairs BFS
-oracle (``distances``, ``color_distance``) goes through it: a mask has
+rows, so a BFS step is one OR-fold over the frontier (``_grow``).  A survey
+steps those rows from one orbit leader to the next (``recolored``), which
+touches only the edges whose bit differs, rather than rebuilding them.  One
+ball kernel, ``_ball``, gives the vertices of a mask within distance d of a
+vertex in the graph induced on the mask, and every graph walk goes through
+it except the all-pairs BFS oracle (``distances``, ``color_distance``) and
+two radius-2 balls in the full graph taken as one fold past the rows,
+u | row | ``_grow(rows, row)``, with none of ``_ball``'s stop tests:
+``far_masks`` at d = 2 and the spanning rung ``search._spanning_diameter``
+at d = 2 on shapes with no size-1 part.  Through ``_ball``, a mask has
 diameter <= d exactly when each vertex's radius-d ball fills it
 (``diameter_at_most``, which first bounds a dominated mask, one vertex
 adjacent to all the others, at diameter 2 when d >= 2; stars and the covers
@@ -180,6 +186,34 @@ class EdgeColoring:
                 red[u] |= 1 << v
                 red[v] |= 1 << u
         self.adj = (tuple(red), tuple(blue))
+
+    def recolored(self, bits: int) -> "EdgeColoring":
+        """The coloring ``bits`` of the same shape, stepped from this one.
+
+        Equal to ``EdgeColoring(self.shape, bits)``: the rows are copied and
+        only the edges whose bit differs are moved between the two colors,
+        so a coloring a few edges away costs a few row updates.
+        """
+        shape = self.shape
+        if not 0 <= bits < (1 << shape.m):
+            raise InvalidShape(f"bitstring out of range for {shape.m} edges")
+        red, blue = list(self.adj[RED]), list(self.adj[BLUE])
+        edges = shape.edges
+        flip = self.bits ^ bits
+        while flip:
+            low = flip & -flip
+            u, v = edges[low.bit_length() - 1]
+            bu, bv = 1 << u, 1 << v
+            red[u] ^= bv
+            red[v] ^= bu
+            blue[u] ^= bv
+            blue[v] ^= bu
+            flip ^= low
+        chi = object.__new__(EdgeColoring)
+        chi.shape = shape
+        chi.bits = bits
+        chi.adj = (tuple(red), tuple(blue))
+        return chi
 
     @classmethod
     def from_edges(cls, shape: MultipartiteShape, colored_edges) -> "EdgeColoring":

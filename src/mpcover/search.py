@@ -3,22 +3,27 @@
 ``find_cover`` decides whether a coloring admits a cover by t monochromatic
 pieces of diameter <= d (t in {1, 2}).  The decision ladder (``_ladder``)
 runs its rungs from cheap to expensive: counting bounds, the spanning
-diameter, two stars at a size-1 part's vertex, the clone-pair prune rules,
-star + double-star pairs, and last the exhaustive two-bag search, which
-takes its conflicts from radius-d balls in the full color graph
-(``far_masks``) and so stays exact.  At d = 1 a clique-pair filter rejects
-first but never supplies the cover.  Every rung tests its candidates as
-(color, mask) pieces with ``certifies_masks`` and returns the winning
-pieces; ``_decide`` builds the one ``Cover`` and checks it with
-``verify_cover``, so every positive answer is backed by a cover that passed
-it.
+diameter (at d = 2, on shapes with no size-1 part, each vertex's ball is
+one fold past its row, as in ``far_masks``), two stars at a size-1 part's
+vertex, the clone-pair prune rules, star + double-star pairs, and last the
+exhaustive two-bag search, which takes its conflicts from radius-d balls in
+the full color graph (``far_masks``) and so stays exact.  At d = 1 a
+clique-pair filter rejects first but never supplies the cover.  Every rung
+tests its candidates as (color, mask) pieces with ``certifies_masks`` and
+returns the winning pieces; ``_decide`` builds the one ``Cover`` and checks
+it with ``verify_cover``, so every positive answer is backed by a cover that
+passed it.
 
 ``compute_D`` maximizes the per-coloring minimal feasible d over the orbit
 leaders of a shape, asking each d once in ascending order
 (``_min_cover_d``).  A survey starts from one key range; chunks of at most
 ``CHUNK_CLASSES`` classes advance the ranges, and whenever idle workers
-outnumber the free ranges the widest is split (``_claim_ranges``).  Each
-chunk returns a ``_Tally``, a commutative monoid, so the report does not
+outnumber the free ranges the widest is split (``_claim_ranges``).  Inside
+a chunk, each leader's coloring is stepped from the previous leader's
+(``EdgeColoring.recolored``), since leaders come in key order and
+consecutive ones differ in about two edges; the first leader of a chunk is
+built from scratch, so nothing is carried between chunks.  Each chunk
+returns a ``_Tally``, a commutative monoid, so the report does not
 depend on thread count, chunking or kill/resume boundaries.  A checkpoint
 holds merged progress only.  ``gk_survey`` is the same engine on the
 k-parts-of-size-2 shapes with the prune rules on, checking the structural
@@ -41,7 +46,7 @@ from .construct import star_doublestar_search
 from .covers import certifies_masks, cover_from_masks, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
-                     _ball, bilayer_partition, bits_of, build_shape,
+                     _ball, _grow, bilayer_partition, bits_of, build_shape,
                      canonical_vertex_map, diameter_at_most, far_masks,
                      mask_of, other_color, remap_edges)
 from .symmetry import (canonical_classes, key_to_bits, leader_count,
@@ -68,11 +73,17 @@ def _spanning_diameter(chi: EdgeColoring, c: int, d: int) -> bool:
     """Whether the whole color-c graph has diameter <= d (early exit).
 
     Only a size-1 part's vertex can dominate V; without one, the balls are
-    grown at once, with no scan for a dominating vertex.
+    grown at once, with no scan for a dominating vertex.  At d = 2 such a
+    ball is u, its row and one fold of the row, as in ``far_masks``.
     """
     rows, full = chi.adj[c], chi.shape.full_mask
     if chi.shape.part_sizes[-1] == 1:
         return diameter_at_most(chi, c, full, d)
+    if d == 2:
+        for u, row in enumerate(rows):
+            if 1 << u | row | _grow(rows, row) != full:
+                return False
+        return True
     for u in range(chi.n):
         if _ball(rows, u, d, full) != full:
             return False
@@ -675,9 +686,12 @@ def _chunk_worker(args):
     (sizes, t, d_max, use_symmetry, prune, survey_d, lo, hi, pos, limit) = args
     shape, group = _engine(sizes, use_symmetry)
     tally = _Tally()
+    chi = None
     for key, bits in canonical_classes(shape, group, lo=lo, hi=hi, start=pos):
-        tally.add(key, *_min_cover_d(EdgeColoring(shape, bits), t, d_max,
-                                     prune, survey_d))
+        # consecutive leaders differ in about two edges: step the rows
+        chi = (EdgeColoring(shape, bits) if chi is None
+               else chi.recolored(bits))
+        tally.add(key, *_min_cover_d(chi, t, d_max, prune, survey_d))
         if tally.classes >= limit:
             return tally, key + 1
     return tally, hi

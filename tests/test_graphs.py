@@ -1,5 +1,7 @@
 """Shapes, colorings, distances, components and the bi-distance cells."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,51 @@ def test_from_edges_roundtrip(rng):
             assert set(bits_of(chi.adj[c][u])) == {
                 v for v in range(chi.n) if chi.shape.part_id[v] != chi.shape.part_id[u]
                 and chi.color_of(u, v) == c}
+
+
+def _random_shape(rng):
+    return build_shape([rng.randint(1, 6) for _ in range(rng.randint(1, 6))])
+
+
+def _near_bits(rng, m, bits):
+    """bits with a few random edges flipped, or a fresh bitstring."""
+    if rng.random() < 0.25:
+        return rng.getrandbits(m)
+    for _ in range(rng.randint(0, 3) if m else 0):
+        bits ^= 1 << rng.randrange(m)
+    return bits
+
+
+def _same_coloring(a, b):
+    return (a.bits == b.bits and a.adj == b.adj and a == b
+            and hash(a) == hash(b))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_recolored_matches_the_constructor(seed):
+    rng = random.Random(seed)
+    shapes = [build_shape([5]), build_shape([3, 3, 2]),
+              build_shape([10, 10, 10])]
+    shapes += [_random_shape(rng) for _ in range(8)]
+    assert shapes[0].m == 0 and max(s.n for s in shapes) == 30
+    for shape in shapes:
+        m = shape.m
+        for _ in range(20):
+            a = EdgeColoring(shape, rng.getrandbits(m))
+            b = _near_bits(rng, m, a.bits)
+            assert _same_coloring(a.recolored(b), EdgeColoring(shape, b))
+        for bad in (-1, 1 << m):
+            with pytest.raises(InvalidShape):
+                a.recolored(bad)
+
+
+def test_a_chain_of_recolorings_does_not_drift(rng):
+    for sizes in ([4], [2, 2, 2, 2], [5, 2, 2], [9, 8, 7, 6]):
+        shape = build_shape(sizes)
+        chi = EdgeColoring(shape, 0)
+        for _ in range(200):
+            chi = chi.recolored(_near_bits(rng, shape.m, chi.bits))
+            assert _same_coloring(chi, EdgeColoring(shape, chi.bits))
 
 
 def test_from_edges_rejects_bad_lists():

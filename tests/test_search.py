@@ -300,6 +300,30 @@ def test_one_verify_cover_per_class(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_every_class_is_decided_on_its_own_rows(tmp_path, monkeypatch):
+    # the chunk worker steps each leader's rows from the previous leader's;
+    # a 7-class chunk limit restarts the stepping many times mid-range
+    calls = []
+    original = search._min_cover_d
+
+    def checked(chi, *args):
+        assert chi.adj == EdgeColoring(chi.shape, chi.bits).adj
+        calls.append(chi.shape.part_sizes)
+        return original(chi, *args)
+
+    monkeypatch.setattr(search, "_min_cover_d", checked)
+    stepped = compute_D([3, 3, 2], checkpoint_every=7, threads=1)
+    assert len(calls) == stepped.classes > 0
+    assert set(calls) == {(3, 3, 2)}
+    calls.clear()
+    result = gk_survey(3, threads=1, checkpoint_path=str(tmp_path / "gk3.json"))
+    assert len(calls) == result.classes > 0
+    assert set(calls) == {(2, 2, 2)}
+    monkeypatch.undo()
+    assert (stepped.to_json(timing=False)
+            == compute_D([3, 3, 2]).to_json(timing=False))
+
+
 def test_a_fresh_survey_that_miscounts_is_an_internal_error(monkeypatch):
     # no checkpoint was read, so a count off the orbit count is the engine's
     monkeypatch.setattr(search, "leader_count", lambda shape, group: 28)
