@@ -25,7 +25,7 @@ from .graphs import (EdgeColoring, build_shape, coloring_from_json,
                      coloring_to_json)
 from .ryser import Hypergraph, hypergraph_to_json, verify_equivalence_chain
 from .search import (SearchResult, classify_tripartite, compute_D, find_cover,
-                     gk_survey, prune_with_constructions)
+                     gk_checkpoint_path, gk_survey, prune_with_constructions)
 
 OK = 0
 REFUTED = 1
@@ -195,7 +195,9 @@ def cmd_gk(args) -> int:
                        checkpoint_every=args.checkpoint_every,
                        stop_after_classes=args.stop_after)
     if result is None:
-        _emit({"complete": False, "checkpoint": args.checkpoint,
+        # the file that holds the progress, also when it was not given
+        _emit({"complete": False,
+               "checkpoint": gk_checkpoint_path(args.k, args.checkpoint),
                "config": cfg}, args.output)
         return OK
     _emit({"complete": True, "result": result.to_json(args.timing),
@@ -332,6 +334,8 @@ def run_fuzz(mode: str, seed: int, iterations: int, dump_prefix="mpcover-repro")
 
 
 def cmd_fuzz(args) -> int:
+    if args.n < 0:
+        raise InvalidParameter(f"--n must be a non-negative integer, got {args.n}")
     cfg = {"command": "fuzz", "mode": args.mode, "seed": args.seed,
            "n": args.n}
     counters, violations, repro_paths = run_fuzz(args.mode, args.seed, args.n)

@@ -25,9 +25,12 @@ consecutive ones differ in about two edges; the first leader of a chunk is
 built from scratch, so nothing is carried between chunks.  Each chunk
 returns a ``_Tally``, a commutative monoid, so the report does not
 depend on thread count, chunking or kill/resume boundaries.  A checkpoint
-holds merged progress only.  ``gk_survey`` is the same engine on the
-k-parts-of-size-2 shapes with the prune rules on, checking the structural
-facts of any coloring that survives them.
+holds merged progress only.  Only a pooled survey (threads > 1) imports and
+starts the process pool (``_fork_pool``); at threads 1 the chunks run inline,
+so ``multiprocessing`` and ``concurrent.futures`` are never loaded.
+``gk_survey`` is the same engine on the k-parts-of-size-2 shapes with the
+prune rules on, checking the structural facts of any coloring that survives
+them.
 """
 
 from __future__ import annotations
@@ -37,10 +40,7 @@ import json
 import tempfile
 import time
 from collections import Counter
-from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 from .construct import star_doublestar_search
 from .covers import certifies_masks, cover_from_masks, verify_cover
@@ -830,11 +830,28 @@ def _claim_ranges(ranges, busy, idle: int):
         ranges.sort()
 
 
-def _run_inline(args) -> Future:
-    """Run a chunk now; its completed future joins the same wait and merge."""
-    done = Future()
-    done.set_result(_chunk_worker(args))
-    return done
+class _Ran:
+    """A chunk run inline, read like a finished future by the merge loop."""
+    __slots__ = ("value",)
+
+    def __init__(self, args):
+        self.value = _chunk_worker(args)
+
+    def result(self):
+        return self.value
+
+
+def _fork_pool(threads: int):
+    """A fork pool of ``threads`` workers, and a wait for its first result.
+
+    The process-pool modules are imported here, so that only a survey that
+    pools loads them: a threads=1 run never does.
+    """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from multiprocessing import get_context
+    pool = ProcessPoolExecutor(max_workers=threads,
+                               mp_context=get_context("fork"))
+    return pool, lambda futures: wait(futures, return_when=FIRST_COMPLETED)[0]
 
 
 # Most worker processes a survey may start.  The fork pool starts every worker
@@ -863,7 +880,8 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     are byte-for-byte independent of ``threads``, chunking, and resume
     boundaries; wall-clock time is accumulated separately in ``seconds``.
 
-    One as-completed scheduler runs at every thread count.  At most
+    One as-completed scheduler runs at every thread count; only with
+    ``threads > 1`` does it import and start a fork pool.  At most
     ``threads`` chunks are in flight, each advancing one key range by at most
     ``min(checkpoint_every, CHUNK_CLASSES)`` classes, capped further by what
     is left of ``stop_after_classes``.  Each chunk returns a ``_Tally``, and
@@ -927,8 +945,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     in_flight = {}  # future -> (its range, its class limit)
     pool = None
     if threads > 1:
-        pool = ProcessPoolExecutor(max_workers=threads,
-                                   mp_context=get_context("fork"))
+        pool, first_done = _fork_pool(threads)
     try:
         while True:
             if budget is None or budget > 0:
@@ -937,7 +954,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
                     chunk = limit if budget is None else min(limit, budget)
                     args = (sizes, t, d_max, use_symmetry, prune, survey_d,
                             r[0], r[1], r[2], chunk)
-                    fut = (_run_inline(args) if pool is None
+                    fut = (_Ran(args) if pool is None
                            else pool.submit(_chunk_worker, args))
                     in_flight[fut] = (r, chunk)
                     if budget is not None:
@@ -946,7 +963,8 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
                             break
             if not in_flight:
                 break
-            finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            # inline, the one chunk in flight has already run
+            finished = list(in_flight) if pool is None else first_done(in_flight)
             for fut in finished:
                 r, chunk = in_flight.pop(fut)
                 part, r[2] = fut.result()
@@ -988,13 +1006,18 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     return result
 
 
+def gk_checkpoint_path(k: int, checkpoint_path: str | None = None) -> str:
+    """The checkpoint ``gk_survey`` keeps: the given path, else one from k."""
+    return f"gk{k}.checkpoint.json" if checkpoint_path is None else checkpoint_path
+
+
 def gk_survey(k: int, d: int = 2, *, d_max: int = 4, threads: int = 1,
               checkpoint_path: str | None = None, checkpoint_every: int = 5000,
               cap_edges: int | None = None,
               stop_after_classes: int | None = None):
     """Survey the shape with k parts of size 2, clone pruning on.
 
-    Checkpointing is always on (a default path is derived from k).  Any
+    Checkpointing is always on (``gk_checkpoint_path``).  Any
     class reaching the exhaustive stage at diameter ``d`` is counted as a
     survivor and checked against the structural facts the pruning rules
     should have exploited; violations indicate bugs, and are carried in the
@@ -1002,10 +1025,9 @@ def gk_survey(k: int, d: int = 2, *, d_max: int = 4, threads: int = 1,
     """
     if not isinstance(k, int) or k < 3:
         raise InvalidParameter(f"need k >= 3, got {k!r}")
-    if checkpoint_path is None:
-        checkpoint_path = f"gk{k}.checkpoint.json"
     return compute_D([2] * k, t=2, d_max=d_max, use_symmetry=True, prune=True,
-                     threads=threads, checkpoint_path=checkpoint_path,
+                     threads=threads,
+                     checkpoint_path=gk_checkpoint_path(k, checkpoint_path),
                      checkpoint_every=checkpoint_every, cap_edges=cap_edges,
                      stop_after_classes=stop_after_classes, survey_d=d)
 

@@ -242,6 +242,22 @@ def test_gk_smallest_survey(tmp_path, capsys):
     assert obj["result"]["d"] == 2 and obj["result"]["shape"] == [2, 2, 2]
 
 
+def test_gk_stopped_without_checkpoint_names_the_file_it_resumes(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the derived checkpoint lands in cwd
+    code, out, _ = run(capsys, "gk", "--k", "3", "--stop-after", "5")
+    obj = json.loads(out)
+    assert code == OK and obj["complete"] is False
+    assert obj["config"]["checkpoint"] is None
+    assert (tmp_path / obj["checkpoint"]).is_file()
+    # a budget of 72 finishes the 76 classes only if the rerun resumes the file
+    code, out, _ = run(capsys, "gk", "--k", "3", "--stop-after", "72")
+    obj = json.loads(out)
+    assert code == OK and obj["complete"] is True
+    assert obj["result"]["classes_enumerated"] == 76
+    assert obj["config"]["checkpoint"] is None
+
+
 # ---------------------------------------------------------------------------
 # ryser / fuzz / bad input
 # ---------------------------------------------------------------------------
@@ -330,6 +346,7 @@ TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
      ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")),
     ({"cp.json": NOT_UTF8},
      ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")),
+    ({}, ("fuzz", "--mode", "prune", "--seed", "1", "--n", "-3")),
 ], ids=["bits-not-hex", "edge-without-color", "subgraph-without-color",
         "checkpoint-without-config", "part-size-not-int",
         "vertices-not-a-list", "checkpoint-every-0", "checkpoint-every-negative",
@@ -337,7 +354,7 @@ TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
         "threads-huge", "threads-0", "gk-threads-huge", "gk-threads-0",
         "coloring-not-utf8", "cover-not-utf8", "coloring-nested-too-deep",
         "part-size-too-many-digits", "checkpoint-nested-too-deep",
-        "checkpoint-not-utf8"])
+        "checkpoint-not-utf8", "fuzz-n-negative"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, files, argv):
     _assert_config_error(tmp_path, files, argv, timeout=120)
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -650,13 +652,46 @@ def test_threads_must_be_a_bounded_integer(monkeypatch, threads):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was built")
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(search, "_fork_pool", no_pool)
     with pytest.raises(InvalidParameter, match="threads"):
         compute_D([2, 2, 1], threads=threads)
     with pytest.raises(InvalidParameter, match="threads"):
         gk_survey(3, threads=threads, checkpoint_path=os.devnull)
     with pytest.raises(AssertionError, match="pool"):
         compute_D([2, 2, 1], threads=2)  # the guard above is the only stop
+
+
+# Every serial entry point at threads 1, then the pooled survey it must match.
+POOL_FREE_RUN = """
+import sys
+from mpcover import cli
+from mpcover.construct import multipartite_cover
+from mpcover.graphs import EdgeColoring, build_shape
+from mpcover.search import (compute_D, find_cover, gk_survey,
+                            prune_with_constructions)
+
+serial = compute_D([3, 2, 2]).to_json()
+gk_survey(3, checkpoint_path="gk3.json")
+chi = EdgeColoring(build_shape([2, 2, 2, 2, 2]), 0x2c5a3)
+find_cover(chi, 2, 2)
+multipartite_cover(chi)
+prune_with_constructions(chi, 2)
+assert cli.main(["fuzz", "--mode", "prune", "--seed", "1", "--n", "5"]) == 0
+loaded = sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules))
+assert not loaded, f"a threads=1 run loaded {loaded}"
+assert compute_D([3, 2, 2], threads=2).to_json() == serial
+assert "multiprocessing" in sys.modules  # the pooled survey did pool
+"""
+
+
+def test_only_a_pooled_survey_imports_the_process_pool(tmp_path):
+    # a fresh interpreter, since this one has long loaded the pool modules
+    src = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", POOL_FREE_RUN], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_stopping_early_needs_a_checkpoint():
