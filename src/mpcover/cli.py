@@ -315,7 +315,7 @@ def _fuzz_one(mode, rng, i):
 FUZZ_MODES = ("construct", "tc2", "prune", "equivalence")
 
 
-def run_fuzz(mode: str, seed: int, iterations: int, dump_prefix="mpcover-repro"):
+def run_fuzz(mode: str, seed: int, iterations: int):
     """Seeded property fuzz; returns (counters, violations list of paths)."""
     rng = random.Random(seed)
     counters = Counter()
@@ -325,7 +325,7 @@ def run_fuzz(mode: str, seed: int, iterations: int, dump_prefix="mpcover-repro")
         label, repro = _fuzz_one(mode, rng, i)
         counters[label] += 1
         if label in bad_labels and repro is not None:
-            path = f"{dump_prefix}-{mode}-{seed}-{i}.json"
+            path = f"mpcover-repro-{mode}-{seed}-{i}.json"
             with open(path, "w") as fh:
                 json.dump(repro, fh, indent=2, sort_keys=True)
             repro_paths.append(path)

@@ -315,8 +315,7 @@ def _eq_line(name, lhs, rhs):
     return {"inequality": name, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
 
 
-def verify_equivalence_chain(obj, cap_vertices: int = DEFAULT_CAP_VERTICES,
-                             cap_edges: int = DEFAULT_CAP_EDGES):
+def verify_equivalence_chain(obj):
     """Check the cover/matching inequalities across the two constructions.
 
     For a colored-graph input G with H = graph_to_hypergraph(G):
@@ -329,15 +328,15 @@ def verify_equivalence_chain(obj, cap_vertices: int = DEFAULT_CAP_VERTICES,
     if isinstance(obj, Hypergraph):
         h = obj
         g = hypergraph_to_graph(h)
-        hs = exact_stats(h, cap_vertices, cap_edges)
-        gs = exact_stats(g, cap_vertices, cap_edges)
+        hs = exact_stats(h)
+        gs = exact_stats(g)
         report.append(_line("tau(H) <= tc(G_from_H)", hs.tau, gs.tc))
         report.append(_line("alpha(G_from_H) <= nu(H)", gs.alpha, hs.nu))
     else:
         g = obj
         h = graph_to_hypergraph(g)
-        gs = exact_stats(g, cap_vertices, cap_edges)
-        hs = exact_stats(h, cap_vertices, cap_edges)
+        gs = exact_stats(g)
+        hs = exact_stats(h)
         report.append(_line("tc(G) <= tau(H_from_G)", gs.tc, hs.tau))
         report.append(_line("nu(H_from_G) <= alpha(G)", hs.nu, gs.alpha))
     if h.r == 2 and all(len(e) == 2 for e in h.edges):

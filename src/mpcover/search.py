@@ -41,12 +41,13 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 from .construct import star_doublestar_search
 from .covers import certifies_masks, cover_from_masks, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
-from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape,
-                     _ball, _grow, bilayer_partition, bits_of, build_shape,
+from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape, _grow,
+                     bilayer_partition, bits_of, build_shape,
                      canonical_vertex_map, diameter_at_most, far_masks,
                      mask_of, other_color, remap_edges)
 from .symmetry import (canonical_classes, key_to_bits, leader_count,
@@ -72,20 +73,16 @@ def _star_mask(chi: EdgeColoring, c: int, v: int) -> int:
 def _spanning_diameter(chi: EdgeColoring, c: int, d: int) -> bool:
     """Whether the whole color-c graph has diameter <= d (early exit).
 
-    Only a size-1 part's vertex can dominate V; without one, the balls are
-    grown at once, with no scan for a dominating vertex.  At d = 2 such a
-    ball is u, its row and one fold of the row, as in ``far_masks``.
+    Only a size-1 part's vertex can dominate V.  So at d = 2 on a shape with
+    no size-1 part the balls are grown at once, with no scan for a
+    dominating vertex, each as u, its row and one fold of the row, as in
+    ``far_masks``.  Every other case goes to ``diameter_at_most``.
     """
     rows, full = chi.adj[c], chi.shape.full_mask
-    if chi.shape.part_sizes[-1] == 1:
+    if d != 2 or chi.shape.part_sizes[-1] == 1:
         return diameter_at_most(chi, c, full, d)
-    if d == 2:
-        for u, row in enumerate(rows):
-            if 1 << u | row | _grow(rows, row) != full:
-                return False
-        return True
-    for u in range(chi.n):
-        if _ball(rows, u, d, full) != full:
+    for u, row in enumerate(rows):
+        if 1 << u | row | _grow(rows, row) != full:
             return False
     return True
 
@@ -469,9 +466,14 @@ def find_cover(chi: EdgeColoring, t: int, d: int):
 
 
 def _min_cover_d(chi, t, d_max, prune, survey_d):
-    """(min feasible d or d_max+1, label, survivor violations or None)."""
+    """(min feasible d or d_max+1, label, survivor violations or None).
+
+    No cover appears past d = n - 1, the most a piece of finite diameter
+    has; the walk stops there, or at ``survey_d`` when that is later.
+    """
     surv = None
-    for d in range(d_max + 1):
+    last = chi.n - 1 if survey_d is None else max(chi.n - 1, survey_d)
+    for d in range(min(d_max, last) + 1):
         cover, label = _decide(chi, t, d, prune)
         if survey_d is not None and d == survey_d and prune and \
                 (cover is None or label == "trichotomy"):
@@ -781,19 +783,11 @@ def _resume(state: dict, path: str, config: dict, end: int, m: int):
         raise InvalidParameter(f"malformed checkpoint {path}: {e!r}")
 
 
-def _checkpoint_config(sizes, t, d_max, use_symmetry, prune, survey_d):
-    return {"shape": list(sizes), "t": t, "d_max": d_max,
-            "use_symmetry": use_symmetry, "prune": prune,
-            "survey_d": survey_d}
-
-
 # ---------------------------------------------------------------------------
 # The survey engine
 # ---------------------------------------------------------------------------
 
-def _edge_cap(cap_edges):
-    if cap_edges is not None:
-        return cap_edges
+def _edge_cap():
     raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP_EDGES))
     if not (raw.isascii() and raw.strip().isdigit()):
         raise InvalidParameter(f"{CAP_ENV_VAR} must be a non-negative "
@@ -870,15 +864,18 @@ def _check_count(name: str, value, most: int | None = None,
 def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
               use_symmetry: bool = True, prune: bool = True,
               threads: int = 1, checkpoint_path: str | None = None,
-              checkpoint_every: int = 5000, cap_edges: int | None = None,
+              checkpoint_every: int = 5000,
               stop_after_classes: int | None = None,
               survey_d: int | None = None):
     """Max over coloring classes of the minimal feasible cover diameter.
 
-    Returns a SearchResult, or None when ``stop_after_classes`` ran out
-    before the survey finished (progress lives in the checkpoint).  Results
-    are byte-for-byte independent of ``threads``, chunking, and resume
-    boundaries; wall-clock time is accumulated separately in ``seconds``.
+    ``part_sizes`` is a list of part sizes; ``MPCOVER_CAP_EDGES`` caps the
+    shape's edge count.  Returns a SearchResult, or None when
+    ``stop_after_classes`` ran out before the survey finished (progress lives
+    in the checkpoint); a budget that runs out once all ``leader_count``
+    classes have merged still finishes.  Results are byte-for-byte
+    independent of ``threads``, chunking, and resume boundaries; wall-clock
+    time is accumulated separately in ``seconds``.
 
     One as-completed scheduler runs at every thread count; only with
     ``threads > 1`` does it import and start a fork pool.  At most
@@ -894,8 +891,8 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     range with a chunk in flight keeps its old cursor, so a resumed run redoes
     the chunks that were in flight and whatever merged after the last write.
     """
-    sizes = tuple(part_sizes.part_sizes) if isinstance(part_sizes, MultipartiteShape) \
-        else tuple(build_shape(part_sizes).part_sizes)
+    shape = build_shape(part_sizes)
+    sizes = shape.part_sizes
     _check_td(t, 0)
     _check_count("d_max", d_max, least=0)
     if survey_d is not None:
@@ -907,8 +904,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
         if not checkpoint_path:
             raise InvalidParameter("stopping early needs a checkpoint path to "
                                    "keep the progress in")
-    shape = build_shape(sizes)
-    cap = _edge_cap(cap_edges)
+    cap = _edge_cap()
     if shape.m > cap:
         order = 2 * vertex_group_order(shape)
         estimate = max(1, (1 << shape.m) // order)
@@ -917,7 +913,9 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
             f"(roughly {estimate} classes); raise {CAP_ENV_VAR} to proceed",
             estimate=estimate)
 
-    config = _checkpoint_config(sizes, t, d_max, use_symmetry, prune, survey_d)
+    config = {"shape": list(sizes), "t": t, "d_max": d_max,
+              "use_symmetry": use_symmetry, "prune": prune,
+              "survey_d": survey_d}
     # One range of all keys, split as workers go idle.  Orbit leaders always
     # start with a red edge (the color swap would beat them otherwise), so
     # the top half of the key space is empty.
@@ -936,8 +934,11 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
                 "config": config, "cursor_ranges": [list(r) for r in ranges],
                 **tally.to_checkpoint(spent)}
 
+    orbit_count = cache(  # the Burnside total, computed at most once
+        lambda: leader_count(shape, _engine(sizes, use_symmetry)[1]))
+
     # budget: classes still allowed, less the limits of the chunks in flight
-    budget = stop_after_classes
+    budget = float("inf") if stop_after_classes is None else stop_after_classes
     limit = min(checkpoint_every, CHUNK_CLASSES)
     unsaved = 0
     prior_seconds = spent
@@ -948,21 +949,26 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
         pool, first_done = _fork_pool(threads)
     try:
         while True:
-            if budget is None or budget > 0:
+            if budget > 0:
                 busy = {id(r) for r, _ in in_flight.values()}
                 for r in _claim_ranges(ranges, busy, threads - len(in_flight)):
-                    chunk = limit if budget is None else min(limit, budget)
+                    chunk = min(limit, budget)
                     args = (sizes, t, d_max, use_symmetry, prune, survey_d,
                             r[0], r[1], r[2], chunk)
                     fut = (_Ran(args) if pool is None
                            else pool.submit(_chunk_worker, args))
                     in_flight[fut] = (r, chunk)
-                    if budget is not None:
-                        budget -= chunk
-                        if budget <= 0:
-                            break
+                    budget -= chunk
+                    if budget <= 0:
+                        break
             if not in_flight:
-                break
+                if budget > 0 or tally.classes != orbit_count() \
+                        or all(pos == hi for _, hi, pos in ranges):
+                    break
+                # every class merged: the keys left hold no leader, and a
+                # leader found there fails the orbit-count check below
+                budget = float("inf")
+                continue
             # inline, the one chunk in flight has already run
             finished = list(in_flight) if pool is None else first_done(in_flight)
             for fut in finished:
@@ -970,9 +976,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
                 part, r[2] = fut.result()
                 tally.merge(part)
                 unsaved += part.classes
-                if budget is not None:
-                    # a range ended short of its limit
-                    budget += chunk - part.classes
+                budget += chunk - part.classes  # a range ended short of its limit
             spent = prior_seconds + (time.monotonic() - started)
             if checkpoint_path and unsaved >= checkpoint_every:
                 save_checkpoint(checkpoint_path, snapshot())
@@ -984,10 +988,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     if any(pos < hi for _, hi, pos in ranges):
         save_checkpoint(checkpoint_path, snapshot())  # the budget ran out
         return None
-    if tally.best is None:
-        raise InvalidParameter("empty enumeration; nothing to survey")
-    classes = tally.classes
-    expected = leader_count(shape, _engine(sizes, use_symmetry)[1])
+    classes, expected = tally.classes, orbit_count()
     if classes != expected:
         # a resumed survey's counts came from the file, which is then at fault
         error = InvalidParameter if resumed else RuntimeError
@@ -1013,7 +1014,6 @@ def gk_checkpoint_path(k: int, checkpoint_path: str | None = None) -> str:
 
 def gk_survey(k: int, d: int = 2, *, d_max: int = 4, threads: int = 1,
               checkpoint_path: str | None = None, checkpoint_every: int = 5000,
-              cap_edges: int | None = None,
               stop_after_classes: int | None = None):
     """Survey the shape with k parts of size 2, clone pruning on.
 
@@ -1028,7 +1028,7 @@ def gk_survey(k: int, d: int = 2, *, d_max: int = 4, threads: int = 1,
     return compute_D([2] * k, t=2, d_max=d_max, use_symmetry=True, prune=True,
                      threads=threads,
                      checkpoint_path=gk_checkpoint_path(k, checkpoint_path),
-                     checkpoint_every=checkpoint_every, cap_edges=cap_edges,
+                     checkpoint_every=checkpoint_every,
                      stop_after_classes=stop_after_classes, survey_d=d)
 
 

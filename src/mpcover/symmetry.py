@@ -34,6 +34,7 @@ are unchanged; only the class count inflates.
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import factorial
 
 from .errors import CapExceeded
 from .graphs import EdgeColoring, MultipartiteShape, remap_edges
@@ -42,13 +43,6 @@ from .graphs import EdgeColoring, MultipartiteShape, remap_edges
 # permutations; 7!*2*2 for a [7,1,1] shape is the largest acceptance-relevant
 # full expansion.
 FULL_EXPANSION_CAP = 20160
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 class SymmetryGroup:
@@ -152,9 +146,9 @@ def vertex_group_order(shape: MultipartiteShape) -> int:
     """Order of the vertex-permutation group (color swap not included)."""
     out = 1
     for a in shape.part_sizes:
-        out *= _factorial(a)
+        out *= factorial(a)
     for fam in size_families(shape):
-        out *= _factorial(len(fam))
+        out *= factorial(len(fam))
     return out
 
 
@@ -406,12 +400,15 @@ def canonical_key(chi: EdgeColoring, group: SymmetryGroup | None = None) -> int:
     return _lexmin_backtrack(chi)
 
 
-def _lexmin_backtrack(chi: EdgeColoring, leaf_budget: int = 2_000_000) -> int:
+LEAF_BUDGET = 2_000_000
+
+
+def _lexmin_backtrack(chi: EdgeColoring) -> int:
     """Exact lex-min orbit member by assigning canonical slots one by one.
 
     Prunes on the contiguous determined edge prefix (the first-vertex star),
-    which is weak but sound; a leaf budget guards against shapes where the
-    full group is astronomically large.
+    which is weak but sound; a budget of ``LEAF_BUDGET`` leaves guards
+    against shapes where the full group is astronomically large.
     """
     shape = chi.shape
     m = shape.m
@@ -456,7 +453,7 @@ def _lexmin_backtrack(chi: EdgeColoring, leaf_budget: int = 2_000_000) -> int:
             nonlocal best_key, leaves, used
             if slot == n:
                 leaves += 1
-                if leaves > leaf_budget:
+                if leaves > LEAF_BUDGET:
                     raise CapExceeded(
                         "canonical key backtracking exceeded its leaf budget")
                 key = leaf_key()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -523,8 +524,9 @@ def test_d_max_exhaustion_reports_exceeded():
 
 
 def test_edge_cap(monkeypatch):
+    monkeypatch.setenv("MPCOVER_CAP_EDGES", "20")
     with pytest.raises(CapExceeded) as e:
-        compute_D([3, 3, 3], cap_edges=20)
+        compute_D([3, 3, 3])
     assert e.value.estimate and e.value.estimate > 0
     monkeypatch.setenv("MPCOVER_CAP_EDGES", "5")
     with pytest.raises(CapExceeded):
@@ -831,6 +833,52 @@ def test_stop_and_resume_across_thread_counts(tmp_path, first, second):
     assert 0 < state["counts"]["classes_enumerated"] < straight["classes_enumerated"]
     result = compute_D([3, 2, 2], threads=second, checkpoint_path=cp)
     assert result.to_json() == straight
+
+
+@pytest.mark.parametrize("budget", [27, 26])
+def test_a_budget_spent_on_the_last_class_finishes(tmp_path, budget):
+    straight = compute_D([2, 2, 1]).to_json()
+    assert straight["classes_enumerated"] == 27
+    cp = str(tmp_path / "cp.json")
+    result = compute_D([2, 2, 1], checkpoint_path=cp, stop_after_classes=budget)
+    if budget < 27:
+        assert result is None
+        result = compute_D([2, 2, 1], checkpoint_path=cp)
+    assert result.to_json() == straight
+
+
+def test_a_forged_count_fails_when_the_last_keys_are_scanned(tmp_path):
+    # 25 classes merged but 26 claimed: the 26th merged leader brings the
+    # claim to the orbit count, and the scan of the keys left finds the 27th
+    cp = str(tmp_path / "cp.json")
+    assert compute_D([2, 2, 1], checkpoint_path=cp,
+                     stop_after_classes=25) is None
+    state = load_checkpoint(cp)
+    counts = state["counts"]
+    counts["classes_enumerated"] += 1
+    rule = next(iter(counts["pruned_by_rule"]))
+    counts["pruned_by_rule"][rule] += 1
+    save_checkpoint(cp, state)
+    with pytest.raises(InvalidParameter, match="counted 28 classes"):
+        compute_D([2, 2, 1], checkpoint_path=cp, stop_after_classes=1)
+
+
+def test_min_cover_d_stops_at_n_minus_one(monkeypatch):
+    # a piece of finite diameter has diameter <= n - 1, so no cover of [2, 2]
+    # appears past d = 3 and d_max = 50 asks no more than d_max = 3
+    calls = Counter()
+    decide = search._decide
+
+    def counted(chi, t, d, prune):
+        calls[chi.bits] += 1
+        return decide(chi, t, d, prune)
+
+    monkeypatch.setattr(search, "_decide", counted)
+    result = compute_D([2, 2], t=1, d_max=50)
+    assert result.exceeded and result.d == 51
+    assert result.rules["uncovered"] > 0
+    assert len(calls) == result.classes
+    assert max(calls.values()) <= 4
 
 
 def test_checkpoint_with_the_initial_layout_resumes(tmp_path):
