@@ -7,15 +7,15 @@ from .errors import (CapExceeded, ConstructionExhausted, EmptySet,
                      InequalityViolated, InvalidCover, InvalidParameter,
                      InvalidShape, InvalidVertex, MpcoverError, NoUniqueClone,
                      Unsupported)
-from .families import gen_fig4, gen_thm31, parse_family
+from .families import (check_monotone_extension, classify_tripartite,
+                       gen_fig4, gen_thm31, parse_family)
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape, build_shape,
                      coloring_from_json, coloring_to_json, color_diameter,
                      color_distance)
 from .construct import multipartite_cover, tc2_cover, tripartite_cover
 from .ryser import (CoverStats, Hypergraph, exact_stats, graph_to_hypergraph,
                     hypergraph_to_graph, verify_equivalence_chain)
-from .search import (SearchResult, check_monotone_extension,
-                     classify_tripartite, compute_D, cover_exists, find_cover,
+from .search import (SearchResult, compute_D, cover_exists, find_cover,
                      gk_survey, prune_with_constructions)
 from .symmetry import canonical_classes, canonical_key, symmetry_group
 

@@ -20,12 +20,12 @@ from .covers import (cover_from_json, cover_to_json, subgraph_diameter,
                      verify_cover)
 from .errors import (CapExceeded, ConstructionExhausted, InequalityViolated,
                      InvalidParameter, MpcoverError)
-from .families import parse_family
+from .families import classify_tripartite, parse_family
 from .graphs import (EdgeColoring, build_shape, coloring_from_json,
                      coloring_to_json)
 from .ryser import Hypergraph, hypergraph_to_json, verify_equivalence_chain
-from .search import (SearchResult, classify_tripartite, compute_D, find_cover,
-                     gk_checkpoint_path, gk_survey, prune_with_constructions)
+from .search import (SearchResult, compute_D, find_cover, gk_checkpoint_path,
+                     gk_survey, prune_with_constructions)
 
 OK = 0
 REFUTED = 1

@@ -1,4 +1,5 @@
-"""Hand-built colorings with self-checking transcriptions.
+"""The paper's hand-built colorings, its tripartite classification, and
+monotone extension.
 
 Two families live here: a parametric coloring of K_{2k+1,2,...,2} (k parts of
 size 2) that admits no two-bag diameter-2 cover, and a fixed 9-vertex
@@ -6,13 +7,20 @@ coloring of K_{4,3,2} with the same property.  Both are entered as literal
 edge lists/rules, so every generator re-derives a handful of independent
 distance facts after building the coloring and refuses to return anything
 that fails them.  That turns a silent transcription slip into a loud crash.
+
+``classify_tripartite`` states the paper's closed-form D for three parts,
+which the tests check against ``search.compute_D``.
+``check_monotone_extension`` clones a vertex into its own part; a coloring
+with no cover keeps none after the clone, which the tests check on both
+families.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
-                     color_distance)
+                     canonical_vertex_map, color_distance, mask_of,
+                     remap_edges)
 
 
 class TranscriptionError(AssertionError):
@@ -123,6 +131,55 @@ def gen_fig4() -> EdgeColoring:
     red_mids = list(bits_of(chi.adj[RED][v7] & chi.adj[RED][v5]))
     _check(red_mids == [v2], "unique red 2-path v7-v2-v5")
     return chi
+
+
+# ============================================================================
+# THE TRIPARTITE CLASSIFICATION AND MONOTONE EXTENSION
+# ============================================================================
+
+def classify_tripartite(part_sizes) -> int:
+    """Closed-form D for 3-part shapes (t = 2), no search.
+
+    D = 3 exactly when the sorted sizes dominate [5,2,2] or [4,3,2]
+    componentwise; D = 1 only for [1,1,1] and [2,1,1]; everything else is 2.
+    Compare against compute_D for the brute-force cross-check.
+    """
+    shape = build_shape(part_sizes)
+    if shape.k != 3:
+        raise Unsupported(f"classification needs exactly 3 parts, "
+                          f"got {list(shape.part_sizes)}")
+    s = shape.part_sizes
+    if s in ((1, 1, 1), (2, 1, 1)):
+        return 1
+    if (s[0] >= 5 and s[1] >= 2 and s[2] >= 2) or \
+            (s[0] >= 4 and s[1] >= 3 and s[2] >= 2):
+        return 3
+    return 2
+
+
+def check_monotone_extension(chi: EdgeColoring, x: int) -> EdgeColoring:
+    """Clone x into its part: the new vertex copies x's edge colors.
+
+    The new coloring lives on the shape with x's part one bigger; every edge
+    between old vertices keeps its color, and the new vertex y gets
+    color(v, y) = color(v, x) for every common neighbor v.  (y and x are in
+    the same part, so they share all their neighbors and are non-adjacent.)
+    """
+    shape = chi.shape
+    shape.check_vertex(x)
+    p = shape.part_id[x]
+    new_sizes = list(shape.part_sizes)
+    new_sizes[p] += 1
+    new_shape = build_shape(new_sizes)
+    # y joins as old vertex n, last in x's part
+    vmap = canonical_vertex_map(shape.part_id + (p,), new_sizes)
+    # y's edges are the images of x's under the map that sends x to y; the
+    # other edges map as under vmap, so the union adds exactly y's edges
+    to_y = vmap[:shape.n]
+    to_y[x] = vmap[shape.n]
+    return EdgeColoring(new_shape, mask_of(
+        remap_edges(shape.edges, vmap, new_shape, chi.bits)
+        + remap_edges(shape.edges, to_y, new_shape, chi.bits)))
 
 
 # ============================================================================

@@ -16,9 +16,10 @@ u | row | ``_grow(rows, row)``, with none of ``_ball``'s stop tests:
 ``far_masks`` at d = 2 and the spanning rung ``search._spanning_diameter``
 at d = 2 on shapes with no size-1 part.  Through ``_ball``, a mask has
 diameter <= d exactly when each vertex's radius-d ball fills it
-(``diameter_at_most``, which first bounds a dominated mask, one vertex
-adjacent to all the others, at diameter 2 when d >= 2; stars and the covers
-built from them are dominated), the exact ``diameter_in_mask`` raises a
+(``diameter_at_most``, which tests a clique with one AND per vertex at
+d = 1, and first bounds a dominated mask, one vertex adjacent to all the
+others, at diameter 2 when d >= 2; stars and the covers built from them are
+dominated), the exact ``diameter_in_mask`` raises a
 running bound until every ball fills the mask, ``far_masks`` is the
 complement of each vertex's radius-d ball, and ``component_of`` is a ball of
 radius n.  ``remap_edges`` carries edges through a vertex map onto a shape's
@@ -90,10 +91,11 @@ class MultipartiteShape:
                  "edge_index", "m", "full_mask", "clone")
 
     def __init__(self, part_sizes):
-        sizes = tuple(sorted(part_sizes, reverse=True))
-        if not sizes or any(a < 1 for a in sizes):
+        # checked before sorting; a bool is no part size, though it is an int
+        if not part_sizes or any(type(a) is not int or a < 1 for a in part_sizes):
             raise InvalidShape(f"part sizes must be a nonempty list of "
                                f"positive integers, got {list(part_sizes)!r}")
+        sizes = tuple(sorted(part_sizes, reverse=True))
         n = sum(sizes)
         if n > MAX_VERTICES:
             raise InvalidShape(f"shape has {n} vertices; at most "
@@ -172,8 +174,8 @@ class EdgeColoring:
     __slots__ = ("shape", "bits", "adj")
 
     def __init__(self, shape: MultipartiteShape, bits: int):
-        if not 0 <= bits < (1 << shape.m):
-            raise InvalidShape(f"bitstring out of range for {shape.m} edges")
+        if type(bits) is not int or not 0 <= bits < (1 << shape.m):  # no bool
+            raise InvalidShape(f"bits {bits!r} out of range for {shape.m} edges")
         self.shape = shape
         self.bits = bits
         red = [0] * shape.n
@@ -195,8 +197,8 @@ class EdgeColoring:
         so a coloring a few edges away costs a few row updates.
         """
         shape = self.shape
-        if not 0 <= bits < (1 << shape.m):
-            raise InvalidShape(f"bitstring out of range for {shape.m} edges")
+        if type(bits) is not int or not 0 <= bits < (1 << shape.m):
+            raise InvalidShape(f"bits {bits!r} out of range for {shape.m} edges")
         red, blue = list(self.adj[RED]), list(self.adj[BLUE])
         edges = shape.edges
         flip = self.bits ^ bits
@@ -430,7 +432,8 @@ def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
 def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     """``diameter_in_mask(chi, c, allowed) <= d``, with early exit.
 
-    At d >= 2 a vertex adjacent in color c to every other vertex of the mask
+    At d = 1 the mask must be a clique: one AND per vertex, no ball.  At
+    d >= 2 a vertex adjacent in color c to every other vertex of the mask
     dominates it, which bounds the diameter by 2: a scan of one AND per
     vertex looks for one before any ball is grown.  Then one ball per vertex,
     stopping with False at the first radius-d ball that misses part of the
@@ -440,6 +443,13 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
         return False
     rows = chi.adj[c]
     rest = allowed
+    if d == 1:
+        while rest:
+            low = rest & -rest
+            if allowed & ~rows[low.bit_length() - 1] != low:
+                return False
+            rest ^= low
+        return True
     if d >= 2:
         while rest:
             low = rest & -rest

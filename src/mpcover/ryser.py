@@ -39,14 +39,12 @@ class Hypergraph:
     """An r-partite hypergraph on vertices 0..n-1.
 
     ``classes`` partitions the vertices; no edge may contain two vertices of
-    one class.  Edges are deduplicated frozensets in sorted order.  When
-    built from a graph, ``vertex_edge`` maps each graph vertex to its
-    (pre-deduplication) hyperedge.
+    one class.  Edges are deduplicated frozensets in sorted order.
     """
 
-    __slots__ = ("classes", "edges", "class_of", "vertex_edge")
+    __slots__ = ("classes", "edges", "class_of")
 
-    def __init__(self, classes, edges, vertex_edge=None):
+    def __init__(self, classes, edges):
         self.classes = tuple(tuple(sorted(cl)) for cl in classes)
         flat = sorted(v for cl in self.classes for v in cl)
         if flat != list(range(len(flat))):
@@ -72,7 +70,6 @@ class Hypergraph:
                 seen.add(fe)
                 normalized.append(fe)
         self.edges = tuple(sorted(normalized, key=sorted))
-        self.vertex_edge = vertex_edge
 
     @property
     def n(self) -> int:
@@ -168,7 +165,7 @@ def graph_to_hypergraph(g) -> Hypergraph:
             comp_id[(BLUE, v)] = off + i
     vertex_edge = tuple(frozenset({comp_id[(RED, v)], comp_id[(BLUE, v)]})
                         for v in range(n))
-    return Hypergraph(classes, vertex_edge, vertex_edge=vertex_edge)
+    return Hypergraph(classes, vertex_edge)
 
 
 def hypergraph_to_graph(h: Hypergraph) -> ColoredGraph:
@@ -307,12 +304,8 @@ def exact_stats(obj, cap_vertices: int = DEFAULT_CAP_VERTICES,
 # THE INEQUALITY CHAIN
 # ============================================================================
 
-def _line(name, lhs, rhs):
-    return {"inequality": name, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
-
-
-def _eq_line(name, lhs, rhs):
-    return {"inequality": name, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
+def _line(name, lhs, rhs, ok):
+    return {"inequality": name, "lhs": lhs, "rhs": rhs, "ok": ok}
 
 
 def verify_equivalence_chain(obj):
@@ -330,17 +323,22 @@ def verify_equivalence_chain(obj):
         g = hypergraph_to_graph(h)
         hs = exact_stats(h)
         gs = exact_stats(g)
-        report.append(_line("tau(H) <= tc(G_from_H)", hs.tau, gs.tc))
-        report.append(_line("alpha(G_from_H) <= nu(H)", gs.alpha, hs.nu))
+        report.append(_line("tau(H) <= tc(G_from_H)", hs.tau, gs.tc,
+                            hs.tau <= gs.tc))
+        report.append(_line("alpha(G_from_H) <= nu(H)", gs.alpha, hs.nu,
+                            gs.alpha <= hs.nu))
     else:
         g = obj
         h = graph_to_hypergraph(g)
         gs = exact_stats(g)
         hs = exact_stats(h)
-        report.append(_line("tc(G) <= tau(H_from_G)", gs.tc, hs.tau))
-        report.append(_line("nu(H_from_G) <= alpha(G)", hs.nu, gs.alpha))
+        report.append(_line("tc(G) <= tau(H_from_G)", gs.tc, hs.tau,
+                            gs.tc <= hs.tau))
+        report.append(_line("nu(H_from_G) <= alpha(G)", hs.nu, gs.alpha,
+                            hs.nu <= gs.alpha))
     if h.r == 2 and all(len(e) == 2 for e in h.edges):
-        report.append(_eq_line("tau(H) == nu(H) (bipartite)", hs.tau, hs.nu))
+        report.append(_line("tau(H) == nu(H) (bipartite)", hs.tau, hs.nu,
+                            hs.tau == hs.nu))
     bad = [line for line in report if not line["ok"]]
     if bad:
         raise InequalityViolated(

@@ -8,7 +8,8 @@ one fold past its row, as in ``far_masks``), two stars at a size-1 part's
 vertex, the clone-pair prune rules, star + double-star pairs, and last the
 exhaustive two-bag search, which takes its conflicts from radius-d balls in
 the full color graph (``far_masks``) and so stays exact.  At d = 1 a
-clique-pair filter rejects first but never supplies the cover.  Every rung
+clique-pair filter rejects first but never supplies the cover; it tests its
+cliques with ``diameter_at_most`` at d = 1, one AND per vertex.  Every rung
 tests its candidates as (color, mask) pieces with ``certifies_masks`` and
 returns the winning pieces; ``_decide`` builds the one ``Cover`` and checks
 it with ``verify_cover``, so every positive answer is backed by a cover that
@@ -48,8 +49,7 @@ from .covers import certifies_masks, cover_from_masks, verify_cover
 from .errors import CapExceeded, InvalidParameter, Unsupported
 from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape, _grow,
                      bilayer_partition, bits_of, build_shape,
-                     canonical_vertex_map, diameter_at_most, far_masks,
-                     mask_of, other_color, remap_edges)
+                     diameter_at_most, far_masks, other_color)
 from .symmetry import (canonical_classes, key_to_bits, leader_count,
                        symmetry_group, vertex_group_order)
 
@@ -105,21 +105,6 @@ def _two_stars(chi: EdgeColoring, d: int):
     return None
 
 
-def _is_clique(rows, mask: int) -> bool:
-    """Whether the mask is a clique of the graph with these adjacency rows.
-
-    ``diameter_at_most(chi, c, mask, 1)`` answers the same, one ball per
-    vertex; this one test per vertex made the d = 1 filter 5x cheaper.
-    """
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if mask & ~rows[low.bit_length() - 1] != low:
-            return False
-        rest ^= low
-    return True
-
-
 def _clique_pair_exists(chi: EdgeColoring) -> bool:
     """Whether two monochromatic cliques cover V: the two-bag question at d = 1.
 
@@ -131,13 +116,13 @@ def _clique_pair_exists(chi: EdgeColoring) -> bool:
     are no clique of either color.
     """
     full = chi.shape.full_mask
-    red, blue = chi.adj
     for rows in chi.adj:
         stack = [(1, rows[0])]  # (clique K, vertices adjacent to all of K)
         while stack:
             clique, cand = stack.pop()
             out = full & ~(clique | cand)
-            if not (_is_clique(red, out) or _is_clique(blue, out)):
+            if not (diameter_at_most(chi, RED, out, 1)
+                    or diameter_at_most(chi, BLUE, out, 1)):
                 continue
             if not cand:
                 return True
@@ -671,25 +656,20 @@ class _Tally:
                    keep_notes(notes))
 
 
-_ENGINE_CACHE = {}
-
-
+@cache
 def _engine(sizes, use_symmetry):
-    key = (tuple(sizes), use_symmetry)
-    if key not in _ENGINE_CACHE:
-        shape = build_shape(sizes)
-        group = symmetry_group(shape) if use_symmetry else None
-        _ENGINE_CACHE[key] = (shape, group)
-    return _ENGINE_CACHE[key]
+    """(shape, group) of a survey, built once per process."""
+    shape = build_shape(sizes)
+    return shape, symmetry_group(shape) if use_symmetry else None
 
 
 def _chunk_worker(args):
     """(tally, next cursor) of one range advanced by up to ``limit`` classes."""
-    (sizes, t, d_max, use_symmetry, prune, survey_d, lo, hi, pos, limit) = args
+    (sizes, t, d_max, use_symmetry, prune, survey_d, hi, pos, limit) = args
     shape, group = _engine(sizes, use_symmetry)
     tally = _Tally()
     chi = None
-    for key, bits in canonical_classes(shape, group, lo=lo, hi=hi, start=pos):
+    for key, bits in canonical_classes(shape, group, lo=pos, hi=hi):
         # consecutive leaders differ in about two edges: step the rows
         chi = (EdgeColoring(shape, bits) if chi is None
                else chi.recolored(bits))
@@ -954,7 +934,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
                 for r in _claim_ranges(ranges, busy, threads - len(in_flight)):
                     chunk = min(limit, budget)
                     args = (sizes, t, d_max, use_symmetry, prune, survey_d,
-                            r[0], r[1], r[2], chunk)
+                            r[1], r[2], chunk)
                     fut = (_Ran(args) if pool is None
                            else pool.submit(_chunk_worker, args))
                     in_flight[fut] = (r, chunk)
@@ -1012,7 +992,7 @@ def gk_checkpoint_path(k: int, checkpoint_path: str | None = None) -> str:
     return f"gk{k}.checkpoint.json" if checkpoint_path is None else checkpoint_path
 
 
-def gk_survey(k: int, d: int = 2, *, d_max: int = 4, threads: int = 1,
+def gk_survey(k: int, d: int = 2, *, threads: int = 1,
               checkpoint_path: str | None = None, checkpoint_every: int = 5000,
               stop_after_classes: int | None = None):
     """Survey the shape with k parts of size 2, clone pruning on.
@@ -1025,57 +1005,8 @@ def gk_survey(k: int, d: int = 2, *, d_max: int = 4, threads: int = 1,
     """
     if not isinstance(k, int) or k < 3:
         raise InvalidParameter(f"need k >= 3, got {k!r}")
-    return compute_D([2] * k, t=2, d_max=d_max, use_symmetry=True, prune=True,
+    return compute_D([2] * k, t=2, use_symmetry=True, prune=True,
                      threads=threads,
                      checkpoint_path=gk_checkpoint_path(k, checkpoint_path),
                      checkpoint_every=checkpoint_every,
                      stop_after_classes=stop_after_classes, survey_d=d)
-
-
-def classify_tripartite(part_sizes) -> int:
-    """Closed-form D for 3-part shapes (t = 2), no search.
-
-    D = 3 exactly when the sorted sizes dominate [5,2,2] or [4,3,2]
-    componentwise; D = 1 only for [1,1,1] and [2,1,1]; everything else is 2.
-    Compare against compute_D for the brute-force cross-check.
-    """
-    shape = build_shape(part_sizes)
-    if shape.k != 3:
-        raise Unsupported(f"classification needs exactly 3 parts, "
-                          f"got {list(shape.part_sizes)}")
-    s = shape.part_sizes
-    if s in ((1, 1, 1), (2, 1, 1)):
-        return 1
-    if (s[0] >= 5 and s[1] >= 2 and s[2] >= 2) or \
-            (s[0] >= 4 and s[1] >= 3 and s[2] >= 2):
-        return 3
-    return 2
-
-
-# ============================================================================
-# MONOTONE EXTENSION
-# ============================================================================
-
-def check_monotone_extension(chi: EdgeColoring, x: int) -> EdgeColoring:
-    """Clone x into its part: the new vertex copies x's edge colors.
-
-    The new coloring lives on the shape with x's part one bigger; every edge
-    between old vertices keeps its color, and the new vertex y gets
-    color(v, y) = color(v, x) for every common neighbor v.  (y and x are in
-    the same part, so they share all their neighbors and are non-adjacent.)
-    """
-    shape = chi.shape
-    shape.check_vertex(x)
-    p = shape.part_id[x]
-    new_sizes = list(shape.part_sizes)
-    new_sizes[p] += 1
-    new_shape = build_shape(new_sizes)
-    # y joins as old vertex n, last in x's part
-    vmap = canonical_vertex_map(shape.part_id + (p,), new_sizes)
-    # y's edges are the images of x's under the map that sends x to y; the
-    # other edges map as under vmap, so the union adds exactly y's edges
-    to_y = vmap[:shape.n]
-    to_y[x] = vmap[shape.n]
-    return EdgeColoring(new_shape, mask_of(
-        remap_edges(shape.edges, vmap, new_shape, chi.bits)
-        + remap_edges(shape.edges, to_y, new_shape, chi.bits)))

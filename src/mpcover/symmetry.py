@@ -24,6 +24,10 @@ key, which is what checkpoints and work sharding rely on.  ``leader_count``
 gives the number of leaders by Burnside's lemma, which every finished survey
 is checked against.
 
+``canonical_key`` finds one coloring's orbit minimum by backtracking over
+vertex placements and builds no ``SymmetryGroup``, so it shares no code with
+the group expansion the scan runs on, and the tests use it to check the scan.
+
 For shapes whose full group is too large to expand, enumeration falls back
 to a smaller subgroup (per-part cyclic shifts, cyclic rotation of equal-size
 part families, and the color swap).  Subgroup leaders are a superset of the
@@ -224,8 +228,8 @@ def key_to_bits(key: int, m: int) -> int:
 
 
 def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
-                      lo: int = 0, hi: int | None = None, start: int = 0):
-    """Yield (key, bits) of orbit leaders with key in [max(lo, start), hi).
+                      lo: int = 0, hi: int | None = None):
+    """Yield (key, bits) of orbit leaders with key in [lo, hi).
 
     Keys come out strictly ascending, so a scan restarts at any key: a window
     ``[lo, hi)`` yields exactly the leaders of the full scan that fall in it.
@@ -251,7 +255,6 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
     m = shape.m
     if hi is None:
         hi = 1 << m
-    lo = max(lo, start)
     if lo >= hi:
         return
     if group is None:
@@ -371,61 +374,31 @@ def leader_count(shape: MultipartiteShape, group: SymmetryGroup | None) -> int:
 # CANONICAL KEYS
 # ============================================================================
 
-def canonical_key(chi: EdgeColoring, group: SymmetryGroup | None = None) -> int:
-    """Bits of the lexicographically minimal coloring in chi's full orbit.
-
-    Equal keys characterize equal orbits.  Uses the expanded group when it is
-    the full one, and falls back to pruned backtracking over vertex
-    placements otherwise (the subgroup expansion would be unsound here).
-    """
-    if group is None or not group.is_full:
-        group = None
-    shape = chi.shape
-    m = shape.m
-    if group is not None:
-        best = bits_to_key(chi.bits, m)
-        for inv, flip in group.elements:
-            key = 0
-            bits = chi.bits
-            for j in range(m):
-                key = (key << 1) | (((bits >> inv[j]) & 1) ^ flip)
-                if key > (best >> (m - 1 - j)):
-                    key = -1
-                    break
-            if key >= 0 and key < best:
-                best = key
-        return key_to_bits(best, m)
-    if vertex_group_order(shape) <= FULL_EXPANSION_CAP:
-        return canonical_key(chi, symmetry_group(shape))
-    return _lexmin_backtrack(chi)
-
-
 LEAF_BUDGET = 2_000_000
 
 
-def _lexmin_backtrack(chi: EdgeColoring) -> int:
-    """Exact lex-min orbit member by assigning canonical slots one by one.
+def canonical_key(chi: EdgeColoring) -> int:
+    """Bits of the lexicographically minimal coloring in chi's full orbit.
 
-    Prunes on the contiguous determined edge prefix (the first-vertex star),
-    which is weak but sound; a budget of ``LEAF_BUDGET`` leaves guards
-    against shapes where the full group is astronomically large.
+    Equal keys characterize equal orbits.  No group is expanded: canonical
+    slots are assigned one vertex at a time, each part's slots drawn from one
+    part of the same size, for both colorings (as given and color-swapped).
+    A branch is cut once its determined edge prefix (the first vertex's star)
+    already exceeds the best leaf, which is weak but sound.  A shape whose
+    vertex group is within ``FULL_EXPANSION_CAP`` reaches at most twice that
+    many leaves; a budget of ``LEAF_BUDGET`` leaves guards against shapes
+    whose group is astronomically large.
     """
     shape = chi.shape
-    m = shape.m
-    n = shape.n
-    fams = size_families(shape)
-    fam_of_part = {}
-    for fi, fam in enumerate(fams):
-        for p in fam:
-            fam_of_part[p] = fi
+    m, n = shape.m, shape.n
+    family = {p: fam for fam in size_families(shape) for p in fam}
     best_key = None
     leaves = 0
 
     for flip in (0, 1):
-        slot_orig = [-1] * n
-        used = 0
-        part_map = {}
-        used_parts = set()
+        slot_orig = [0] * n  # the vertex of chi placed at each slot
+        used = 0             # the mask of the placed vertices
+        part_map = {}        # canonical part -> chi's part placed there
 
         def leaf_key():
             key = 0
@@ -436,7 +409,6 @@ def _lexmin_backtrack(chi: EdgeColoring) -> int:
 
         def prefix_beats_best(t):
             # Compare the determined edges (0, 1)..(0, t-1) against best.
-            nonlocal best_key
             if best_key is None:
                 return False
             a = slot_orig[0]
@@ -461,27 +433,20 @@ def _lexmin_backtrack(chi: EdgeColoring) -> int:
                     best_key = key
                 return
             p = shape.part_id[slot]
-            if p in part_map:
-                sources = [part_map[p]]
-            else:
-                sources = [q for q in fams[fam_of_part[p]] if q not in used_parts]
+            fresh = p not in part_map
+            sources = ([q for q in family[p] if q not in part_map.values()]
+                       if fresh else [part_map[p]])
             for q in sources:
-                fresh = p not in part_map
-                if fresh:
-                    part_map[p] = q
-                    used_parts.add(q)
+                part_map[p] = q
                 for orig in shape.part_vertices(q):
-                    if (used >> orig) & 1:
-                        continue
-                    slot_orig[slot] = orig
-                    used |= 1 << orig
-                    if not prefix_beats_best(slot + 1):
-                        assign(slot + 1)
-                    used &= ~(1 << orig)
-                    slot_orig[slot] = -1
-                if fresh:
-                    del part_map[p]
-                    used_parts.discard(q)
+                    if not (used >> orig) & 1:
+                        slot_orig[slot] = orig
+                        used |= 1 << orig
+                        if not prefix_beats_best(slot + 1):
+                            assign(slot + 1)
+                        used &= ~(1 << orig)
+            if fresh:
+                del part_map[p]
 
         assign(0)
     return key_to_bits(best_key, m)

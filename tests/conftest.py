@@ -7,10 +7,12 @@ from collections import Counter
 
 import pytest
 
+from mpcover import search
 from mpcover.construct import multipartite_cover
 from mpcover.covers import verify_cover
 from mpcover.graphs import BLUE, RED, EdgeColoring, build_shape
-from mpcover.search import check_monotone_extension, two_bag_cover
+from mpcover.families import check_monotone_extension
+from mpcover.search import two_bag_cover
 from mpcover.symmetry import canonical_classes, symmetry_group
 
 
@@ -106,6 +108,107 @@ def two_bag_digest(sizes, d):
         h.update(repr(two_bag_cover(EdgeColoring(shape, bits), d)).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+NO_PATH = 1 << 30  # the oracle's diameter of a disconnected set
+
+
+def oracle_diameters(chi):
+    """Per color, the diameter of the color's graph induced on each vertex set.
+
+    ``diam[c][S]`` for every mask S (0 for the empty set, ``NO_PATH`` when
+    disconnected).  An oracle that shares no code with the engine: it reads
+    only ``chi.color_of`` and ``shape.part_of``, builds neighbor lists, and
+    runs a plain BFS over vertex lists from every vertex of every set.
+    """
+    shape = chi.shape
+    n = shape.n
+    diam = []
+    for c in (RED, BLUE):
+        nbrs = [[v for v in range(n) if shape.part_of(v) != shape.part_of(u)
+                 and chi.color_of(u, v) == c] for u in range(n)]
+        table = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            members = [v for v in range(n) if s >> v & 1]
+            worst = 0
+            for root in members:
+                dist = {root: 0}
+                queue = [root]
+                for u in queue:
+                    for v in nbrs[u]:
+                        if s >> v & 1 and v not in dist:
+                            dist[v] = dist[u] + 1
+                            queue.append(v)
+                if len(dist) < len(members):
+                    worst = NO_PATH
+                    break
+                worst = max(worst, dist[queue[-1]])
+            table[s] = worst
+        diam.append(table)
+    return diam
+
+
+def oracle_min_cover_d(chi, diam=None):
+    """The least d at which two monochromatic pieces of diameter <= d cover V.
+
+    Decided from ``oracle_diameters`` alone: piece S1 in its better color,
+    and for the rest of V the best set of either color that contains it (a
+    superset-minimum table, filled one vertex at a time).
+    """
+    n = chi.shape.n
+    red, blue = diam or oracle_diameters(chi)
+    best = [min(r, b) for r, b in zip(red, blue)]
+    best[0] = NO_PATH  # a piece is not empty; a one-piece cover is S1 = V
+    above = best[:]  # above[T]: the least best[S] over the sets S >= T
+    for i in range(n):
+        for t in range(1 << n):
+            if not t >> i & 1:
+                above[t] = min(above[t], above[t | 1 << i])
+    full = (1 << n) - 1
+    return min(max(best[s], above[full & ~s]) for s in range(1, 1 << n))
+
+
+def check_against_oracle(shape, bits):
+    """Assert that the survey's answer for one class matches the oracle's.
+
+    The survey's minimal d (``search._min_cover_d`` with the survey defaults:
+    prune rules on, d_max = 4) must equal the oracle's, capped at 5, and the
+    engine's witness cover at that d must pass the oracle's own diameter and
+    coverage checks.
+    """
+    chi = EdgeColoring(shape, bits)
+    diam = oracle_diameters(chi)
+    d, label, _ = search._min_cover_d(chi, 2, 4, True, None)
+    assert d == min(oracle_min_cover_d(chi, diam), 5), \
+        (shape, hex(bits), d, label)
+    if d <= 4:
+        cover, _ = search._decide(chi, 2, d, True)
+        covered = 0
+        for g in cover:
+            assert diam[g.color][g.mask] <= d, (shape, hex(bits), label)
+            covered |= g.mask
+        assert len(cover) <= 2 and covered == shape.full_mask
+
+
+def sampled_leaders(sizes, count, seed):
+    """(shape, bits of ``count`` distinct orbit leaders), so no full scan is
+    needed.
+
+    Each is the first leader at or after a seeded random key.  Leaders crowd
+    the low keys, so the key's bit length is drawn first, uniformly below
+    m (a leader's top edge is red): uniform keys would mostly land in the
+    sparse top and draw the few leaders there again and again.
+    """
+    shape = build_shape(sizes)
+    group = symmetry_group(shape)
+    rng = random.Random(seed)
+    leaders = {}
+    while len(leaders) < count:
+        lo = rng.randrange(1 << rng.randrange(1, shape.m))
+        for key, bits in canonical_classes(shape, group, lo=lo):
+            leaders[key] = bits
+            break
+    return shape, [leaders[key] for key in sorted(leaders)]
 
 
 def all_shapes_with_few_edges(max_edges):

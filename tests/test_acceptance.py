@@ -14,11 +14,11 @@ import pytest
 from conftest import all_shapes_with_few_edges
 from mpcover.cli import run_fuzz
 from mpcover.covers import verify_cover
-from mpcover.families import gen_fig4, gen_thm31
+from mpcover.families import (check_monotone_extension, classify_tripartite,
+                              gen_fig4, gen_thm31)
 from mpcover.graphs import EdgeColoring, build_shape
 from mpcover.ryser import (ColoredGraph, Hypergraph, verify_equivalence_chain)
-from mpcover.search import (check_monotone_extension, classify_tripartite,
-                            compute_D, cover_exists)
+from mpcover.search import compute_D, cover_exists
 
 
 def _report(n, elapsed, detail=""):

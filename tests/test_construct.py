@@ -16,10 +16,9 @@ from mpcover.construct import (GROUPINGS, balanced_grouping,
 from mpcover.covers import (COVERAGE_GAP, Violation, cover_from_masks,
                             cover_to_json, verify_cover)
 from mpcover.errors import InvalidShape, MpcoverError
-from mpcover.families import gen_fig4, gen_thm31
+from mpcover.families import check_monotone_extension, gen_fig4, gen_thm31
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, build_shape,
                             mask_of)
-from mpcover.search import check_monotone_extension
 
 
 def test_two_stars_need_an_all_seeing_center(rng):

@@ -55,6 +55,23 @@ def test_shape_rejects_bad_sizes(bad):
         build_shape(bad)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_shape([True, True, True]),
+    lambda: build_shape([True, 2]),
+    lambda: build_shape([2.0, 2]),
+    lambda: build_shape(["2", 2]),
+    lambda: EdgeColoring(build_shape([2, 1]), 1.5),
+    lambda: EdgeColoring(build_shape([2, 1]), True),
+    lambda: EdgeColoring(build_shape([2, 1]), 0).recolored(1.0),
+    lambda: EdgeColoring(build_shape([2, 1]), 0).recolored(False),
+], ids=["bool-sizes", "bool-and-int", "float-size", "str-size",
+        "float-bits", "bool-bits", "recolored-float", "recolored-bool"])
+def test_non_integer_sizes_and_bits_are_invalid_shapes(make):
+    # a bool is no integer here, as for vertex ids and counts
+    with pytest.raises(InvalidShape):
+        make()
+
+
 def test_clone_of():
     s = build_shape([2, 2, 1])
     assert s.clone == (1, 0, 3, 2, None)

@@ -118,7 +118,6 @@ def test_single_edge_graph():
     h = graph_to_hypergraph(chi)
     # one blue component + two red singletons = 3 vertices, |E| = n(G) = 2
     assert h.n == 3 and len(h.edges) == 2
-    assert h.vertex_edge is not None and len(h.vertex_edge) == 2
 
 
 def test_edge_count_never_exceeds_graph_order(rng):

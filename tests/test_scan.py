@@ -151,11 +151,11 @@ def test_windows_and_restarts_on_larger_shapes(sizes, cuts, stop):
     lo, hi = sorted((key(cuts[0]), key(cuts[1])))
     start = key(cuts[2])
     want = [(k, b) for k, b in whole if max(lo, start) <= k < hi]
-    gen = canonical_classes(shape, group, lo=lo, hi=hi, start=start)
+    gen = canonical_classes(shape, group, lo=max(lo, start), hi=hi)
     head = list(islice(gen, stop))
     gen.close()
     assert head == want[:stop]
     if head:
-        tail = list(canonical_classes(shape, group, lo=lo, hi=hi,
-                                      start=head[-1][0] + 1))
+        tail = list(canonical_classes(shape, group,
+                                      lo=max(lo, head[-1][0] + 1), hi=hi))
         assert head + tail == want

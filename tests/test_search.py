@@ -17,11 +17,11 @@ from mpcover.covers import (certifies_masks, cover_from_masks, make_cover,
                             verify_cover)
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
                             Unsupported)
-from mpcover.families import gen_thm31
+from mpcover.families import (check_monotone_extension, classify_tripartite,
+                              gen_thm31)
 from mpcover.graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
                             color_distance, diameter_in_mask)
-from mpcover.search import (MAX_NOTES, SearchResult, check_monotone_extension,
-                            classify_tripartite, compute_D, cover_exists,
+from mpcover.search import (MAX_NOTES, SearchResult, compute_D, cover_exists,
                             find_cover, gk_survey, keep_notes,
                             load_checkpoint, prune_with_constructions, save_checkpoint,
                             survivor_property_violations, two_bag_cover)
@@ -502,8 +502,7 @@ def test_class_counts_cross_validate():
         result = compute_D(sizes)
         assert result.classes == want_classes
         shape = build_shape(sizes)
-        group = symmetry_group(shape)
-        keys = {bits_to_key(canonical_key(EdgeColoring(shape, b), group), shape.m)
+        keys = {bits_to_key(canonical_key(EdgeColoring(shape, b)), shape.m)
                 for b in range(1 << shape.m)}
         assert len(keys) == want_classes
 

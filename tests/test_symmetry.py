@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_shapes_with_few_edges, random_coloring
+from mpcover import symmetry
 from mpcover.graphs import EdgeColoring, build_shape
 from mpcover.search import _chunk_worker
-from mpcover.symmetry import (FULL_EXPANSION_CAP, _lexmin_backtrack,
-                              bits_to_key, canonical_classes, canonical_key,
+from mpcover.symmetry import (FULL_EXPANSION_CAP, bits_to_key,
+                              canonical_classes, canonical_key,
                               edge_perm, key_to_bits, leader_count,
                               size_families, symmetry_group,
                               vertex_group_order)
@@ -101,21 +102,46 @@ def test_canonical_key_is_orbit_invariant(rng):
     group = symmetry_group(shape)
     for _ in range(20):
         chi = random_coloring(rng, [2, 2, 2])
-        key = canonical_key(chi, group)
-        assert canonical_key(chi.swap_colors(), group) == key
+        key = canonical_key(chi)
+        assert canonical_key(chi.swap_colors()) == key
         perm = [1, 0, 2, 3, 4, 5]  # swap inside part 0
-        assert canonical_key(chi.permute(perm), group) == key
+        assert canonical_key(chi.permute(perm)) == key
         # the canonical member is in the orbit and is a fixed point
         assert key in orbit_of(chi, group)
-        assert canonical_key(EdgeColoring(shape, key), group) == key
+        assert canonical_key(EdgeColoring(shape, key)) == key
 
 
 def test_backtracking_key_agrees_with_expansion(rng):
-    shape = build_shape([2, 2, 1])
-    group = symmetry_group(shape)
-    for _ in range(30):
-        chi = random_coloring(rng, [2, 2, 1])
-        assert _lexmin_backtrack(chi) == canonical_key(chi, group)
+    # the brute-force orbit minimum over the expanded group's elements
+    for sizes in ([2, 2, 1], [3, 2, 1], [2, 2, 2]):
+        shape = build_shape(sizes)
+        group = symmetry_group(shape)
+        for _ in range(30):
+            chi = random_coloring(rng, sizes)
+            least = min(bits_to_key(b, shape.m) for b in orbit_of(chi, group))
+            assert canonical_key(chi) == key_to_bits(least, shape.m)
+
+
+def test_canonical_key_past_the_expansion_cap(rng):
+    shape = build_shape([2] * 6)
+    assert vertex_group_order(shape) > FULL_EXPANSION_CAP
+    for _ in range(3):
+        chi = random_coloring(rng, [2] * 6)
+        key = canonical_key(chi)
+        assert canonical_key(chi.swap_colors()) == key
+        assert canonical_key(chi.permute(
+            [1, 0] + list(range(2, 12)))) == key  # a swap within a part
+        assert canonical_key(chi.permute(
+            [2, 3, 0, 1] + list(range(4, 12)))) == key  # a swap of two parts
+        assert canonical_key(EdgeColoring(shape, key)) == key
+
+
+def test_canonical_key_builds_no_group(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_key expanded a group")
+    monkeypatch.setattr(symmetry, "symmetry_group", refuse)
+    for _ in range(5):
+        canonical_key(random_coloring(rng, [2, 2, 1]))
 
 
 def test_raw_mode_enumerates_every_bitstring():
@@ -136,7 +162,7 @@ def test_windows_compose_and_restart():
     assert split == whole
     # restart just after the third leader reproduces the tail
     third = whole[2][0]
-    tail = list(canonical_classes(shape, group, start=third + 1))
+    tail = list(canonical_classes(shape, group, lo=third + 1))
     assert tail == whole[3:]
 
 
@@ -148,9 +174,7 @@ def test_subgroup_tier_is_a_sound_refinement():
     assert not cyc.is_full
     cyc_leaders = all_classes([2, 2, 1], cyc)
     assert len(cyc_leaders) >= len(full_leaders)
-    fullg = symmetry_group(shape)
-    projected = {bits_to_key(canonical_key(EdgeColoring(shape, bits), fullg),
-                             shape.m)
+    projected = {bits_to_key(canonical_key(EdgeColoring(shape, bits)), shape.m)
                  for _, bits in cyc_leaders}
     assert projected == {k for k, _ in full_leaders}
 
@@ -160,8 +184,7 @@ def test_subgroup_tier_is_a_sound_refinement():
 def test_leader_bit_zero_is_red(bits):
     # a leader beaten by the plain color swap is impossible
     shape = build_shape([2, 2, 1])
-    group = symmetry_group(shape)
-    key = canonical_key(EdgeColoring(shape, bits), group)
+    key = canonical_key(EdgeColoring(shape, bits))
     assert (key & 1) == 0
 
 
@@ -209,7 +232,7 @@ def _full_scan(sizes):
 def test_any_window_is_a_slice_of_the_full_scan(sizes, cuts):
     shape, group, whole = _full_scan(sizes)
     lo, hi, start = (int(c * (1 << shape.m)) for c in cuts)
-    window = list(canonical_classes(shape, group, lo=lo, hi=hi, start=start))
+    window = list(canonical_classes(shape, group, lo=max(lo, start), hi=hi))
     assert window == [(k, b) for k, b in whole if max(lo, start) <= k < hi]
 
 
@@ -220,13 +243,13 @@ def test_stopped_chunk_restarts_after_its_last_key():
     gen = canonical_classes(shape, group)
     head = [next(gen) for _ in range(400)]
     gen.close()
-    tail = list(canonical_classes(shape, group, start=head[-1][0] + 1))
+    tail = list(canonical_classes(shape, group, lo=head[-1][0] + 1))
     assert head + tail == whole
 
     span = 1 << shape.m
     pos, counted = 0, 0
     while pos < span:
         tally, pos = _chunk_worker(((3, 2, 2), 2, 4, True, True, None,
-                                    0, span, pos, 300))
+                                    span, pos, 300))
         counted += tally.classes
     assert counted == len(whole)
