@@ -15,8 +15,8 @@ from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape, build_shape,
 from .construct import multipartite_cover, tc2_cover, tripartite_cover
 from .ryser import (CoverStats, Hypergraph, exact_stats, graph_to_hypergraph,
                     hypergraph_to_graph, verify_equivalence_chain)
-from .search import (SearchResult, compute_D, cover_exists, find_cover,
-                     gk_survey, prune_with_constructions)
+from .ladder import cover_exists, find_cover, prune_with_constructions
+from .search import SearchResult, compute_D, gk_survey
 from .symmetry import canonical_classes, canonical_key, symmetry_group
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ from .families import classify_tripartite, parse_family
 from .graphs import (EdgeColoring, build_shape, coloring_from_json,
                      coloring_to_json)
 from .ryser import Hypergraph, hypergraph_to_json, verify_equivalence_chain
-from .search import (SearchResult, compute_D, find_cover, gk_checkpoint_path,
-                     gk_survey, prune_with_constructions)
+from .ladder import find_cover, prune_with_constructions
+from .search import SearchResult, compute_D, gk_checkpoint_path, gk_survey
 
 OK = 0
 REFUTED = 1
@@ -257,40 +257,6 @@ def _random_hypergraph(rng) -> Hypergraph:
 
 def _fuzz_one(mode, rng, i):
     """Run one fuzz iteration; returns (counter label, repro obj | None)."""
-    if mode == "construct":
-        chi = _random_coloring(rng, _random_sizes(rng, 3, 6, 30))
-        try:
-            cover, _trace = multipartite_cover(chi)
-        except MpcoverError as e:
-            return "exhausted", {"coloring": coloring_to_json(chi),
-                                 "error": str(e)}
-        bad = verify_cover(chi, cover, 3, 2)
-        if bad is not None:
-            return "bad-cover", {"coloring": coloring_to_json(chi),
-                                 "cover": cover_to_json(cover),
-                                 "violation": bad.describe()}
-        return "covered", None
-    if mode == "tc2":
-        chi = _random_coloring(rng, _random_sizes(rng, 2, 6, 30))
-        cover = tc2_cover(chi)
-        bad = verify_cover(chi, cover, chi.n, 2)
-        if bad is not None:
-            return "bad-cover", {"coloring": coloring_to_json(chi),
-                                 "cover": cover_to_json(cover),
-                                 "violation": bad.describe()}
-        return "covered", None
-    if mode == "prune":
-        chi = _random_coloring(rng, [2, 2, 2, 2, 2])
-        cover = prune_with_constructions(chi, 2)
-        if cover is None:
-            return "no-rule", None
-        bad = verify_cover(chi, cover, 2, 2)
-        if bad is not None:
-            return "unverified-certificate", {
-                "coloring": coloring_to_json(chi),
-                "cover": cover_to_json(cover),
-                "violation": bad.describe()}
-        return "certified", None
     if mode == "equivalence":
         if i % 2 == 0:
             h = _random_hypergraph(rng)
@@ -309,7 +275,33 @@ def _fuzz_one(mode, rng, i):
             return "violated", {"coloring": coloring_to_json(chi),
                                 "report": e.report}
         return "graph-ok", None
-    raise AssertionError(mode)
+    # the other modes build one cover and verify it at d
+    if mode == "construct":
+        chi = _random_coloring(rng, _random_sizes(rng, 3, 6, 30))
+        try:
+            cover, _trace = multipartite_cover(chi)
+        except MpcoverError as e:
+            return "exhausted", {"coloring": coloring_to_json(chi),
+                                 "error": str(e)}
+        d, ok_label, bad_label = 3, "covered", "bad-cover"
+    elif mode == "tc2":
+        chi = _random_coloring(rng, _random_sizes(rng, 2, 6, 30))
+        cover = tc2_cover(chi)
+        d, ok_label, bad_label = chi.n, "covered", "bad-cover"
+    elif mode == "prune":
+        chi = _random_coloring(rng, [2, 2, 2, 2, 2])
+        cover = prune_with_constructions(chi, 2)
+        if cover is None:
+            return "no-rule", None
+        d, ok_label, bad_label = 2, "certified", "unverified-certificate"
+    else:
+        raise AssertionError(mode)
+    bad = verify_cover(chi, cover, d, 2)
+    if bad is None:
+        return ok_label, None
+    return bad_label, {"coloring": coloring_to_json(chi),
+                       "cover": cover_to_json(cover),
+                       "violation": bad.describe()}
 
 
 FUZZ_MODES = ("construct", "tc2", "prune", "equivalence")

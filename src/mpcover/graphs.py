@@ -13,7 +13,7 @@ vertex in the graph induced on the mask, and every graph walk goes through
 it except the all-pairs BFS oracle (``distances``, ``color_distance``) and
 two radius-2 balls in the full graph taken as one fold past the rows,
 u | row | ``_grow(rows, row)``, with none of ``_ball``'s stop tests:
-``far_masks`` at d = 2 and the spanning rung ``search._spanning_diameter``
+``far_masks`` at d = 2 and the spanning rung ``ladder._spanning_diameter``
 at d = 2 on shapes with no size-1 part.  Through ``_ball``, a mask has
 diameter <= d exactly when each vertex's radius-d ball fills it
 (``diameter_at_most``, which tests a clique with one AND per vertex at

@@ -7,12 +7,12 @@ from collections import Counter
 
 import pytest
 
-from mpcover import search
+from mpcover import ladder, search
 from mpcover.construct import multipartite_cover
 from mpcover.covers import verify_cover
 from mpcover.graphs import BLUE, RED, EdgeColoring, build_shape
 from mpcover.families import check_monotone_extension
-from mpcover.search import two_bag_cover
+from mpcover.ladder import two_bag_cover
 from mpcover.symmetry import canonical_classes, symmetry_group
 
 
@@ -182,7 +182,7 @@ def check_against_oracle(shape, bits):
     assert d == min(oracle_min_cover_d(chi, diam), 5), \
         (shape, hex(bits), d, label)
     if d <= 4:
-        cover, _ = search._decide(chi, 2, d, True)
+        cover, _ = ladder._decide(chi, 2, d, True)
         covered = 0
         for g in cover:
             assert diam[g.color][g.mask] <= d, (shape, hex(bits), label)

@@ -18,7 +18,8 @@ from mpcover.families import (check_monotone_extension, classify_tripartite,
                               gen_fig4, gen_thm31)
 from mpcover.graphs import EdgeColoring, build_shape
 from mpcover.ryser import (ColoredGraph, Hypergraph, verify_equivalence_chain)
-from mpcover.search import compute_D, cover_exists
+from mpcover.ladder import cover_exists
+from mpcover.search import compute_D
 
 
 def _report(n, elapsed, detail=""):

@@ -18,7 +18,7 @@ from mpcover.covers import (COVERAGE_GAP, DIAMETER_EXCEEDED, DISCONNECTED,
 from mpcover.errors import InvalidCover, InvalidVertex
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, bits_of,
                             build_shape)
-from mpcover.search import find_cover
+from mpcover.ladder import find_cover
 
 
 def mask_pieces(cover):

@@ -6,7 +6,7 @@ from mpcover.errors import InvalidParameter
 from mpcover.families import (FIG4_LABELS, TranscriptionError, gen_fig4,
                               gen_thm31, parse_family, thm31_labels)
 from mpcover.graphs import BLUE, INF, RED, color_diameter, color_distance
-from mpcover.search import cover_exists
+from mpcover.ladder import cover_exists
 
 
 def test_thm31_shape_and_counts():

@@ -1,5 +1,6 @@
 """Exact cover decisions, pruning soundness, and the shape survey engine."""
 
+import ast
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import random_coloring, two_bag_digest, two_star_pieces
 from test_graphs import colorings_up_to_12
-from mpcover import search
+from mpcover import ladder, search
 from mpcover.covers import (certifies_masks, cover_from_masks, make_cover,
                             verify_cover)
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
@@ -20,11 +21,11 @@ from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
 from mpcover.families import (check_monotone_extension, classify_tripartite,
                               gen_thm31)
 from mpcover.graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
-                            color_distance, diameter_in_mask)
-from mpcover.search import (MAX_NOTES, SearchResult, compute_D, cover_exists,
-                            find_cover, gk_survey, keep_notes,
-                            load_checkpoint, prune_with_constructions, save_checkpoint,
+                            color_distance, diameter_in_mask, far_masks)
+from mpcover.ladder import (cover_exists, find_cover, prune_with_constructions,
                             survivor_property_violations, two_bag_cover)
+from mpcover.search import (MAX_NOTES, SearchResult, compute_D, gk_survey,
+                            keep_notes, load_checkpoint, save_checkpoint)
 from mpcover.symmetry import canonical_classes, symmetry_group
 
 
@@ -144,10 +145,10 @@ def test_two_bag_search_ignores_bag_order(rng):
         for _ in range(12):
             chi = random_coloring(rng, sizes)
             for d in (1, 2, 3):
-                far = (search.far_masks(chi, RED, d), search.far_masks(chi, BLUE, d))
+                far = (far_masks(chi, RED, d), far_masks(chi, BLUE, d))
                 pop = [[mask.bit_count() for mask in masks] for masks in far]
-                br = search._two_bag_pair(chi, d, BLUE, RED, far, pop)
-                rb = search._two_bag_pair(chi, d, RED, BLUE, far, pop)
+                br = ladder._two_bag_pair(chi, d, BLUE, RED, far, pop)
+                rb = ladder._two_bag_pair(chi, d, RED, BLUE, far, pop)
                 assert (br is None) == (rb is None), (sizes, chi.bits, d)
                 failed += br is None
     assert failed > 50
@@ -202,9 +203,11 @@ def test_no_diameter_one_cover_when_a_part_exceeds_t(rng):
 
 def test_counting_bound_skips_the_two_bag_search(rng, monkeypatch):
     def fail(*args):
-        raise AssertionError("two_bag_cover called at d = 1")
+        raise AssertionError("a d = 1 rung ran past the counting bound")
 
-    monkeypatch.setattr(search, "two_bag_cover", fail)
+    # the clique-pair filter alone would also refute these, so it fails too
+    monkeypatch.setattr(ladder, "_clique_pair_exists", fail)
+    monkeypatch.setattr(ladder, "two_bag_cover", fail)
     for sizes in ([3, 1, 1, 1], [3, 2, 1, 1]):
         for _ in range(8):
             chi = random_coloring(rng, sizes)
@@ -242,7 +245,7 @@ def d1_colorings(draw):
 @given(d1_colorings())
 def test_clique_pair_filter_is_exact_at_d1(chi):
     want = oracle_cover_exists(chi, 2, 1)
-    assert search._clique_pair_exists(chi) == want
+    assert ladder._clique_pair_exists(chi) == want
     assert (two_bag_cover(chi, 1) is not None) == want
 
 
@@ -253,7 +256,7 @@ def test_spanning_rung_is_the_bounded_diameter(chi):
     for c in (RED, BLUE):
         diameter = diameter_in_mask(chi, c, full)
         for d in range(5):
-            assert search._spanning_diameter(chi, c, d) == (diameter <= d)
+            assert ladder._spanning_diameter(chi, c, d) == (diameter <= d)
 
 
 def test_two_stars_cover_only_at_size_one_parts(rng):
@@ -275,7 +278,7 @@ def test_two_stars_cover_only_at_size_one_parts(rng):
 def test_a_returned_cover_that_fails_verification_is_an_internal_error(
         rng, monkeypatch):
     chi = random_coloring(rng, [2, 2, 1])
-    monkeypatch.setattr(search, "_ladder",
+    monkeypatch.setattr(ladder, "_ladder",
                         lambda *args: (((RED, 1),), "spanning"))
     with pytest.raises(RuntimeError, match="CoverageGap") as err:
         find_cover(chi, 2, 2)
@@ -286,13 +289,13 @@ def test_one_verify_cover_per_class(tmp_path, monkeypatch):
     # the ladder's rungs return pieces; only _decide builds and verifies a
     # cover, once per class at its minimal d and never for a refutation
     calls = []
-    original = search.verify_cover
+    original = ladder.verify_cover
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(search, "verify_cover", counted)
+    monkeypatch.setattr(ladder, "verify_cover", counted)
     result = compute_D([3, 2, 2])
     assert len(calls) == result.classes > 0
     calls.clear()
@@ -367,7 +370,7 @@ def candidate_pieces(draw):
     pieces = []
     for _ in range(2):
         c = draw(st.sampled_from((RED, BLUE)))
-        star = search._star_mask(chi, c, draw(vertex))
+        star = ladder._star_mask(chi, c, draw(vertex))
         pieces.append((c, draw(st.sampled_from((
             star, star | (1 << draw(vertex)),
             draw(st.integers(0, shape.full_mask)), shape.full_mask, 0)))))
@@ -378,7 +381,7 @@ def candidate_pieces(draw):
 @given(candidate_pieces(), st.integers(2, 4))
 def test_try_returns_its_pieces_when_they_verify(chi_pieces, d):
     chi, pieces = chi_pieces
-    got = search._try(chi, d, *pieces)
+    got = ladder._try(chi, d, *pieces)
     if not all(mask for _, mask in pieces):
         assert got is None
         return
@@ -668,8 +671,7 @@ import sys
 from mpcover import cli
 from mpcover.construct import multipartite_cover
 from mpcover.graphs import EdgeColoring, build_shape
-from mpcover.search import (compute_D, find_cover, gk_survey,
-                            prune_with_constructions)
+from mpcover import compute_D, find_cover, gk_survey, prune_with_constructions
 
 serial = compute_D([3, 2, 2]).to_json()
 gk_survey(3, checkpoint_path="gk3.json")
@@ -880,6 +882,57 @@ def test_min_cover_d_stops_at_n_minus_one(monkeypatch):
     assert max(calls.values()) <= 4
 
 
+def _stub_min_d_and_label(bits):
+    """A made-up minimal d (0..5, 5 meaning none up to d_max 4) and label."""
+    mix = bits * 0x9E3779B1 >> 5
+    return mix % 6, ("stub-a", "stub-b", "stub-c")[mix // 6 % 3]
+
+
+def _stub_decide(chi, t, d, prune):
+    min_d, label = _stub_min_d_and_label(chi.bits)
+    return (object(), label) if d >= min_d else (None, "none")
+
+
+def test_survey_engine_folds_a_stub_ladder(tmp_path, monkeypatch):
+    # the engine sees the ladder only through _decide: with a stub whose
+    # answer depends on the coloring alone, the report is a plain fold of the
+    # stub over the orbit leaders, at any thread count and across a resume
+    shape = build_shape([3, 3, 2])
+    rules, best = Counter(), None
+    for key, bits in canonical_classes(shape, symmetry_group(shape)):
+        min_d, label = _stub_min_d_and_label(bits)
+        if min_d > 4:
+            label = "uncovered"
+        rules[label] += 1
+        if best is None or min_d > best[0]:
+            best = (min_d, bits)
+    monkeypatch.setattr(search, "_decide", _stub_decide)
+    straight = compute_D([3, 3, 2])
+    assert straight.rules == dict(rules) and len(rules) == 4
+    assert (straight.d, straight.witness_bits) == best
+    assert straight.exceeded == (best[0] > 4)
+    cp = str(tmp_path / "cp.json")
+    assert compute_D([3, 3, 2], checkpoint_path=cp,
+                     stop_after_classes=1000) is None
+    resumed = compute_D([3, 3, 2], checkpoint_path=cp)
+    for other in (compute_D([3, 3, 2], threads=2), resumed):
+        assert other.to_json() == straight.to_json()
+
+
+def test_ladder_imports_no_survey_machinery():
+    # the ladder decides one coloring; ranges, checkpoints and pools are
+    # the survey engine's
+    tree = ast.parse(open(ladder.__file__).read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", ".construct", ".covers", ".errors",
+                        ".graphs"}
+
+
 def test_checkpoint_with_the_initial_layout_resumes(tmp_path):
     # 64 equal-width ranges, one of them part-way through: what a stopped
     # run that started from 64 ranges and never split one leaves behind
@@ -903,9 +956,12 @@ def test_checkpoint_with_the_initial_layout_resumes(tmp_path):
     dict(stop_after_classes=-3), dict(stop_after_classes=True),
     dict(d_max=-1), dict(d_max=True), dict(d_max=2.5), dict(survey_d=-1),
     dict(survey_d=True), dict(survey_d=1.5), dict(t=True),
+    dict(survey_d=0), dict(survey_d=1), dict(survey_d=5),
+    dict(survey_d=2, prune=False),
 ], ids=["every-0", "every-negative", "every-float", "stop-0", "stop-negative",
         "stop-bool", "dmax-negative", "dmax-bool", "dmax-float",
-        "survey-negative", "survey-bool", "survey-float", "t-bool"])
+        "survey-negative", "survey-bool", "survey-float", "t-bool",
+        "survey-0", "survey-1", "survey-past-dmax", "survey-no-prune"])
 def test_budgets_must_be_positive_integers(tmp_path, kwargs):
     with pytest.raises(InvalidParameter):
         compute_D([2, 2, 1], checkpoint_path=str(tmp_path / "cp.json"),
@@ -913,16 +969,27 @@ def test_budgets_must_be_positive_integers(tmp_path, kwargs):
     assert not (tmp_path / "cp.json").exists()
 
 
+def test_gk_survey_refuses_a_diameter_without_survivor_checks(tmp_path):
+    # at d = 1 no prune rule runs, so every class would "survive"; past
+    # d_max the walk stops first, so none would
+    cp = tmp_path / "gk3.json"
+    for d in (0, 1, 5):
+        with pytest.raises(InvalidParameter, match="survey_d"):
+            gk_survey(3, d=d, checkpoint_path=str(cp))
+    assert not cp.exists()
+
+
 def test_spanning_diameter_is_computed_once_per_class_and_color(monkeypatch):
     calls = []
-    original = search._spanning_diameter
+    original = ladder._spanning_diameter
 
     def counted(chi, c, d):
         calls.append((chi.bits, c, d))
         return original(chi, c, d)
 
-    monkeypatch.setattr(search, "_spanning_diameter", counted)
+    monkeypatch.setattr(ladder, "_spanning_diameter", counted)
     result = compute_D([2, 2, 2], d_max=4)
+    assert calls  # the patch sits where the ladder looks the name up
     assert len(calls) == len(set(calls)) <= 2 * result.classes
 
 
