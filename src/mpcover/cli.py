@@ -19,13 +19,14 @@ from .construct import GROUPINGS, multipartite_cover, tc2_cover
 from .covers import (cover_from_json, cover_to_json, subgraph_diameter,
                      verify_cover)
 from .errors import (CapExceeded, ConstructionExhausted, InequalityViolated,
-                     InvalidParameter, MpcoverError)
+                     InvalidParameter, MpcoverError, Unwritable)
 from .families import classify_tripartite, parse_family
 from .graphs import (EdgeColoring, build_shape, coloring_from_json,
                      coloring_to_json)
 from .ryser import Hypergraph, hypergraph_to_json, verify_equivalence_chain
 from .ladder import find_cover, prune_with_constructions
-from .search import SearchResult, compute_D, gk_checkpoint_path, gk_survey
+from .search import (MAX_THREADS, SearchResult, compute_D, gk_checkpoint_path,
+                     gk_survey)
 
 OK = 0
 REFUTED = 1
@@ -54,8 +55,11 @@ def _read_json(path: str):
 def _write(text: str, output=None) -> None:
     """Write report text to the file named by output, or to stdout."""
     if output and output != "-":
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise Unwritable(e.errno, e.strerror, output) from e
     else:
         sys.stdout.write(text)
 
@@ -318,8 +322,7 @@ def run_fuzz(mode: str, seed: int, iterations: int):
         counters[label] += 1
         if label in bad_labels and repro is not None:
             path = f"mpcover-repro-{mode}-{seed}-{i}.json"
-            with open(path, "w") as fh:
-                json.dump(repro, fh, indent=2, sort_keys=True)
+            _write(json.dumps(repro, indent=2, sort_keys=True), path)
             repro_paths.append(path)
     violations = sum(counters[k] for k in bad_labels)
     return counters, violations, repro_paths
@@ -352,6 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", "-o", default="-",
                        help="write the report here instead of stdout")
+
+    threads_help = ("worker processes; a process pool starts only above 1, "
+                    f"with at most {MAX_THREADS}")
 
     p = sub.add_parser("gen", help="emit a named family coloring")
     p.add_argument("--family", required=True,
@@ -388,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated part sizes, e.g. 4,2,2")
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--d-max", type=int, default=4)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help=threads_help)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--checkpoint-every", type=int, default=5000)
     p.add_argument("--stop-after", type=int, default=None,
@@ -411,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--checkpoint-every", type=int, default=5000)
     p.add_argument("--stop-after", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help=threads_help)
     p.add_argument("--timing", action="store_true")
     common(p)
     p.set_defaults(func=cmd_gk)
@@ -435,6 +443,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except Unwritable as e:
+        _warn(f"cannot write {e.filename}: {e.strerror}")
+        return CONFIG_ERROR
     except (_Unreadable, OSError) as e:
         _warn(f"cannot read input: {e}")
         return CONFIG_ERROR

@@ -73,3 +73,11 @@ class InequalityViolated(MpcoverError):
 
 class InvalidParameter(MpcoverError):
     """Out-of-range or inconsistent parameter (e.g. family parameter too small)."""
+
+
+class Unwritable(OSError):
+    """A file the caller named cannot be written.
+
+    ``filename`` is that name, also when the write that failed was to a
+    temporary sibling of it; ``strerror`` says why.
+    """

@@ -4,16 +4,19 @@
 leaders of a shape, asking the decision ladder (``ladder._decide``) each d
 once in ascending order (``_min_cover_d``).  A survey starts from one key
 range; chunks of at most ``CHUNK_CLASSES`` classes advance the ranges, and
-whenever idle workers outnumber the free ranges the widest is split
-(``_claim_ranges``).  Inside a chunk, each leader's coloring is stepped from
-the previous leader's (``EdgeColoring.recolored``), since leaders come in key
-order and consecutive ones differ in about two edges; the first leader of a
-chunk is built from scratch, so nothing is carried between chunks.  Each
-chunk returns a ``_Tally``, a commutative monoid, so the report does not
-depend on thread count, chunking or kill/resume boundaries.  A checkpoint
-holds merged progress only.  Only a pooled survey (threads > 1) imports and
-starts the process pool (``_fork_pool``); at threads 1 the chunks run inline,
-so ``multiprocessing`` and ``concurrent.futures`` are never loaded.
+whenever free slots outnumber the free ranges the widest is split
+(``_claim_ranges``).  A pooled survey keeps two chunks in flight per worker,
+so a worker that finishes one finds the next already queued while the parent
+merges results, claims ranges and writes checkpoints.  Inside a chunk, each
+leader's coloring is stepped from the previous leader's
+(``EdgeColoring.recolored``), since leaders come in key order and consecutive
+ones differ in about two edges; the first leader of a chunk is built from
+scratch, so nothing is carried between chunks.  Each chunk returns a
+``_Tally``, a commutative monoid, so the report does not depend on thread
+count, chunking or kill/resume boundaries.  A checkpoint holds merged
+progress only.  Only a pooled survey (threads > 1) imports and starts the
+process pool (``_fork_pool``); at threads 1 the chunks run inline, so
+``multiprocessing`` and ``concurrent.futures`` are never loaded.
 ``gk_survey`` is the same engine on the k-parts-of-size-2 shapes with the
 prune rules on, checking the structural facts of any coloring that survives
 them (``ladder.survivor_property_violations``).
@@ -29,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import CapExceeded, InvalidParameter
+from .errors import CapExceeded, InvalidParameter, Unwritable
 from .graphs import EdgeColoring, build_shape
 # Only the first three are called here.  The benchmark looks the other four
 # up as ``search`` attributes: three to trace, one to call in its fuzz loop.
@@ -279,17 +282,23 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path: str, state: dict) -> None:
-    """Atomic JSON dump (write to a sibling temp file, then rename)."""
+    """Atomic JSON dump (write to a sibling temp file, then rename).
+
+    A failed write raises ``Unwritable`` naming ``path``, not the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(state, fh, sort_keys=True, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(state, fh, sort_keys=True, indent=1)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise Unwritable(e.errno, e.strerror, path) from e
 
 
 def load_checkpoint(path: str) -> dict:
@@ -373,20 +382,23 @@ def _edge_cap():
 CHUNK_CLASSES = 500
 
 
-def _claim_ranges(ranges, busy, idle: int):
-    """Up to ``idle`` pending ranges not in ``busy`` (ids), most keys left first.
+def _claim_ranges(ranges, busy, slots: int):
+    """Up to ``slots`` pending ranges not in ``busy`` (ids), most keys left first.
 
-    Ties go in key order.  While idle workers outnumber the free ranges, the
-    free range with the most keys left is split at the midpoint of those
-    keys: ``[lo, hi, pos]`` becomes ``[lo, mid, pos]`` plus ``[mid, hi,
-    mid]``.  Enumeration restarts from any key, so both halves are sound
-    cursors and together cover exactly the keys the range had left.
+    ``slots`` is how many more chunks may go in flight: one for the inline
+    chunk at threads 1, else up to ``2 * threads`` in all, so that each pool
+    worker has a chunk queued behind the one it runs.  Ties go in key order.
+    While free slots outnumber the free ranges, the free range with the most
+    keys left is split at the midpoint of those keys: ``[lo, hi, pos]``
+    becomes ``[lo, mid, pos]`` plus ``[mid, hi, mid]``.  Enumeration restarts
+    from any key, so both halves are sound cursors and together cover exactly
+    the keys the range had left.
     """
     while True:
         free = sorted((r for r in ranges if r[2] < r[1] and id(r) not in busy),
                       key=lambda r: r[2] - r[1])
-        if len(free) >= idle:
-            return free[:idle]
+        if len(free) >= slots:
+            return free[:slots]
         if not free or free[0][1] - free[0][2] < 2:
             return free
         wide = free[0]
@@ -451,9 +463,12 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     2..``d_max`` and only with the prune rules on, runs the survivor checks
     on the classes that reach the two-bag search at that d.
 
-    At most ``threads`` chunks are in flight, each of at most
-    ``min(checkpoint_every, CHUNK_CLASSES)`` classes and of no more than is
-    left of ``stop_after_classes``.  A checkpoint is written once
+    At threads 1 one chunk runs inline at a time.  A pooled survey keeps up
+    to ``2 * threads`` chunks in flight, so that the pool's queue holds a
+    chunk for each worker that frees up while the parent merges results,
+    claims and splits ranges and writes checkpoints.  Each chunk has at most
+    ``min(checkpoint_every, CHUNK_CLASSES)`` classes and no more than is left
+    of ``stop_after_classes``.  A checkpoint is written once
     ``checkpoint_every`` classes have merged since the last one, on stop and
     on finish; a resumed run redoes the chunks that were in flight and
     whatever merged after the last write.
@@ -485,7 +500,7 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     config = {"shape": list(sizes), "t": t, "d_max": d_max,
               "use_symmetry": use_symmetry, "prune": prune,
               "survey_d": survey_d}
-    # One range of all keys, split as workers go idle.  Orbit leaders always
+    # One range of all keys, split as slots free up.  Orbit leaders always
     # start with a red edge (the color swap would beat them otherwise), so
     # the top half of the key space is empty.
     end = 1 << (shape.m - 1 if use_symmetry and shape.m >= 1 else shape.m)
@@ -513,14 +528,15 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     prior_seconds = spent
     started = time.monotonic()
     in_flight = {}  # future -> (its range, its class limit)
-    pool = None
+    pool, slots = None, 1
     if threads > 1:
         pool, first_done = _fork_pool(threads)
+        slots = 2 * threads  # one chunk running and one queued per worker
     try:
         while True:
             if budget > 0:
                 busy = {id(r) for r, _ in in_flight.values()}
-                for r in _claim_ranges(ranges, busy, threads - len(in_flight)):
+                for r in _claim_ranges(ranges, busy, slots - len(in_flight)):
                     chunk = min(limit, budget)
                     args = (sizes, t, d_max, use_symmetry, prune, survey_d,
                             r[1], r[2], chunk)

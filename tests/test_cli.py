@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coloring
+from mpcover import cli
 from mpcover.cli import CONFIG_ERROR, OK, REFUTED, main
 from mpcover.covers import (cover_from_json, cover_to_json, make_cover,
                             verify_cover)
@@ -299,6 +300,35 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "cover", "--input",
                        str(tmp_path / "missing.json"))
     assert code == CONFIG_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "fig3", "-o", "{missing}/x.json"),
+    ("cover", "--input", "{fig3}", "-o", "{missing}/x.json"),
+    ("compute-d", "--parts", "2,2,1", "--checkpoint", "{missing}/cp.json"),
+    ("gk", "--k", "3", "--checkpoint", "{missing}/cp.json"),
+], ids=["gen-report", "cover-report", "compute-d-checkpoint", "gk-checkpoint"])
+def test_a_failed_write_names_the_path_given(tmp_path, capsys, argv):
+    fig3 = tmp_path / "fig3.json"
+    assert run(capsys, "gen", "--family", "fig3", "-o", str(fig3))[0] == OK
+    argv = [a.format(missing=tmp_path / "missing", fig3=fig3) for a in argv]
+    code, out, err = run(capsys, *argv)
+    # the path as given, also for a checkpoint written through a temp file
+    assert code == CONFIG_ERROR and out == ""
+    assert err.startswith(f"mpcover: cannot write {argv[-1]}: "), err
+
+
+def test_a_failed_reproducer_write_names_the_reproducer(tmp_path, capsys,
+                                                        monkeypatch):
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)  # reproducers land in cwd, which then vanishes
+    gone.rmdir()
+    monkeypatch.setattr(cli, "_fuzz_one", lambda mode, rng, i: ("bad-cover", {}))
+    code, _, err = run(capsys, "fuzz", "--mode", "prune", "--seed", "1",
+                       "--n", "1")
+    assert code == CONFIG_ERROR
+    assert err.startswith("mpcover: cannot write mpcover-repro-prune-1-0.json: ")
 
 
 GOOD_COLORING = {"parts": [2, 1], "bits": "0"}

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -814,14 +815,74 @@ def test_skewed_reports_are_thread_count_independent(skewed_straight,
 def test_idle_workers_split_pending_ranges(skewed_two_threads):
     state = skewed_two_threads[1]
     ranges = state["cursor_ranges"]
-    # the survey starts from the one range [0, end, 0], which the second
-    # worker splits on its first claim
+    # the survey starts from the one range [0, end, 0], which its first
+    # claim splits into one range per free slot
     end = 1 << (build_shape([2, 2, 2, 2]).m - 1)
     assert len(ranges) > 1
     assert all(pos == hi for _, hi, pos in ranges)
     # the split ranges still tile the key space
     assert ranges[0][0] == 0 and ranges[-1][1] == end
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+class _QueueingPool:
+    """An inline stand-in for the fork pool.
+
+    A chunk runs only when the survey waits for one, newest first, so chunks
+    finish out of submission order.  Each submit records how many chunks
+    were outstanding before it and the chunk's class limit.
+    """
+
+    def __init__(self):
+        self.outstanding = []
+        self.submits = []
+
+    def submit(self, fn, args):
+        self.submits.append((len(self.outstanding), args[-1]))
+        self.outstanding.append((Future(), fn, args))
+        return self.outstanding[-1][0]
+
+    def first_done(self, futures):
+        assert len(futures) == len(self.outstanding)
+        fut, fn, args = self.outstanding.pop()
+        fut.set_result(fn(args))
+        return [fut]
+
+    def shutdown(self, cancel_futures):
+        self.outstanding.clear()
+
+
+@pytest.fixture(scope="module")
+def straight_332():
+    return compute_D([3, 3, 2]).to_json()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_pooled_survey_queues_one_chunk_per_worker(tmp_path, monkeypatch,
+                                                     straight_332, threads):
+    pools = []
+
+    def fork_pool(workers):
+        assert workers == threads
+        pools.append(_QueueingPool())
+        return pools[-1], pools[-1].first_done
+
+    monkeypatch.setattr(search, "_fork_pool", fork_pool)
+    assert compute_D([3, 3, 2], threads=threads).to_json() == straight_332
+    assert max(before for before, _ in pools[-1].submits) + 1 == 2 * threads
+    # a budget that ends inside the last chunk of the first claim, which is
+    # queued behind one running chunk per worker
+    budget = (2 * threads - 1) * search.CHUNK_CLASSES + 200
+    cp = str(tmp_path / "cp.json")
+    assert compute_D([3, 3, 2], threads=threads, checkpoint_path=cp,
+                     stop_after_classes=budget) is None
+    first_claim = pools[-1].submits[:2 * threads]
+    assert [before for before, _ in first_claim] == list(range(2 * threads))
+    assert first_claim[-1][1] == 200
+    assert load_checkpoint(cp)["counts"]["classes_enumerated"] == budget
+    resumed = compute_D([3, 3, 2], threads=threads, checkpoint_path=cp)
+    assert resumed.to_json() == straight_332
+    assert len(pools) == 3
 
 
 @pytest.mark.parametrize("first,second", [(2, 1), (1, 2)])
