@@ -15,6 +15,18 @@ returns the winning pieces; ``_decide`` builds the one ``Cover`` and checks
 it with ``verify_cover``, so every positive answer is backed by a cover that
 passed it.  The ladder sees one coloring at a time; key ranges, checkpoints
 and pools belong to the survey engine (``search``).
+
+Below the counting bound (``lowest_d``) every d is rejected before any
+rung runs.  A survey may also hand the ladder a list of hints: the two-bag
+winners of its chunk at the same d, most recent first, at most ``HINTS`` of
+them.  Consecutive orbit leaders differ in about two edges, so their two-bag
+covers often coincide.  The hints are tried last, after the clique-pair
+filter and just before ``two_bag_cover``; a hint that certifies is returned
+as "trichotomy" and moves to the front, and otherwise the fresh winner goes
+to the front.  ``two_bag_cover`` is exhaustive over two-piece covers, so it
+succeeds whenever a hint certifies: the label and the minimal d are those of
+a run without hints.  ``find_cover`` passes no hints, so its witnesses do
+not depend on what was decided before.
 """
 
 from __future__ import annotations
@@ -34,6 +46,9 @@ from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape, _grow,
 _PAIR_ORDER = ((BLUE, RED), (BLUE, BLUE), (RED, RED))
 
 _SECTOR_ORDER = ((RED, RED), (RED, BLUE), (BLUE, RED), (BLUE, BLUE))
+
+# Most two-bag winners a hint list keeps.
+HINTS = 4
 
 
 def _star_mask(chi: EdgeColoring, c: int, v: int) -> int:
@@ -345,12 +360,25 @@ def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
 # DECISION LADDER
 # ============================================================================
 
-def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
+def lowest_d(shape: MultipartiteShape, t: int) -> int:
+    """The counting bound: no cover by t pieces has a smaller diameter.
+
+    0 when t singletons cover V; otherwise 1, or 2 when a part has more than
+    t vertices, since diameter-0 pieces are singletons and t cliques hold at
+    most t vertices of a part.
+    """
+    if shape.n <= t:
+        return 0
+    return 2 if shape.part_sizes[0] > t else 1
+
+
+def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
     """(verified cover | None, label of the deciding rule).
 
-    The one place the ladder's winning pieces become a ``Cover``.
+    The one place the ladder's winning pieces become a ``Cover``.  ``hints``
+    is a survey chunk's list of recent two-bag winners at d, or None.
     """
-    pieces, label = _ladder(chi, t, d, prune)
+    pieces, label = _ladder(chi, t, d, prune, hints)
     if pieces is None:
         return None, label
     cover = cover_from_masks(pieces)
@@ -361,18 +389,18 @@ def _decide(chi: EdgeColoring, t: int, d: int, prune: bool):
     return cover, label
 
 
-def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
+def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
     """((color, mask) pieces | None, label of the deciding rule).
 
-    Every candidate it returns passed ``certifies_masks``.
+    Every candidate it returns passed ``certifies_masks``.  ``hints``, when
+    given, is updated in place: a hint that certifies, or else a fresh
+    two-bag winner, moves to its front.
     """
     n = chi.n
+    if d < lowest_d(chi.shape, t):
+        return None, "none"
     if n <= t:
         return tuple((BLUE, 1 << v) for v in range(n)), "tiny"
-    if d == 0:
-        return None, "none"  # diameter-0 pieces are singletons; n > t
-    if d == 1 and chi.shape.part_sizes[0] > t:
-        return None, "none"  # t cliques hold at most t vertices of a part
     # at d = 1 two vertices of one part (not adjacent) rule out spanning
     if d >= 2 or chi.shape.part_sizes[0] == 1:
         for c in (RED, BLUE):
@@ -391,7 +419,18 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool):
             return pieces, "star-doublestar"
     if d == 1 and not _clique_pair_exists(chi):
         return None, "none"  # a reject filter: the pieces come from two_bag
-    pieces = two_bag_cover(chi, d)
+    if hints is None:
+        pieces = two_bag_cover(chi, d)
+    else:
+        for i, pieces in enumerate(hints):
+            if certifies_masks(chi, pieces, d, 2):
+                del hints[i]
+                break
+        else:
+            pieces = two_bag_cover(chi, d)
+        if pieces is not None:
+            hints.insert(0, pieces)
+            del hints[HINTS:]
     return pieces, ("trichotomy" if pieces is not None else "none")
 
 

@@ -2,16 +2,20 @@
 
 ``compute_D`` maximizes the per-coloring minimal feasible d over the orbit
 leaders of a shape, asking the decision ladder (``ladder._decide``) each d
-once in ascending order (``_min_cover_d``).  A survey starts from one key
-range; chunks of at most ``CHUNK_CLASSES`` classes advance the ranges, and
-whenever free slots outnumber the free ranges the widest is split
-(``_claim_ranges``).  A pooled survey keeps two chunks in flight per worker,
-so a worker that finishes one finds the next already queued while the parent
-merges results, claims ranges and writes checkpoints.  Inside a chunk, each
+once in ascending order from the counting bound (``_min_cover_d``,
+``ladder.lowest_d``).  A survey starts from one key range; chunks of at
+most ``CHUNK_CLASSES`` classes advance the ranges, and whenever free slots
+outnumber the free ranges the widest is split (``_claim_ranges``).  A
+pooled survey keeps two chunks in flight per worker, so a worker that
+finishes one finds the next already queued while the parent merges results,
+claims ranges and writes checkpoints.  Inside a chunk, each
 leader's coloring is stepped from the previous leader's
 (``EdgeColoring.recolored``), since leaders come in key order and consecutive
 ones differ in about two edges; the first leader of a chunk is built from
-scratch, so nothing is carried between chunks.  Each chunk returns a
+scratch.  For the same reason each chunk keeps one short list of recent
+two-bag winners per d, which the ladder tries as hints just before its
+two-bag search; the lists are new in each chunk, so nothing is carried
+between chunks, and ``find_cover`` never sees them.  Each chunk returns a
 ``_Tally``, a commutative monoid, so the report does not depend on thread
 count, chunking or kill/resume boundaries.  A checkpoint holds merged
 progress only.  Only a pooled survey (threads > 1) imports and starts the
@@ -28,17 +32,18 @@ import os
 import json
 import tempfile
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import CapExceeded, InvalidParameter, Unwritable
 from .graphs import EdgeColoring, build_shape
-# Only the first three are called here.  The benchmark looks the other four
+# Only the first four are called here.  The benchmark looks the other four
 # up as ``search`` attributes: three to trace, one to call in its fuzz loop.
-from .ladder import (_check_td, _decide, survivor_property_violations,
-                     _prune_labeled, _spanning_diameter,
-                     prune_with_constructions, two_bag_cover)
+from .ladder import (_check_td, _decide, lowest_d,
+                     survivor_property_violations, _prune_labeled,
+                     _spanning_diameter, prune_with_constructions,
+                     two_bag_cover)
 from .symmetry import (canonical_classes, key_to_bits, leader_count,
                        symmetry_group, vertex_group_order)
 
@@ -46,16 +51,19 @@ DEFAULT_CAP_EDGES = 28
 CAP_ENV_VAR = "MPCOVER_CAP_EDGES"
 
 
-def _min_cover_d(chi, t, d_max, prune, survey_d):
+def _min_cover_d(chi, t, d_max, prune, survey_d, recent=None):
     """(min feasible d or d_max+1, label, survivor violations or None).
 
-    No cover appears past d = n - 1, the most a piece of finite diameter
-    has; the walk stops there, or at ``survey_d`` when that is later.
+    The walk starts at the counting bound (``lowest_d``).  No cover appears
+    past d = n - 1, the most a piece of finite diameter has; the walk stops
+    there, or at ``survey_d`` when that is later.  ``recent`` maps each d to
+    its list of two-bag hints (see ``_chunk_worker``), or is None.
     """
     surv = None
     last = chi.n - 1 if survey_d is None else max(chi.n - 1, survey_d)
-    for d in range(min(d_max, last) + 1):
-        cover, label = _decide(chi, t, d, prune)
+    for d in range(lowest_d(chi.shape, t), min(d_max, last) + 1):
+        cover, label = _decide(chi, t, d, prune,
+                               None if recent is None else recent[d])
         if d == survey_d and (cover is None or label == "trichotomy"):
             surv = tuple(survivor_property_violations(chi, cover is not None))
         if cover is not None:
@@ -264,11 +272,13 @@ def _chunk_worker(args):
     shape, group = _engine(sizes, use_symmetry)
     tally = _Tally()
     chi = None
+    # consecutive leaders differ in about two edges: step the rows, and give
+    # the ladder each d's latest two-bag winners in this chunk as hints
+    recent = defaultdict(list)
     for key, bits in canonical_classes(shape, group, lo=pos, hi=hi):
-        # consecutive leaders differ in about two edges: step the rows
         chi = (EdgeColoring(shape, bits) if chi is None
                else chi.recolored(bits))
-        tally.add(key, *_min_cover_d(chi, t, d_max, prune, survey_d))
+        tally.add(key, *_min_cover_d(chi, t, d_max, prune, survey_d, recent))
         if tally.classes >= limit:
             return tally, key + 1
     return tally, hi
@@ -281,14 +291,31 @@ def _chunk_worker(args):
 CHECKPOINT_VERSION = 1
 
 
+def _sibling_temp(path: str):
+    """(fd, name) of a new temp file in the directory of ``path``."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    return tempfile.mkstemp(dir=directory, suffix=".tmp")
+
+
+def _check_writable(path: str) -> None:
+    """Raise ``Unwritable`` naming ``path`` unless a checkpoint can be saved
+    there: a temp sibling is made and removed, and ``path`` is not touched.
+    """
+    try:
+        fd, tmp = _sibling_temp(path)
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as e:
+        raise Unwritable(e.errno, e.strerror, path) from e
+
+
 def save_checkpoint(path: str, state: dict) -> None:
     """Atomic JSON dump (write to a sibling temp file, then rename).
 
     A failed write raises ``Unwritable`` naming ``path``, not the temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd, tmp = _sibling_temp(path)
         try:
             with os.fdopen(fd, "w") as fh:
                 json.dump(state, fh, sort_keys=True, indent=1)
@@ -471,7 +498,8 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     of ``stop_after_classes``.  A checkpoint is written once
     ``checkpoint_every`` classes have merged since the last one, on stop and
     on finish; a resumed run redoes the chunks that were in flight and
-    whatever merged after the last write.
+    whatever merged after the last write.  A checkpoint path whose directory
+    takes no new file raises ``Unwritable`` before any class is surveyed.
     """
     shape = build_shape(part_sizes)
     sizes = shape.part_sizes
@@ -508,6 +536,8 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     tally = _Tally()
     spent = 0.0
 
+    if checkpoint_path:  # fail before any class is surveyed, not at a write
+        _check_writable(checkpoint_path)
     resumed = bool(checkpoint_path) and os.path.exists(checkpoint_path)
     if resumed:
         ranges, tally, spent = _resume(load_checkpoint(checkpoint_path),

@@ -249,8 +249,9 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
     image drops the whole coset.  When its pointer reaches the position
     where the elements part, its kids take over: each waits in its own
     bucket, or joins the current one to be compared at once when its wake is
-    the current depth or earlier.  Those pushes are popped when the node
-    returns, so both children of a node read its buckets unchanged.
+    the current depth or earlier; such a kid whose image is already larger
+    would drop on arrival, so it is not pushed.  Those pushes are popped when
+    the node returns, so both children of a node read its buckets unchanged.
     """
     m = shape.m
     if hi is None:
@@ -309,7 +310,12 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
                     if w > nd:
                         if w == parts:  # the coset parts here
                             for w, kid in kids:
-                                target = buckets[w if w > nd else nd]
+                                if w > nd:
+                                    target = buckets[w]
+                                elif src[kid[0][j]] > b[j]:
+                                    continue  # it would drop at once
+                                else:
+                                    target = buckets[nd]
                                 target.append(kid)
                                 undo.append(target)
                         else:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coloring
-from mpcover import cli
+from mpcover import cli, search
 from mpcover.cli import CONFIG_ERROR, OK, REFUTED, main
 from mpcover.covers import (cover_from_json, cover_to_json, make_cover,
                             verify_cover)
@@ -308,14 +308,24 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
     ("compute-d", "--parts", "2,2,1", "--checkpoint", "{missing}/cp.json"),
     ("gk", "--k", "3", "--checkpoint", "{missing}/cp.json"),
 ], ids=["gen-report", "cover-report", "compute-d-checkpoint", "gk-checkpoint"])
-def test_a_failed_write_names_the_path_given(tmp_path, capsys, argv):
+def test_a_failed_write_names_the_path_given(tmp_path, capsys, monkeypatch,
+                                             argv):
     fig3 = tmp_path / "fig3.json"
     assert run(capsys, "gen", "--family", "fig3", "-o", str(fig3))[0] == OK
+    decided = []
+
+    def decide(*args):
+        decided.append(args)
+        return None, "none"
+
+    monkeypatch.setattr(search, "_decide", decide)
     argv = [a.format(missing=tmp_path / "missing", fig3=fig3) for a in argv]
     code, out, err = run(capsys, *argv)
     # the path as given, also for a checkpoint written through a temp file
     assert code == CONFIG_ERROR and out == ""
     assert err.startswith(f"mpcover: cannot write {argv[-1]}: "), err
+    # a checkpoint's directory is probed before any class is surveyed
+    assert decided == []
 
 
 def test_a_failed_reproducer_write_names_the_reproducer(tmp_path, capsys,

@@ -5,8 +5,9 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import Future
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from mpcover import ladder, search
 from mpcover.covers import (certifies_masks, cover_from_masks, make_cover,
                             verify_cover)
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
-                            Unsupported)
+                            Unsupported, Unwritable)
 from mpcover.families import (check_monotone_extension, classify_tripartite,
                               gen_thm31)
 from mpcover.graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
@@ -931,7 +932,7 @@ def test_min_cover_d_stops_at_n_minus_one(monkeypatch):
     calls = Counter()
     decide = search._decide
 
-    def counted(chi, t, d, prune):
+    def counted(chi, t, d, prune, hints=None):
         calls[chi.bits] += 1
         return decide(chi, t, d, prune)
 
@@ -949,7 +950,7 @@ def _stub_min_d_and_label(bits):
     return mix % 6, ("stub-a", "stub-b", "stub-c")[mix // 6 % 3]
 
 
-def _stub_decide(chi, t, d, prune):
+def _stub_decide(chi, t, d, prune, hints=None):
     min_d, label = _stub_min_d_and_label(chi.bits)
     return (object(), label) if d >= min_d else (None, "none")
 
@@ -1040,6 +1041,48 @@ def test_gk_survey_refuses_a_diameter_without_survivor_checks(tmp_path):
     assert not cp.exists()
 
 
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_unwritable_checkpoint_fails_before_any_class(tmp_path, monkeypatch,
+                                                         threads):
+    # the directory is probed up front, not at the first checkpoint write
+    # (5 000 classes into [4,3,2]), and before a pool is forked
+    calls = []
+
+    def decide(*args):
+        calls.append(args)
+        return None, "none"
+
+    def no_pool(threads):
+        raise AssertionError("a pool was forked before the probe")
+
+    monkeypatch.setattr(search, "_decide", decide)
+    monkeypatch.setattr(search, "_fork_pool", no_pool)
+    cp = str(tmp_path / "missing" / "cp.json")
+    with pytest.raises(Unwritable) as err:
+        compute_D([4, 3, 2], threads=threads, checkpoint_path=cp)
+    assert err.value.filename == cp
+    with pytest.raises(Unwritable) as err:
+        gk_survey(4, threads=threads, checkpoint_path=cp)
+    assert err.value.filename == cp
+    assert calls == []
+
+
+def test_the_checkpoint_probe_leaves_nothing_and_writes_nothing(tmp_path,
+                                                                monkeypatch):
+    writes = []
+    save = search.save_checkpoint
+
+    def counted(path, state):
+        writes.append(path)
+        save(path, state)
+
+    monkeypatch.setattr(search, "save_checkpoint", counted)
+    cp = str(tmp_path / "cp.json")
+    compute_D([3, 2, 2], checkpoint_path=cp)
+    assert writes == [cp]  # the write at the finish only
+    assert os.listdir(tmp_path) == ["cp.json"]
+
 def test_spanning_diameter_is_computed_once_per_class_and_color(monkeypatch):
     calls = []
     original = ladder._spanning_diameter
@@ -1052,6 +1095,150 @@ def test_spanning_diameter_is_computed_once_per_class_and_color(monkeypatch):
     result = compute_D([2, 2, 2], d_max=4)
     assert calls  # the patch sits where the ladder looks the name up
     assert len(calls) == len(set(calls)) <= 2 * result.classes
+
+
+
+# ---------------------------------------------------------------------------
+# Counting bound and two-bag hints
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sizes, t, want", [
+    ((1, 1), 2, 0), ((2,), 2, 0), ((1, 1, 1), 2, 1), ((2, 2, 2), 2, 1),
+    ((3, 1), 2, 2), ((5, 2, 2), 2, 2), ((1, 1), 1, 1), ((2, 1), 1, 2)])
+def test_lowest_d_is_the_counting_bound(sizes, t, want):
+    assert ladder.lowest_d(build_shape(sizes), t) == want
+
+
+def test_no_cover_below_the_counting_bound(rng):
+    # the bound is sound: the oracle finds no cover below it either
+    for sizes in ([3, 1], [2, 2, 1], [3, 2, 1], [2, 1, 1], [1, 1, 1, 1]):
+        shape = build_shape(sizes)
+        for t in (1, 2):
+            low = ladder.lowest_d(shape, t)
+            for _ in range(6):
+                chi = random_coloring(rng, sizes)
+                for d in range(low):
+                    assert not oracle_cover_exists(chi, t, d), (sizes, t, d)
+                    assert find_cover(chi, t, d) is None
+
+
+def test_the_walk_starts_at_the_counting_bound(monkeypatch):
+    asked = Counter()
+    decide = search._decide
+
+    def counted(chi, t, d, prune, hints=None):
+        asked[d] += 1
+        return decide(chi, t, d, prune, hints)
+
+    monkeypatch.setattr(search, "_decide", counted)
+    result = compute_D([3, 2, 2])  # a part of 3 > t vertices: no d below 2
+    assert min(asked) == 2 and asked[2] == result.classes
+    asked.clear()
+    assert compute_D([1, 1]).rules == {"tiny": 1}  # n <= t: d = 0 still asked
+    assert asked == {0: 1}
+
+
+def _walks(shape, survey_d, recent):
+    """``_min_cover_d`` of each leader, prune rules on, d_max 4, sharing one
+    hint dict as a single chunk would, or none when ``recent`` is None."""
+    out = []
+    for _, bits in canonical_classes(shape, symmetry_group(shape)):
+        chi = EdgeColoring(shape, bits)
+        out.append(search._min_cover_d(chi, 2, 4, True, survey_d, recent))
+        if recent is not None:
+            assert all(len(hints) <= ladder.HINTS for hints in recent.values())
+    return out
+
+
+@pytest.mark.parametrize("sizes, survey_d", [
+    ((3, 3, 2), None), ((4, 2, 2), None), ((2, 2, 2), 2)],
+    ids=["3-3-2", "4-2-2", "gk3"])
+def test_hints_leave_every_class_unchanged(sizes, survey_d, monkeypatch):
+    # (min d, label, survivor violations) of each leader, as in compute_D or
+    # gk_survey(3), is the same with hints as without (recent=None)
+    calls = []
+    original = ladder.two_bag_cover
+
+    def counted(chi, d):
+        calls.append(d)
+        return original(chi, d)
+
+    monkeypatch.setattr(ladder, "two_bag_cover", counted)
+    shape = build_shape(sizes)
+    hinted = _walks(shape, survey_d, defaultdict(list))
+    searched = len(calls)
+    assert hinted == _walks(shape, survey_d, None)
+    # both walks reach the rung, and the hints save some of its searches
+    assert 0 < searched < len(calls) - searched
+
+
+def _two_bag_pieces(sizes, d):
+    """(coloring, two-bag winner at d) of each leader the ladder takes there."""
+    shape = build_shape(sizes)
+    out = []
+    for _, bits in canonical_classes(shape, symmetry_group(shape)):
+        chi = EdgeColoring(shape, bits)
+        pieces, label = ladder._ladder(chi, 2, d, True)
+        if label == "trichotomy":
+            out.append((chi, pieces))
+    return out
+
+
+def _other_winners(chi, own, winners, certify):
+    """The other leaders' winners that do (or do not) certify on chi."""
+    return (p for _, p in winners
+            if p != own and certifies_masks(chi, p, 2, 2) == certify)
+
+
+def test_a_hint_that_does_not_certify_is_never_returned():
+    # stale hints: other leaders' winners that fail on this coloring.  The
+    # ladder returns its own two-bag winner and puts it first
+    winners = _two_bag_pieces((3, 3, 2), 2)
+    checked = 0
+    for chi, pieces in winners[:100]:
+        stale = list(islice(_other_winners(chi, pieces, winners, False),
+                            ladder.HINTS))
+        hints = list(stale)
+        got, label = ladder._ladder(chi, 2, 2, True, hints)
+        assert (got, label) == (pieces, "trichotomy")
+        assert hints == [pieces] + stale[:ladder.HINTS - 1]
+        checked += len(stale) == ladder.HINTS
+    assert checked > 50
+
+
+def test_a_hint_hit_moves_to_the_front():
+    winners = _two_bag_pieces((3, 3, 2), 2)
+    checked = 0
+    for chi, pieces in winners[:100]:
+        stale = list(islice(_other_winners(chi, pieces, winners, False),
+                            ladder.HINTS - 1))
+        good = next(_other_winners(chi, pieces, winners, True), None)
+        if len(stale) < ladder.HINTS - 1 or good is None:
+            continue
+        hints = stale[:2] + [good] + stale[2:]
+        got, label = ladder._ladder(chi, 2, 2, True, hints)
+        assert (got, label) == (good, "trichotomy")  # not the search's own
+        assert hints == [good] + stale  # moved, and no longer than before
+        checked += 1
+    assert checked > 20
+
+
+def test_find_cover_reads_no_hint(rng, monkeypatch):
+    seen = []
+    original = ladder._ladder
+
+    def recorded(chi, t, d, prune, hints=None):
+        seen.append(hints)
+        return original(chi, t, d, prune, hints)
+
+    monkeypatch.setattr(ladder, "_ladder", recorded)
+    for sizes in ([3, 3, 2], [4, 2, 2], [2, 2, 2, 2]):
+        for _ in range(10):
+            chi = random_coloring(rng, sizes)
+            for d in (1, 2, 3):
+                find_cover(chi, 2, d)
+                cover_exists(chi, 2, d)
+    assert seen and all(hints is None for hints in seen)
 
 
 def test_report_formats():
