@@ -15,9 +15,11 @@ alone, so a survey builds no vertex set.
 Verification never trusts the producer: coverage, per-subgraph connectivity
 and diameter are all recomputed from the coloring.  Vertex ids are checked
 by one mask test per piece.  Each piece is decided with the early-exit
-``diameter_at_most``, which bounds a dominated piece (one vertex adjacent in
-the piece's color to all the others, as in a star) at diameter 2 without
-growing a ball.  The exact diameter is computed only for a piece that fails,
+``diameter_at_most``, which decides a piece of k vertices at d >= k - 1 with
+one ball (a connectivity test; an unbounded cover checked at d = n takes
+this path), and bounds a dominated piece (one vertex adjacent in the piece's
+color to all the others, as in a star) at diameter 2 without growing a
+ball.  The exact diameter is computed only for a piece that fails,
 to build its witness.  ``verify_cover`` reports the first violation with an
 exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
 on (color, mask) pieces.  The search ladder and the diameter-3 pipeline keep

@@ -17,7 +17,9 @@ u | row | ``_grow(rows, row)``, with none of ``_ball``'s stop tests:
 at d = 2 on shapes with no size-1 part.  Through ``_ball``, a mask has
 diameter <= d exactly when each vertex's radius-d ball fills it
 (``diameter_at_most``, which tests a clique with one AND per vertex at
-d = 1, and first bounds a dominated mask, one vertex adjacent to all the
+d = 1, grows a single ball, a connectivity test, when d >= |mask| - 1,
+since a connected mask of k vertices has diameter at most k - 1, and
+otherwise first bounds a dominated mask, one vertex adjacent to all the
 others, at diameter 2 when d >= 2; stars and the covers built from them are
 dominated), the exact ``diameter_in_mask`` raises a
 running bound until every ball fills the mask, ``far_masks`` is the
@@ -433,11 +435,14 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     """``diameter_in_mask(chi, c, allowed) <= d``, with early exit.
 
     At d = 1 the mask must be a clique: one AND per vertex, no ball.  At
-    d >= 2 a vertex adjacent in color c to every other vertex of the mask
-    dominates it, which bounds the diameter by 2: a scan of one AND per
-    vertex looks for one before any ball is grown.  Then one ball per vertex,
-    stopping with False at the first radius-d ball that misses part of the
-    mask.  An empty mask is vacuously True.
+    d >= |mask| - 1 the bound cannot bind, since a connected mask of k
+    vertices has diameter at most k - 1: one ball from the mask's lowest
+    vertex decides it (the unbounded covers, verified at d = n or INF, take
+    this path).  Otherwise, at d >= 2 a vertex adjacent in color c to every
+    other vertex of the mask dominates it, which bounds the diameter by 2: a
+    scan of one AND per vertex looks for one before any ball is grown.  Then
+    one ball per vertex, stopping with False at the first radius-d ball that
+    misses part of the mask.  An empty mask is vacuously True.
     """
     if d < 0:
         return False
@@ -450,6 +455,10 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
                 return False
             rest ^= low
         return True
+    if d >= allowed.bit_count() - 1:
+        low = allowed & -allowed
+        return not low or \
+            _ball(rows, low.bit_length() - 1, d, allowed) == allowed
     if d >= 2:
         while rest:
             low = rest & -rest

@@ -306,6 +306,87 @@ def test_diameter_at_most_matches_floyd_warshall(chi_c_mask, d):
         (_floyd_warshall_diameter(chi, c, mask) <= d)
 
 
+def _walk_coloring(sizes, order, c, closed=False):
+    """(chi, mask): color c on the consecutive pairs of ``order`` (and on the
+    closing pair when ``closed``), the other color on every other edge.  The
+    color-c graph induced on ``order`` is then that path or cycle."""
+    shape = build_shape(sizes)
+    walk = set(zip(order, order[1:] + order[:1] if closed else order[1:]))
+    for u, v in walk:
+        assert shape.part_id[u] != shape.part_id[v]
+    colored = [(u, v, c if (u, v) in walk or (v, u) in walk else other_color(c))
+               for u, v in shape.edges]
+    return EdgeColoring.from_edges(shape, colored), mask_of(order)
+
+
+def _interleaved(parts, size, k):
+    """k vertices of ``parts`` parts of ``size``, one part after the next,
+    so that consecutive ones are in different parts."""
+    return [(i % parts) * size + i // parts for i in range(k)]
+
+
+# Paths whose lowest vertex is an end: on K_{5,5,5,5,5,5}, where most mask
+# pairs are non-edges, and on a complete graph.  And paths whose lowest vertex
+# is inside, where a radius-(k - 2) ball from it already fills the mask.
+PATHS = ([((5,) * 6, _interleaved(6, 5, k)) for k in (2, 3, 4, 7, 12, 30)]
+         + [((5,) * 6, _interleaved(6, 5, 30)[1:])]
+         + [((1,) * k, list(range(k))) for k in (3, 4, 9)]
+         + [((1,) * k, list(range(1, k // 2 + 1)) + [0]
+             + list(range(k // 2 + 1, k))) for k in (3, 4, 5, 9, 16)])
+
+
+@pytest.mark.parametrize("c", (RED, BLUE))
+@pytest.mark.parametrize("sizes, order", PATHS)
+def test_a_path_of_k_vertices_has_diameter_k_minus_1(sizes, order, c):
+    chi, mask = _walk_coloring(sizes, order, c)
+    k, n = len(order), chi.n
+    assert diameter_in_mask(chi, c, mask) == k - 1
+    assert diameter_at_most(chi, c, mask, k - 1)
+    assert not diameter_at_most(chi, c, mask, k - 2)
+    for d in list(range(k + 2)) + [n, INF]:
+        assert diameter_at_most(chi, c, mask, d) == (k - 1 <= d), d
+
+
+@pytest.mark.parametrize("c", (RED, BLUE))
+@pytest.mark.parametrize("sizes, order", [
+    ((5,) * 6, _interleaved(6, 5, 30)),
+    ((5,) * 6, _interleaved(6, 5, 5)),
+    ((1,) * 4, [0, 1, 2, 3]),
+    ((1,) * 11, [3, 0, 7, 1, 10, 2, 4, 9, 5, 6, 8]),
+    ((3, 3, 3), [0, 3, 6, 1, 4, 7, 2, 5, 8]),
+])
+def test_a_cycle_of_k_vertices_has_diameter_half_k(sizes, order, c):
+    chi, mask = _walk_coloring(sizes, order, c, closed=True)
+    k, n = len(order), chi.n
+    assert diameter_in_mask(chi, c, mask) == k // 2
+    assert diameter_at_most(chi, c, mask, k // 2)
+    assert not diameter_at_most(chi, c, mask, k // 2 - 1)
+    for d in list(range(k + 2)) + [n, INF]:
+        assert diameter_at_most(chi, c, mask, d) == (k // 2 <= d), d
+
+
+@pytest.mark.parametrize("c", (RED, BLUE))
+def test_a_disconnected_mask_is_false_at_every_d(c):
+    order = _interleaved(6, 5, 30)
+    chi, full = _walk_coloring((5,) * 6, order, c)
+    cut = EdgeColoring(chi.shape, chi.bits ^ 1 << chi.shape.edge_index[
+        tuple(sorted(order[14:16]))])  # the path loses its middle edge
+    part = mask_of(chi.shape.part_vertices(0))  # no edges inside a part
+    for g, mask in ((cut, full), (chi, part), (chi, 0b11)):
+        assert diameter_in_mask(g, c, mask) == INF
+        for d in (0, 1, 2, 3, mask.bit_count() - 1, g.n, INF):
+            assert not diameter_at_most(g, c, mask, d), (mask, d)
+
+
+@pytest.mark.parametrize("c", (RED, BLUE))
+@pytest.mark.parametrize("d", (0, 1, 2, 30, INF))
+def test_empty_and_singleton_masks_have_diameter_0(c, d):
+    chi = EdgeColoring(build_shape([5] * 6), 0)
+    for mask in (0, 1, 1 << 29):
+        assert diameter_in_mask(chi, c, mask) == 0
+        assert diameter_at_most(chi, c, mask, d)
+
+
 @st.composite
 def colorings_up_to_12(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)
