@@ -68,15 +68,11 @@ def _star_doublestar(chi, rows, d):
     for c in (BLUE, RED):
         for u in range(chi.n):
             stars.append((c, u, (1 << u) | rows[c][u]))
-    doubles = []
-    for (u, v) in chi.shape.edges:
-        if (rows[RED][u] >> v) & 1:
-            c = RED
-        elif (rows[BLUE][u] >> v) & 1:
-            c = BLUE
-        else:
-            continue  # edge absent in the restricted view
-        doubles.append((c, u, v, (1 << u) | (1 << v) | rows[c][u] | rows[c][v]))
+    doubles = []  # one per edge uv of the rows, u < v, in edge order
+    for u in range(chi.n):
+        for v in bits_of((rows[RED][u] | rows[BLUE][u]) & -(2 << u)):  # v > u
+            c = RED if (rows[RED][u] >> v) & 1 else BLUE
+            doubles.append((c, u, v, (1 << u) | (1 << v) | rows[c][u] | rows[c][v]))
     for c1, u, s1 in stars:
         if s1 == full:
             pieces = ((c1, s1), (c1, 1 << u))

@@ -31,6 +31,16 @@ extensions).
 The prune rules AND the blue distance layers of a clone pair (the two
 vertices of a size-2 part), masks from ``bilayer_partition``, into cells;
 each end's layer 2 comes from its radius-2 ball.
+
+In edge order, the edges from a vertex u to the vertices past its part are
+one run of consecutive bits, u's slice, and their ends are consecutive
+vertices too.  So a shape keeps per vertex the slice's offset, a mask of its
+width and its first end, and no edge list.  A coloring builds its blue rows
+from the slices: u's row past its part is its slice shifted into place, and
+peeling the slice's set bits fills the rows below u.  Red is what blue
+leaves of each vertex's cross-part mask.  The edge list and its index, which
+``recolored``, the relabelings, the file format and ``color_of`` read, are
+built on a shape's first read of them.
 """
 
 from __future__ import annotations
@@ -44,8 +54,9 @@ COLORS = (RED, BLUE)
 COLOR_NAMES = {RED: "red", BLUE: "blue"}
 
 # Largest vertex count a shape may have.  Far above every real use (the
-# fuzz drivers stay at n <= 30), it keeps a hostile input from starting the
-# O(n^2) edge enumeration.
+# fuzz drivers stay at n <= 30).  Building a shape enumerates no vertex
+# pairs; the cap bounds ``1 << m``, which every bits check builds, and the
+# O(n^2) edge list built on its first read.
 MAX_VERTICES = 1024
 
 # Distance sentinel for "unreachable"; larger than any real distance and
@@ -87,10 +98,14 @@ class MultipartiteShape:
     """Canonical complete multipartite shape.
 
     Immutable; equality and hashing go by the part-size vector.
+    ``slices[u]`` is u's bit slice (offset, width mask, first vertex past
+    u's part), and ``cross[u]`` the mask of the vertices outside u's part.
+    ``edges`` and ``edge_index`` are built on first read.
     """
 
-    __slots__ = ("part_sizes", "n", "k", "part_id", "part_start", "edges",
-                 "edge_index", "m", "full_mask", "clone")
+    __slots__ = ("part_sizes", "n", "k", "part_id", "part_start", "clone",
+                 "clone_pairs", "slices", "cross", "m", "full_mask",
+                 "_edges", "_edge_index")
 
     def __init__(self, part_sizes):
         # checked before sorting; a bool is no part size, though it is an int
@@ -105,27 +120,51 @@ class MultipartiteShape:
         self.part_sizes = sizes
         self.k = len(sizes)
         self.n = n
+        self.full_mask = full = (1 << n) - 1
         part_id = []
         starts = []
         clone = []  # the co-part vertex in a size-2 part, else None
+        slices = []
+        cross = []
+        m = 0
         at = 0
         for p, a in enumerate(sizes):
             starts.append(at)
             part_id.extend([p] * a)
             clone.extend((at + 1, at) if a == 2 else [None] * a)
-            at += a
+            end = at + a
+            width = n - end
+            cross.extend([full ^ ((1 << end) - (1 << at))] * a)
+            for _ in range(a):
+                slices.append((m, (1 << width) - 1, end))
+                m += width
+            at = end
         self.part_id = tuple(part_id)
         self.part_start = tuple(starts)
         self.clone = tuple(clone)
-        edges = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if part_id[u] != part_id[v]:
-                    edges.append((u, v))
-        self.edges = tuple(edges)
-        self.edge_index = {e: i for i, e in enumerate(edges)}
-        self.m = len(edges)
-        self.full_mask = (1 << self.n) - 1
+        self.clone_pairs = tuple((s, s + 1) for s, a in zip(starts, sizes)
+                                 if a == 2)  # (x, x') per size-2 part
+        self.slices = tuple(slices)
+        self.cross = tuple(cross)
+        self.m = m
+        self._edges = self._edge_index = None
+
+    @property
+    def edges(self) -> tuple:
+        """The edges (u, v), u < v, in bit order; built on first read."""
+        if self._edges is None:
+            n = self.n
+            self._edges = tuple((u, v)
+                                for u, (_, _, end) in enumerate(self.slices)
+                                for v in range(end, n))
+        return self._edges
+
+    @property
+    def edge_index(self) -> dict:
+        """Each edge's bit position; built on first read."""
+        if self._edge_index is None:
+            self._edge_index = {e: i for i, e in enumerate(self.edges)}
+        return self._edge_index
 
     def part_of(self, u: int) -> int:
         self.check_vertex(u)
@@ -180,16 +219,28 @@ class EdgeColoring:
             raise InvalidShape(f"bits {bits!r} out of range for {shape.m} edges")
         self.shape = shape
         self.bits = bits
-        red = [0] * shape.n
+        # u's blue row past its part is its bit slice, shifted into place;
+        # peeling that row's bits fills the blue rows of the vertices below
         blue = [0] * shape.n
-        for i, (u, v) in enumerate(shape.edges):
-            if (bits >> i) & 1:
-                blue[u] |= 1 << v
-                blue[v] |= 1 << u
-            else:
-                red[u] |= 1 << v
-                red[v] |= 1 << u
-        self.adj = (tuple(red), tuple(blue))
+        for u, (off, width, end) in enumerate(shape.slices):
+            row = ((bits >> off) & width) << end
+            blue[u] |= row
+            bu = 1 << u
+            while row:
+                low = row & -row
+                blue[low.bit_length() - 1] |= bu
+                row ^= low
+        self.adj = (tuple([c & ~b for c, b in zip(shape.cross, blue)]),
+                    tuple(blue))
+
+    @classmethod
+    def _of_rows(cls, shape, bits, red, blue) -> "EdgeColoring":
+        """The coloring ``bits`` with its rows given, trusted as they are."""
+        chi = object.__new__(cls)
+        chi.shape = shape
+        chi.bits = bits
+        chi.adj = (red, blue)
+        return chi
 
     def recolored(self, bits: int) -> "EdgeColoring":
         """The coloring ``bits`` of the same shape, stepped from this one.
@@ -213,11 +264,7 @@ class EdgeColoring:
             blue[u] ^= bv
             blue[v] ^= bu
             flip ^= low
-        chi = object.__new__(EdgeColoring)
-        chi.shape = shape
-        chi.bits = bits
-        chi.adj = (tuple(red), tuple(blue))
-        return chi
+        return EdgeColoring._of_rows(shape, bits, tuple(red), tuple(blue))
 
     @classmethod
     def from_edges(cls, shape: MultipartiteShape, colored_edges) -> "EdgeColoring":
@@ -249,11 +296,28 @@ class EdgeColoring:
         return self.shape.n
 
     def color_of(self, u: int, v: int) -> int:
-        e = (u, v) if u < v else (v, u)
-        return (self.bits >> self.shape.edge_index[e]) & 1
+        """The color of the edge uv.
+
+        ``InvalidVertex`` unless u and v are vertices in different parts; a
+        bool is no vertex id, though it is an int.
+        """
+        shape = self.shape
+        i = shape.edge_index.get((u, v) if u < v else (v, u)) \
+            if type(u) is int and type(v) is int else None
+        if i is None:
+            shape.check_vertex(u)
+            shape.check_vertex(v)
+            if shape.part_id[u] != shape.part_id[v]:  # an int subclass
+                return self.color_of(int(u), int(v))
+            raise InvalidVertex(f"vertices {u} and {v} lie in one part; "
+                                f"no edge joins them")
+        return (self.bits >> i) & 1
 
     def swap_colors(self) -> "EdgeColoring":
-        return EdgeColoring(self.shape, self.bits ^ ((1 << self.shape.m) - 1))
+        """The other color on every edge: the two colors' rows trade places."""
+        return EdgeColoring._of_rows(self.shape,
+                                     self.bits ^ ((1 << self.shape.m) - 1),
+                                     self.adj[BLUE], self.adj[RED])
 
     def permute(self, perm) -> "EdgeColoring":
         """Coloring with vertex u relabeled perm[u] (must respect parts)."""

@@ -215,12 +215,6 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
 # CLONE-BASED PRUNING RULES
 # ============================================================================
 
-def _clone_pairs(shape: MultipartiteShape):
-    """(x, x') per size-2 part, x its first vertex, in vertex order."""
-    return [(s, s + 1) for s, a in zip(shape.part_start, shape.part_sizes)
-            if a == 2]
-
-
 def _try(chi, d, *pieces):
     """These (color, mask) pieces if they certify, else None.
 
@@ -246,7 +240,7 @@ def _prune_labeled(chi: EdgeColoring, d: int):
     if pieces is not None:
         return pieces, "two-stars"
 
-    pairs = _clone_pairs(shape)
+    pairs = shape.clone_pairs
     clone = shape.clone
 
     for x, xp in pairs:
@@ -334,7 +328,7 @@ def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
     shape = chi.shape
     clone = shape.clone
     out = []
-    pairs = _clone_pairs(shape)
+    pairs = shape.clone_pairs
     for v, vp in pairs:
         for i, j in _SECTOR_ORDER:
             if not (chi.adj[i][v] & chi.adj[j][vp]):

@@ -1,7 +1,9 @@
-"""``diameter_at_most`` against a plain BFS on colorings of up to 30 vertices.
+"""``diameter_at_most`` against a plain BFS, and the row builder against a
+pair enumeration, on colorings of up to 30 vertices.
 
-Kept out of the tier-1 suite (about ten seconds), so it is named to stay out
-of test discovery; run it with ``python -m pytest tests/sweep_diameter.py``.
+Kept out of the tier-1 suite (about twenty-five seconds), so it is named to
+stay out of test discovery; run it with
+``python -m pytest tests/sweep_diameter.py``.
 The colorings are seeded, with the part sizes of the ``tc2`` fuzz driver
 (2 to 6 parts, n <= 30).  On each, for both colors, it takes random masks
 and masks on which it plants an induced path or cycle (long diameters, which
@@ -9,6 +11,10 @@ random masks almost never have), and checks the verdict at every d in
 0..n + 1 and at INF.  The reference shares no code with the kernels: it
 reads only ``chi.color_of`` and ``shape.part_of``, builds neighbor lists,
 and runs a BFS over vertex lists from every vertex of the mask.
+
+The same colorings check the rows that ``EdgeColoring`` builds from each
+vertex's bit slice, and ``color_of``, against rows filled one edge at a time
+while the vertex pairs are enumerated in bit order.
 """
 
 import math
@@ -106,3 +112,38 @@ def test_diameter_at_most_agrees_with_a_plain_bfs(seed):
                 (chi.shape.part_sizes, hex(chi.bits), c, members, d, want)
     # the planted walks reach the diameters a random mask does not
     assert seen["long"] >= 100 and seen["cut"] >= 100
+
+
+def _pair_rows(shape, bits):
+    """(red, blue) rows, one vertex pair at a time, edges counted in order."""
+    rows = ([0] * shape.n, [0] * shape.n)
+    i = 0
+    for u in range(shape.n):
+        for v in range(u + 1, shape.n):
+            if shape.part_of(u) != shape.part_of(v):
+                side = rows[(bits >> i) & 1]
+                side[u] |= 1 << v
+                side[v] |= 1 << u
+                i += 1
+    assert i == shape.m
+    return tuple(rows[RED]), tuple(rows[BLUE])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rows_agree_with_a_pair_enumeration(seed):
+    seen = set()
+    for chi, _, _ in _cases(seed, 400):
+        if (chi.shape, chi.bits) in seen:
+            continue
+        seen.add((chi.shape, chi.bits))
+        shape = chi.shape
+        assert chi.adj == _pair_rows(shape, chi.bits), \
+            (shape.part_sizes, hex(chi.bits))
+        red, blue = chi.adj
+        assert all(chi.color_of(u, v) == (blue[u] >> v) & 1
+                   for u in range(shape.n) for v in range(shape.n)
+                   if (red[u] | blue[u]) >> v & 1)
+        ones = (1 << shape.m) - 1
+        for bits in (0, ones, chi.bits ^ ones):
+            assert EdgeColoring(shape, bits).adj == _pair_rows(shape, bits)
+        assert chi.swap_colors().adj == (blue, red)

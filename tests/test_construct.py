@@ -223,6 +223,26 @@ def test_tc2_fuzz(rng):
         assert verify_cover(chi, cover, INF, 2) is None
 
 
+@pytest.mark.parametrize("sizes", [[10, 10, 10], [6, 6, 6, 6, 6],
+                                   [26, 2, 2], [5, 5, 5, 5, 5, 5]])
+def test_the_n_30_pipelines_build_no_edge_list(sizes):
+    # shapes and colorings come from per-vertex bit slices; neither the
+    # diameter-3 cases (star + double star included) nor verify_cover read
+    # the edge list, which a shape builds only when something reads it
+    rng = random.Random(sum(sizes) * len(sizes))
+    labels = set()
+    for _ in range(40):
+        shape = build_shape(sizes)
+        chi = EdgeColoring(shape, rng.getrandbits(shape.m))
+        cover, trace = multipartite_cover(chi)
+        labels.add(trace.cases[-1][0])
+        assert verify_cover(chi, cover, 3, 2) is None
+        assert verify_cover(chi, tc2_cover(chi), shape.n, 2) is None
+        assert shape._edges is None and shape._edge_index is None
+    if sizes == [26, 2, 2]:
+        assert "dominating-vertex" in labels
+
+
 def test_tc2_needs_two_parts():
     with pytest.raises(InvalidShape):
         tc2_cover(EdgeColoring(build_shape([4]), 0))

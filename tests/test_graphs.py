@@ -75,6 +75,8 @@ def test_non_integer_sizes_and_bits_are_invalid_shapes(make):
 def test_clone_of():
     s = build_shape([2, 2, 1])
     assert s.clone == (1, 0, 3, 2, None)
+    assert s.clone_pairs == ((0, 1), (2, 3))
+    assert build_shape([3, 1]).clone_pairs == ()
     assert s.clone_of(0) == 1 and s.clone_of(1) == 0
     assert s.clone_of(2) == 3
     with pytest.raises(NoUniqueClone):
@@ -146,6 +148,53 @@ def test_a_chain_of_recolorings_does_not_drift(rng):
             assert _same_coloring(chi, EdgeColoring(shape, chi.bits))
 
 
+def _pair_edges(sizes):
+    """The edge list and index of a shape by the plain pair enumeration."""
+    part = [p for p, a in enumerate(sorted(sizes, reverse=True))
+            for _ in range(a)]
+    edges = tuple((u, v) for u in range(len(part))
+                  for v in range(u + 1, len(part)) if part[u] != part[v])
+    return edges, {e: i for i, e in enumerate(edges)}
+
+
+def _edge_rows(edges, n, bits):
+    """(red, blue) adjacency rows, one edge at a time."""
+    rows = ([0] * n, [0] * n)
+    for i, (u, v) in enumerate(edges):
+        side = rows[(bits >> i) & 1]
+        side[u] |= 1 << v
+        side[v] |= 1 << u
+    return tuple(rows[RED]), tuple(rows[BLUE])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_slice_built_shapes_and_rows_match_a_per_edge_build(seed):
+    rng = random.Random(seed)
+    sizes_list = [[1], [5], [1, 1], [6] * 5]
+    sizes_list += [[rng.randint(1, 6) for _ in range(rng.randint(1, 7))]
+                   for _ in range(12)]
+    for sizes in sizes_list:
+        edges, index = _pair_edges(sizes)
+        shape = build_shape(sizes)
+        m = len(edges)
+        assert shape.m == m
+        all_blue = (1 << m) - 1
+        chis = [EdgeColoring(shape, b)
+                for b in (rng.getrandbits(m), 0, all_blue)]
+        # the rows come from the slices, before the edge list exists
+        assert shape._edges is None and shape._edge_index is None
+        for chi in chis:
+            assert chi.adj == _edge_rows(edges, shape.n, chi.bits)
+        assert shape.edges == edges and shape.edge_index == index
+        assert shape.edges is shape.edges  # built once, then kept
+        with pytest.raises(AttributeError):
+            shape.edges = ()
+        for a in chis:
+            for b in (_near_bits(rng, m, a.bits), 0, all_blue):
+                assert _same_coloring(a.recolored(b), EdgeColoring(shape, b))
+                assert a.recolored(b).adj == _edge_rows(edges, shape.n, b)
+
+
 def test_from_edges_rejects_bad_lists():
     s = build_shape([2, 1])
     with pytest.raises(InvalidShape):
@@ -165,6 +214,37 @@ def test_swap_and_permute(rng):
     assert chi2.color_of(0, 2) == chi.color_of(1, 2)
     with pytest.raises(InvalidVertex):
         chi.permute([2, 1, 0, 3, 4])  # moves across parts
+
+
+@pytest.mark.parametrize("sizes", [[1], [3], [2, 1], [3, 2, 2], [6] * 5])
+def test_swap_colors_trades_the_rows(rng, sizes):
+    shape = build_shape(sizes)
+    for bits in (0, (1 << shape.m) - 1, rng.getrandbits(shape.m)):
+        chi = EdgeColoring(shape, bits)
+        swapped = chi.swap_colors()
+        assert _same_coloring(
+            swapped, EdgeColoring(shape, bits ^ ((1 << shape.m) - 1)))
+        assert _same_coloring(swapped.swap_colors(), chi)
+
+
+def test_color_of_reads_one_edge():
+    chi = EdgeColoring(build_shape([2, 2]), 0b0110)  # edges (0,3), (1,2) blue
+    assert [chi.color_of(u, v) for u, v in ((0, 2), (0, 3), (1, 2), (1, 3))] \
+        == [RED, BLUE, BLUE, RED]
+    assert chi.color_of(3, 0) == BLUE
+
+
+@pytest.mark.parametrize("u, v, message", [
+    (0, 1, "lie in one part"), (3, 2, "lie in one part"),
+    (2, 2, "lie in one part"), (0, 9, "vertex 9 outside 0..3"),
+    (-1, 2, "vertex -1 outside 0..3"), (True, 2, "vertex True outside"),
+    (0, False, "vertex False outside"), (0, 2.0, "vertex 2.0 outside"),
+])
+def test_color_of_needs_two_vertices_of_different_parts(u, v, message):
+    # a bool is no vertex id, though True == 1 would find edge (1, 2)
+    chi = EdgeColoring(build_shape([2, 2]), 0b0110)
+    with pytest.raises(InvalidVertex, match=message):
+        chi.color_of(u, v)
 
 
 # ---------------------------------------------------------------------------
