@@ -9,9 +9,11 @@ read that root's distance layers as masks: layer r is its ball of radius r
 minus its ball of radius r - 1, and layer 4 is everything outside the ball
 of radius 3.
 The unbounded connected cover (``tc2_cover``) grows its pieces from color
-components (``graphs.component_of``).  Each case emits candidates as (color,
-mask) pieces, rejected with ``certifies_masks``; the one that wins is built
-into a ``Cover`` and checked again by ``verify_cover`` before it is
+components (``graphs.component_of``).  The cases are one generator
+(``_cases``) of candidates as (color, mask) pieces, in the order tried; it
+writes the case notes to the trace as it goes.  One loop in
+``tripartite_cover`` tests them with ``certifies_masks``, builds the winner
+into a ``Cover`` and checks it once with ``verify_cover`` before it is
 returned, so the pipeline doubles as a machine check of the underlying case
 analysis: a coloring that defeats every case raises
 ``ConstructionExhausted`` with a full trace, which would mean either a bug
@@ -59,32 +61,29 @@ def star_doublestar_search(chi: EdgeColoring, d: int = 3):
     star color blue first, double stars in edge order (the center edge's
     color fixes the double star's color).
     """
-    return _star_doublestar(chi, chi.adj, d)
+    for pieces in _star_doublestar(chi, chi.adj):
+        if certifies_masks(chi, pieces, d, 2):
+            return pieces
+    return None
 
 
-def _star_doublestar(chi, rows, d):
+def _star_doublestar(chi, rows):
+    """The star + double-star pieces of the rows that cover V, in the order
+    ``star_doublestar_search`` tries them."""
     full = chi.shape.full_mask
-    stars = []
-    for c in (BLUE, RED):
-        for u in range(chi.n):
-            stars.append((c, u, (1 << u) | rows[c][u]))
     doubles = []  # one per edge uv of the rows, u < v, in edge order
     for u in range(chi.n):
         for v in bits_of((rows[RED][u] | rows[BLUE][u]) & -(2 << u)):  # v > u
             c = RED if (rows[RED][u] >> v) & 1 else BLUE
-            doubles.append((c, u, v, (1 << u) | (1 << v) | rows[c][u] | rows[c][v]))
-    for c1, u, s1 in stars:
-        if s1 == full:
-            pieces = ((c1, s1), (c1, 1 << u))
-            if certifies_masks(chi, pieces, d, 2):
-                return pieces
-        for c2, w1, w2, s2 in doubles:
-            if s1 | s2 != full:
-                continue
-            pieces = ((c1, s1), (c2, s2))
-            if certifies_masks(chi, pieces, d, 2):
-                return pieces
-    return None
+            doubles.append((c, (1 << u) | (1 << v) | rows[c][u] | rows[c][v]))
+    for c1 in (BLUE, RED):
+        for u in range(chi.n):
+            s1 = (1 << u) | rows[c1][u]
+            if s1 == full:
+                yield (c1, s1), (c1, 1 << u)
+            for c2, s2 in doubles:
+                if s1 | s2 == full:
+                    yield (c1, s1), (c2, s2)
 
 
 # ============================================================================
@@ -140,11 +139,36 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
                                "explicit 3-group split")
         groups = [[0], [1], [2]]
     groups = [list(g) for g in groups]
+    parts = [p for g in groups for p in g]
     if (len(groups) != 3 or any(not g for g in groups)
-            or sorted(p for g in groups for p in g) != list(range(shape.k))):
+            or any(type(p) is not int for p in parts)  # no bool, no 2.0
+            or sorted(parts) != list(range(shape.k))):
         raise InvalidShape(f"{groups!r} is not a 3-group split of the parts")
 
     trace = CaseTrace()
+    for label, witnesses, pieces, d in _cases(chi, groups, trace):
+        if not certifies_masks(chi, pieces, d, 2):
+            continue
+        cover = cover_from_masks(pieces)
+        violation = verify_cover(chi, cover, d, 2)
+        if violation is not None:
+            raise RuntimeError(f"case {label!r} built a cover that fails "
+                               f"verify_cover: {violation.describe()}")
+        trace.add(label, *witnesses)
+        return cover, trace
+    raise ConstructionExhausted(
+        "no case produced a verified cover", chi, trace)
+
+
+def _cases(chi, groups, trace):
+    """(case label, witnesses, pieces, d) of the pipeline's candidates, in
+    the order tried.
+
+    The case notes (a case that starts, fails or meets an oddity) go to the
+    trace as the candidates are drawn, so they land where the loop in
+    ``tripartite_cover`` stands.
+    """
+    shape = chi.shape
     group_of = [0] * shape.n
     gmask = [0, 0, 0]
     for gi, g in enumerate(groups):
@@ -154,34 +178,18 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
                 gmask[gi] |= 1 << v
     full = shape.full_mask
 
-    def emit(label, witnesses, pieces, d=3):
-        """The cover of the pieces if they certify, verified and traced."""
-        if not certifies_masks(chi, pieces, d, 2):
-            return None
-        cover = cover_from_masks(pieces)
-        violation = verify_cover(chi, cover, d, 2)
-        if violation is not None:
-            raise RuntimeError(f"case {label!r} built a cover that fails "
-                               f"verify_cover: {violation.describe()}")
-        trace.add(label, *witnesses)
-        return cover
-
     # Case 1: a group that is a single vertex sees everything; two stars.
     for gi in range(3):
         if gmask[gi].bit_count() == 1:
             u = gmask[gi].bit_length() - 1
-            got = emit("size-one-group", (u,),
-                       ((RED, chi.adj[RED][u] | 1 << u),
-                        (BLUE, chi.adj[BLUE][u] | 1 << u)), d=2)
-            if got:
-                return got, trace
+            yield "size-one-group", (u,), (
+                (RED, chi.adj[RED][u] | 1 << u),
+                (BLUE, chi.adj[BLUE][u] | 1 << u)), 2
             trace.add("size-one-group-failed", u)
 
     # Case 2: a spanning color class of diameter <= 3 finishes alone.
     for c in (RED, BLUE):
-        got = emit("spanning", (c,), ((c, full), (other_color(c), 1)))
-        if got:
-            return got, trace
+        yield "spanning", (c,), ((c, full), (other_color(c), 1)), 3
 
     # Between-group adjacency only: from here on the construction treats the
     # three groups as the sides of a complete tripartite graph.
@@ -207,23 +215,20 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
         if dominator:
             break
     if dominator:
-        pieces = _star_doublestar(chi, rows, 3)
-        got = pieces and emit("dominating-vertex", dominator[:2], pieces)
-        if got:
-            return got, trace
+        for pieces in _star_doublestar(chi, rows):
+            yield "dominating-vertex", dominator[:2], pieces, 3
         trace.add("dominating-vertex-failed", *dominator[:2])
 
     # Case 4+: layer the graph from a far-eccentric red root, the smallest
     # vertex id whose red ball needs more than 3 steps.  Case 2 ends every
     # coloring of red diameter <= 3, and between-group rows only lengthen
     # distances, so a red root exists past it; only a harness that rejects
-    # every candidate reaches the raise.
+    # every candidate gets here with none, and the loop then raises.
     v = next((u for u in range(shape.n)
               if _ball(rows[RED], u, 3, full) != full), None)
     if v is None:
         trace.add("no-far-root")
-        raise ConstructionExhausted(
-            "no case produced a verified cover", chi, trace)
+        return
     ga = group_of[v]
     gb, gc = [gi for gi in range(3) if gi != ga]
     # the root's red balls of radius 0 to 3, then the whole graph: layer
@@ -257,10 +262,8 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
                         s2 = star(BLUE, u1) | star(BLUE, u3)
                         if s1 | s2 != full:
                             continue
-                        got = emit("double-stars", (v, u4, u1, u3),
-                                   ((BLUE, s1), (BLUE, s2)))
-                        if got:
-                            return got, trace
+                        yield ("double-stars", (v, u4, u1, u3),
+                               ((BLUE, s1), (BLUE, s2)), 3)
         trace.add("double-stars-failed")
 
     # Case 5: someone in the far groups at red distance exactly 2; peel the
@@ -269,10 +272,7 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
         trace.add("middle-layer", next(bits_of(B2 | C2)))
         for x in bits_of(B2 | C2):
             bulk = (full & ~(A2 | A3)) | star(BLUE, x)
-            got = emit("layer2-peel", (x,),
-                       ((BLUE, bulk), (RED, star(RED, x))))
-            if got:
-                return got, trace
+            yield "layer2-peel", (x,), ((BLUE, bulk), (RED, star(RED, x))), 3
         trace.add("layer2-peel-failed")
 
     if A3:
@@ -290,10 +290,8 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
         for b, cv in blue_bridge:
             for x in (b, cv):
                 gstar = cycle | star(BLUE, x)
-                got = emit("bridge-peel", (x,),
-                           ((BLUE, gstar), (RED, star(RED, x))))
-                if got:
-                    return got, trace
+                yield ("bridge-peel", (x,),
+                       ((BLUE, gstar), (RED, star(RED, x))), 3)
         trace.add("bridge-peel-failed")
 
     # Case 7: all cross edges between the distance-1 layers are red; split
@@ -311,14 +309,9 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
         xblue, xred = rows[BLUE][x], rows[RED][x]
         if not xblue & B1 or not xblue & C1 or (xred & B1 and xred & C1):
             red_side |= 1 << x
-    got = emit("cycle-blowup-split", (v,),
-               ((BLUE, cycle | (A2 & ~red_side)), (RED, B1 | C1 | red_side)))
-    if got:
-        return got, trace
+    yield ("cycle-blowup-split", (v,),
+           ((BLUE, cycle | (A2 & ~red_side)), (RED, B1 | C1 | red_side)), 3)
     trace.add("cycle-blowup-split-failed")
-
-    raise ConstructionExhausted(
-        "no case produced a verified cover", chi, trace)
 
 
 # ============================================================================

@@ -22,9 +22,11 @@ color to all the others, as in a star) at diameter 2 without growing a
 ball.  The exact diameter is computed only for a piece that fails,
 to build its witness.  ``verify_cover`` reports the first violation with an
 exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
-on (color, mask) pieces.  The search ladder and the diameter-3 pipeline keep
-their candidates as such pieces, reject them with ``certifies_masks``, and
-build a ``Cover`` only for the one that wins (``cover_from_masks``).
+on (color, mask) pieces.  The ladder's prune rules and the diameter-3
+pipeline's cases yield their candidates as such pieces from generators; one
+loop per caller tests them with ``certifies_masks``.  A ``Cover`` is built
+only for the one that wins (``cover_from_masks``), and ``_decide`` or the
+pipeline checks it once with ``verify_cover``.
 """
 
 from __future__ import annotations

@@ -9,12 +9,15 @@ vertex, the clone-pair prune rules, star + double-star pairs, and last the
 exhaustive two-bag search, which takes its conflicts from radius-d balls in
 the full color graph (``far_masks``) and so stays exact.  At d = 1 a
 clique-pair filter rejects first but never supplies the cover; it tests its
-cliques with ``diameter_at_most`` at d = 1, one AND per vertex.  Every rung
-tests its candidates as (color, mask) pieces with ``certifies_masks`` and
-returns the winning pieces; ``_decide`` builds the one ``Cover`` and checks
-it with ``verify_cover``, so every positive answer is backed by a cover that
-passed it.  The ladder sees one coloring at a time; key ranges, checkpoints
-and pools belong to the survey engine (``search``).
+cliques with ``diameter_at_most`` at d = 1, one AND per vertex.  The two
+stars and the prune rules are generators of (label, pieces) candidates in
+the order tried (``_two_star_candidates``, ``_prune_candidates``); one loop
+(``_first_certified``) tests them, rejecting a candidate with an empty piece
+and then asking ``certifies_masks``.  Every rung returns its winning (color,
+mask) pieces; ``_decide`` builds the one ``Cover`` and checks it once with
+``verify_cover``, so every positive answer is backed by a cover that passed
+it.  The ladder sees one coloring at a time; key ranges, checkpoints and
+pools belong to the survey engine (``search``).
 
 Below the counting bound (``lowest_d``) every d is rejected before any
 rung runs.  A survey may also hand the ladder a list of hints: the two-bag
@@ -72,9 +75,9 @@ def _spanning_diameter(chi: EdgeColoring, c: int, d: int) -> bool:
     return True
 
 
-def _two_stars(chi: EdgeColoring, d: int):
-    """The (color, mask) pieces of the first size-1-part vertex's two stars
-    that certify, else None.
+def _two_star_candidates(chi: EdgeColoring):
+    """("two-stars", pieces) for the red and the blue star of each size-1
+    part's vertex.
 
     At any other vertex the pair misses the vertex's co-part vertices, so it
     can never cover.
@@ -83,11 +86,8 @@ def _two_stars(chi: EdgeColoring, d: int):
     for p, size in enumerate(shape.part_sizes):
         if size == 1:
             u = shape.part_start[p]
-            pieces = ((RED, _star_mask(chi, RED, u)),
-                      (BLUE, _star_mask(chi, BLUE, u)))
-            if certifies_masks(chi, pieces, d, 2):
-                return pieces
-    return None
+            yield "two-stars", ((RED, _star_mask(chi, RED, u)),
+                                (BLUE, _star_mask(chi, BLUE, u)))
 
 
 def _clique_pair_exists(chi: EdgeColoring) -> bool:
@@ -215,19 +215,26 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
 # CLONE-BASED PRUNING RULES
 # ============================================================================
 
-def _try(chi, d, *pieces):
-    """These (color, mask) pieces if they certify, else None.
+def _first_certified(chi: EdgeColoring, d: int, candidates):
+    """(pieces, label) of the first (label, pieces) candidate that
+    certifies, or (None, "none").
 
     A candidate with an empty piece is rejected.
     """
-    if all(mask for _, mask in pieces) and certifies_masks(chi, pieces, d, 2):
-        return pieces
-    return None
+    for label, pieces in candidates:
+        if all(mask for _, mask in pieces) and certifies_masks(chi, pieces, d, 2):
+            return pieces, label
+    return None, "none"
 
 
 def _prune_labeled(chi: EdgeColoring, d: int):
     """(pieces, rule label) from the cheap certified constructions, or
-    (None, "none").
+    (None, "none")."""
+    return _first_certified(chi, d, _prune_candidates(chi))
+
+
+def _prune_candidates(chi: EdgeColoring):
+    """(rule label, pieces) of the cheap constructions, in the order tried.
 
     Rules in order: two stars at one vertex; an empty sent-color sector of a
     clone pair (both opposite-color stars); a vertex far from both ends of a
@@ -236,22 +243,20 @@ def _prune_labeled(chi: EdgeColoring, d: int):
     fallbacks).  Soundness is by verification, never by derivation.
     """
     shape = chi.shape
-    pieces = _two_stars(chi, d)
-    if pieces is not None:
-        return pieces, "two-stars"
+    if shape.part_sizes[-1] == 1:  # sizes descend; no generator otherwise
+        yield from _two_star_candidates(chi)
 
     pairs = shape.clone_pairs
     clone = shape.clone
+    adj = chi.adj
 
     for x, xp in pairs:
         for v, vp in ((x, xp), (xp, x)):
             for i, j in _SECTOR_ORDER:
-                if not (chi.adj[i][v] & chi.adj[j][vp]):
-                    got = _try(chi, d,
-                               (other_color(i), _star_mask(chi, other_color(i), v)),
-                               (other_color(j), _star_mask(chi, other_color(j), vp)))
-                    if got is not None:
-                        return got, "clone-star"
+                if not (adj[i][v] & adj[j][vp]):
+                    ci, cj = other_color(i), other_color(j)
+                    yield "clone-star", ((ci, _star_mask(chi, ci, v)),
+                                         (cj, _star_mask(chi, cj, vp)))
 
     for x, xp in pairs:  # one pass per clone pair; orientations handle the swap
         lx, lxp = bilayer_partition(chi, x)
@@ -259,29 +264,21 @@ def _prune_labeled(chi: EdgeColoring, d: int):
         for base, cob, lb, lc in ((x, xp, lx, lxp), (xp, x, lxp, lx)):
             # far from both ends
             for y in bits_of(lb[3] & ~lc[1]):
-                got = _try(chi, d,
-                           (RED, _star_mask(chi, RED, base)),
-                           (RED, _star_mask(chi, RED, y)))
-                if got is not None:
-                    return got, "far-clone"
+                yield "far-clone", ((RED, _star_mask(chi, RED, base)),
+                                    (RED, _star_mask(chi, RED, y)))
                 yp = clone[y]
                 if yp is None:
                     continue
                 if ((lb[1] & lc[1]) >> yp) & 1:
-                    got = _try(chi, d,
-                               (RED, _star_mask(chi, RED, cob) | 1 << base),
-                               (BLUE, _star_mask(chi, BLUE, cob)))
+                    yield "far-clone", (
+                        (RED, _star_mask(chi, RED, cob) | 1 << base),
+                        (BLUE, _star_mask(chi, BLUE, cob)))
                 elif ((lb[1] & ~lc[1]) >> yp) & 1:
-                    got = (_try(chi, d,
-                                (RED, _star_mask(chi, RED, yp) | 1 << y | 1 << base),
-                                (BLUE, _star_mask(chi, BLUE, yp)))
-                           or _try(chi, d,
-                                   (RED, _star_mask(chi, RED, y)),
-                                   (BLUE, _star_mask(chi, BLUE, yp))))
-                else:
-                    got = None
-                if got is not None:
-                    return got, "far-clone"
+                    yield "far-clone", (
+                        (RED, _star_mask(chi, RED, yp) | 1 << y | 1 << base),
+                        (BLUE, _star_mask(chi, BLUE, yp)))
+                    yield "far-clone", ((RED, _star_mask(chi, RED, y)),
+                                        (BLUE, _star_mask(chi, BLUE, yp)))
 
             # adjacent to base, far from its clone
             near_cob = lc[1] & ~lb[1]
@@ -292,21 +289,13 @@ def _prune_labeled(chi: EdgeColoring, d: int):
                 if yp is not None:
                     ring &= ~(1 << yp)
                 if yp is None or not (near_cob >> yp) & 1:
-                    got = _try(chi, d,
-                               (BLUE, _star_mask(chi, BLUE, base)),
-                               (RED, ring))
-                    if got is not None:
-                        return got, "near-clone"
+                    yield "near-clone", ((BLUE, _star_mask(chi, BLUE, base)),
+                                         (RED, ring))
                 elif ((lb[3] & lc[1]) >> yp) & 1:
-                    got = (_try(chi, d,
-                                (RED, _star_mask(chi, RED, yp)),
-                                (RED, ring))
-                           or _try(chi, d,
-                                   (RED, _star_mask(chi, RED, yp)),
-                                   (RED, _star_mask(chi, RED, cob))))
-                    if got is not None:
-                        return got, "near-clone"
-    return None, "none"
+                    yield "near-clone", ((RED, _star_mask(chi, RED, yp)),
+                                         (RED, ring))
+                    yield "near-clone", ((RED, _star_mask(chi, RED, yp)),
+                                         (RED, _star_mask(chi, RED, cob)))
 
 
 def prune_with_constructions(chi: EdgeColoring, d: int = 2):
@@ -386,7 +375,7 @@ def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
 def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
     """((color, mask) pieces | None, label of the deciding rule).
 
-    Every candidate it returns passed ``certifies_masks``.  ``hints``, when
+    Every candidate it returns was certified by its rung.  ``hints``, when
     given, is updated in place: a hint that certifies, or else a fresh
     two-bag winner, moves to its front.
     """
@@ -403,8 +392,8 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
     if t == 1:
         return None, "none"
     if d >= 2:
-        pieces, label = (_prune_labeled(chi, d) if prune
-                         else (_two_stars(chi, d), "two-stars"))
+        pieces, label = (_prune_labeled(chi, d) if prune else
+                         _first_certified(chi, d, _two_star_candidates(chi)))
         if pieces is not None:
             return pieces, label
     if d >= 3:

@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 
 from mpcover import ladder, search
+from mpcover.cli import _random_sizes
 from mpcover.construct import multipartite_cover
-from mpcover.covers import verify_cover
+from mpcover.covers import cover_to_json, verify_cover
 from mpcover.graphs import BLUE, RED, EdgeColoring, build_shape
 from mpcover.families import check_monotone_extension
 from mpcover.ladder import two_bag_cover
@@ -107,6 +108,50 @@ def two_bag_digest(sizes, d):
     for _, bits in canonical_classes(shape, symmetry_group(shape)):
         h.update(repr(two_bag_cover(EdgeColoring(shape, bits), d)).encode())
         h.update(b"\n")
+    return h.hexdigest()
+
+
+def prune_digest(sizes, d, samples, seed):
+    """sha256 of the prune rules' output over a shape's colorings.
+
+    The colorings are the shape's orbit leaders in scan order when
+    ``samples`` is None, else that many random colorings drawn at ``seed``.
+    The hash runs over
+    ``repr((label, pieces))`` of ``ladder._prune_labeled(chi, d)`` for each
+    with a newline after it, so it pins the deciding rule and every piece.
+    """
+    shape = build_shape(sizes)
+    if samples is None:
+        bits_seq = (bits for _, bits in
+                    canonical_classes(shape, symmetry_group(shape)))
+    else:
+        rng = random.Random(seed)
+        bits_seq = (rng.getrandbits(shape.m) for _ in range(samples))
+    h = hashlib.sha256()
+    for bits in bits_seq:
+        pieces, label = ladder._prune_labeled(EdgeColoring(shape, bits), d)
+        h.update(repr((label, pieces)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def construct_digest(seed, count):
+    """sha256 of the diameter-3 pipeline's output on the construct fuzz
+    colorings.
+
+    The colorings are drawn as ``mpcover fuzz --mode construct`` draws them
+    (3 to 6 parts, n <= 30).  The hash runs over the cover JSON and the
+    trace JSON of ``multipartite_cover`` for each, with sorted keys and a
+    newline after each, so it pins every case label, witness and piece.
+    """
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(count):
+        chi = random_coloring(rng, _random_sizes(rng, 3, 6, 30))
+        cover, trace = multipartite_cover(chi)
+        for obj in (cover_to_json(cover), trace.to_json()):
+            h.update(json.dumps(obj, sort_keys=True).encode())
+            h.update(b"\n")
     return h.hexdigest()
 
 

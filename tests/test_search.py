@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coloring, two_bag_digest, two_star_pieces
+from conftest import (prune_digest, random_coloring, two_bag_digest,
+                      two_star_pieces)
 from test_graphs import colorings_up_to_12
 from mpcover import ladder, search
 from mpcover.covers import (certifies_masks, cover_from_masks, make_cover,
@@ -188,6 +189,45 @@ def test_two_bag_search_ignores_bag_order(rng):
 ])
 def test_two_bag_output_matches_pinned_digest(sizes, d, sha256):
     assert two_bag_digest(sizes, d) == sha256
+
+
+# sha256 of the prune rules' (label, pieces) over every orbit leader, or over
+# 2 000 seeded colorings of [2,2,2,2,2] (``conftest.prune_digest``), as a
+# trusted commit's rules produced them.  The rule order, the orientation
+# order inside each rule and every piece are pinned.  Never regenerate these
+# to make a failing run pass.
+@pytest.mark.parametrize("sizes, d, samples, sha256", [
+    pytest.param(
+        (5, 2, 2), 2, None,
+        "254b616f21227a82a7b11b17c8e1f3a07acab0e156384fe288669d0420f7b559",
+        id="5-2-2-d2"),
+    pytest.param(
+        (5, 2, 2), 3, None,
+        "a09f7fc382ffde34f3702bcd7a8d5dbb3cc720baef47b4bad382271bf2e7b874",
+        id="5-2-2-d3"),
+    pytest.param(
+        (4, 2, 2), 2, None,
+        "766e2bfb03b3ddc1dad47999754e6bc364a248db511731a1394c7ff38974f1d6",
+        id="4-2-2-d2"),
+    pytest.param(
+        (4, 2, 2), 3, None,
+        "f67deb2a0e433be9354fa761d16c66e8462e974caf324fc41e8444fe9fad5dbb",
+        id="4-2-2-d3"),
+    pytest.param(
+        (2, 2, 2, 2), 2, None,
+        "35e38de76edade5da58fc4787898763f1c6418f437460dfb83abebf567ecae29",
+        id="2-2-2-2-d2"),
+    pytest.param(
+        (2, 2, 2, 2), 3, None,
+        "6dd23f5867b7b24986633c38f5a603eb1b18568a3dec59d3e7a879e17d782d7f",
+        id="2-2-2-2-d3"),
+    pytest.param(
+        (2, 2, 2, 2, 2), 2, 2000,
+        "cc4fa5f4cf5c28f142b27cba7e158159454729a91b2b331bcce184a570725edf",
+        id="2x5-random-d2"),
+])
+def test_prune_rules_output_matches_pinned_digest(sizes, d, samples, sha256):
+    assert prune_digest(sizes, d, samples, seed=1) == sha256
 
 
 def test_no_diameter_one_cover_when_a_part_exceeds_t(rng):
@@ -382,16 +422,18 @@ def candidate_pieces(draw):
 @settings(deadline=None, max_examples=300)
 @given(candidate_pieces(), st.integers(2, 4))
 def test_try_returns_its_pieces_when_they_verify(chi_pieces, d):
+    # the prune rules' one test loop, on a single candidate
     chi, pieces = chi_pieces
-    got = ladder._try(chi, d, *pieces)
+    got, label = ladder._first_certified(chi, d, [("rule", tuple(pieces))])
     if not all(mask for _, mask in pieces):
         assert got is None
         return
     cover = make_cover(*((c, bits_of(mask)) for c, mask in pieces))
     if got is None:
+        assert label == "none"
         assert verify_cover(chi, cover, d, 2) is not None
     else:
-        assert got == tuple(pieces)
+        assert (got, label) == (tuple(pieces), "rule")
         assert verify_cover(chi, cover, d, 2) is None
 
 
