@@ -605,11 +605,13 @@ def coloring_from_json(obj: dict) -> EdgeColoring:
             colored.append((vmap[u], vmap[v], c))
         return EdgeColoring.from_edges(shape, colored)
     if "bits" in obj:
-        try:
-            file_bits = int(obj["bits"], 16)
-        except (TypeError, ValueError):
+        hex_bits = obj["bits"]
+        # int(x, 16) alone would take a sign, a 0x prefix, "_" and spaces
+        if not (isinstance(hex_bits, str) and hex_bits
+                and set(hex_bits) <= set("0123456789abcdefABCDEF")):
             raise InvalidShape(f"coloring JSON 'bits' must be a hex string, "
-                               f"got {obj['bits']!r}")
+                               f"got {hex_bits!r}")
+        file_bits = int(hex_bits, 16)
         if file_bits >> shape.m:
             raise InvalidShape("bitstring longer than the edge count")
         file_edges = [(u, v) for u in range(shape.n) for v in range(u + 1, shape.n)

@@ -24,9 +24,11 @@ key, which is what checkpoints and work sharding rely on.  ``leader_count``
 gives the number of leaders by Burnside's lemma, which every finished survey
 is checked against.
 
-``canonical_key`` finds one coloring's orbit minimum by backtracking over
-vertex placements and builds no ``SymmetryGroup``, so it shares no code with
-the group expansion the scan runs on, and the tests use it to check the scan.
+``canonical_key`` finds one coloring's orbit minimum by a search over vertex
+placements that fills the slots in the order their rows fix the key, cuts a
+branch whose key prefix exceeds the best one, and tries one of each set of
+twin vertices.  It builds no ``SymmetryGroup``, so it shares no code with the
+group expansion the scan runs on, and the tests use it to check the scan.
 
 For shapes whose full group is too large to expand, enumeration falls back
 to a smaller subgroup (per-part cyclic shifts, cyclic rotation of equal-size
@@ -40,8 +42,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import factorial
 
-from .errors import CapExceeded
-from .graphs import EdgeColoring, MultipartiteShape, remap_edges
+from .graphs import BLUE, EdgeColoring, MultipartiteShape, remap_edges
 
 # Expanding the full group is worthwhile up to roughly this many vertex
 # permutations; 7!*2*2 for a [7,1,1] shape is the largest acceptance-relevant
@@ -380,79 +381,73 @@ def leader_count(shape: MultipartiteShape, group: SymmetryGroup | None) -> int:
 # CANONICAL KEYS
 # ============================================================================
 
-LEAF_BUDGET = 2_000_000
-
-
 def canonical_key(chi: EdgeColoring) -> int:
     """Bits of the lexicographically minimal coloring in chi's full orbit.
 
     Equal keys characterize equal orbits.  No group is expanded: canonical
-    slots are assigned one vertex at a time, each part's slots drawn from one
-    part of the same size, for both colorings (as given and color-swapped).
-    A branch is cut once its determined edge prefix (the first vertex's star)
-    already exceeds the best leaf, which is weak but sound.  A shape whose
-    vertex group is within ``FULL_EXPANSION_CAP`` reaches at most twice that
-    many leaves; a budget of ``LEAF_BUDGET`` leaves guards against shapes
-    whose group is astronomically large.
+    slots are assigned one vertex at a time, for both colorings (as given
+    and color-swapped).  The first slot of a canonical part takes any unused
+    part of chi of the same size; its later slots take vertices of that
+    part.  The key starts with the rows of part 0's slots, so slot 0 is
+    filled first, then every slot past part 0 in order (each fixes one more
+    bit of slot 0's row), then the rest of part 0 (each fixes a whole row).
+    A branch is cut once that prefix exceeds the same prefix of the best
+    key; the rows past part 0 are compared at the leaf.  Two unplaced
+    vertices whose rows agree off the two of them, in one part or each alone
+    in a part of size 1, are swapped by an automorphism that fixes every
+    placed vertex, so only one of them is tried at each slot.  Reads only
+    chi's blue rows.
     """
     shape = chi.shape
     m, n = shape.m, shape.n
+    blue = chi.adj[BLUE]
+    a0 = shape.part_sizes[0]
+    order = [0, *range(a0, n), *range(1, a0)]
     family = {p: fam for fam in size_families(shape) for p in fam}
-    best_key = None
-    leaves = 0
+    placed = [0] * n            # the vertex of chi placed at each slot
+    part_map = [None] * shape.k  # the part of chi placed at each canonical part
+    best = None
+
+    def search(i, used, prefix, length):
+        nonlocal best
+        if i == n:
+            for s in range(a0, n):  # the rows past part 0
+                row = blue[placed[s]]
+                for t in range(shape.slices[s][2], n):
+                    prefix = prefix << 1 | (row >> placed[t] & 1) ^ flip
+            if best is None or prefix < best:
+                best = prefix
+            return
+        s = order[i]
+        p = shape.part_id[s]
+        fresh = part_map[p] is None
+        tried = []
+        for q in ([q for q in family[p] if q not in part_map] if fresh
+                  else [part_map[p]]):
+            part_map[p] = q
+            if shape.part_sizes[p] > 1:
+                tried = []  # across parts, only size-1 parts hold twins
+            for x in shape.part_vertices(q):
+                row = blue[x]
+                if used >> x & 1 or any(
+                        not (row ^ blue[y]) & ~(1 << x | 1 << y) for y in tried):
+                    continue  # placed, or the twin of a vertex tried here
+                tried.append(x)
+                if s >= a0:  # one bit of slot 0's row
+                    new, grown = prefix << 1 | (blue[placed[0]] >> x & 1) ^ flip, 1
+                elif s:  # the whole row of slot s
+                    new, grown = prefix, n - a0
+                    for t in range(a0, n):
+                        new = new << 1 | (row >> placed[t] & 1) ^ flip
+                else:
+                    new, grown = prefix, 0
+                if best is not None and new > best >> (m - length - grown):
+                    continue
+                placed[s] = x
+                search(i + 1, used | 1 << x, new, length + grown)
+        if fresh:
+            part_map[p] = None
 
     for flip in (0, 1):
-        slot_orig = [0] * n  # the vertex of chi placed at each slot
-        used = 0             # the mask of the placed vertices
-        part_map = {}        # canonical part -> chi's part placed there
-
-        def leaf_key():
-            key = 0
-            for (u, v) in shape.edges:
-                a, b = slot_orig[u], slot_orig[v]
-                key = (key << 1) | (chi.color_of(a, b) ^ flip)
-            return key
-
-        def prefix_beats_best(t):
-            # Compare the determined edges (0, 1)..(0, t-1) against best.
-            if best_key is None:
-                return False
-            a = slot_orig[0]
-            key = 0
-            count = 0
-            for (u, v) in shape.edges:
-                if u != 0 or v >= t:
-                    break
-                key = (key << 1) | (chi.color_of(a, slot_orig[v]) ^ flip)
-                count += 1
-            return count and key > (best_key >> (m - count))
-
-        def assign(slot):
-            nonlocal best_key, leaves, used
-            if slot == n:
-                leaves += 1
-                if leaves > LEAF_BUDGET:
-                    raise CapExceeded(
-                        "canonical key backtracking exceeded its leaf budget")
-                key = leaf_key()
-                if best_key is None or key < best_key:
-                    best_key = key
-                return
-            p = shape.part_id[slot]
-            fresh = p not in part_map
-            sources = ([q for q in family[p] if q not in part_map.values()]
-                       if fresh else [part_map[p]])
-            for q in sources:
-                part_map[p] = q
-                for orig in shape.part_vertices(q):
-                    if not (used >> orig) & 1:
-                        slot_orig[slot] = orig
-                        used |= 1 << orig
-                        if not prefix_beats_best(slot + 1):
-                            assign(slot + 1)
-                        used &= ~(1 << orig)
-            if fresh:
-                del part_map[p]
-
-        assign(0)
-    return key_to_bits(best_key, m)
+        search(0, 0, 0, 0)
+    return key_to_bits(best, m)

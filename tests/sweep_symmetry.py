@@ -1,17 +1,19 @@
-"""Orbit-leader scans of two larger shapes, pinned to stored key sequences.
+"""Orbit-leader scans of larger shapes, pinned and cross-checked.
 
 Too slow for the tier-1 suite (several seconds), so it is named to stay out
 of test discovery; run it with ``python -m pytest tests/sweep_symmetry.py``.
-Each case is the leader count and the sha256 of the key sequence
+Each pinned case is the leader count and the sha256 of the key sequence
 (``conftest.scan_digest``) that a trusted commit's scan produced, for the
-full scan and for three fixed ``[lo, hi)`` windows of it.
+full scan and for three fixed ``[lo, hi)`` windows of it.  Every leader of
+``[2,2,2,2]`` is checked to be its own ``canonical_key``, a search that
+builds no group.
 """
 
 import pytest
 
 from conftest import scan_digest
-from mpcover.graphs import build_shape
-from mpcover.symmetry import symmetry_group
+from mpcover.graphs import EdgeColoring, build_shape
+from mpcover.symmetry import canonical_classes, canonical_key, symmetry_group
 
 CASES = {
     (4, 3, 2): [
@@ -49,3 +51,10 @@ def test_key_sequence_matches_pinned_digest(sizes, lo, hi, leaders, sha256):
     assert hi <= 1 << shape.m
     assert scan_digest(shape, group, lo, hi) == {"leaders": leaders,
                                                  "sha256": sha256}
+
+
+def test_every_leader_of_2222_is_its_own_canonical_key():
+    shape = build_shape([2, 2, 2, 2])
+    leaders = [bits for _, bits in canonical_classes(shape, symmetry_group(shape))]
+    assert [canonical_key(EdgeColoring(shape, b)) for b in leaders] == leaders
+    assert len(set(leaders)) == len(leaders) == 24607

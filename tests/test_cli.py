@@ -353,6 +353,8 @@ TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
 @pytest.mark.parametrize("files,argv", [
     ({"chi.json": {"parts": [2, 1], "bits": "zz"}, "cover.json": GOOD_COVER},
      VERIFY),
+    ({"chi.json": {"parts": [2, 1], "bits": "-1"}, "cover.json": GOOD_COVER},
+     VERIFY),
     ({"chi.json": {"parts": [2, 1], "edges": [[0, 2], [1, 2]]},
       "cover.json": GOOD_COVER}, VERIFY),
     ({"chi.json": GOOD_COLORING,
@@ -387,8 +389,8 @@ TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
     ({"cp.json": NOT_UTF8},
      ("compute-d", "--parts", "2,2,1", "--checkpoint", "cp.json")),
     ({}, ("fuzz", "--mode", "prune", "--seed", "1", "--n", "-3")),
-], ids=["bits-not-hex", "edge-without-color", "subgraph-without-color",
-        "checkpoint-without-config", "part-size-not-int",
+], ids=["bits-not-hex", "bits-signed", "edge-without-color",
+        "subgraph-without-color", "checkpoint-without-config", "part-size-not-int",
         "vertices-not-a-list", "checkpoint-every-0", "checkpoint-every-negative",
         "gk-checkpoint-every-0", "stop-after-0", "stop-after-negative",
         "threads-huge", "threads-0", "gk-threads-huge", "gk-threads-0",

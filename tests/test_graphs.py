@@ -578,8 +578,10 @@ def test_coloring_json_labels_and_errors():
         coloring_from_json({"edges": []})
     with pytest.raises(InvalidShape):
         coloring_from_json({"parts": [2, 1], "bits": "ff"})  # too many bits
-    with pytest.raises(InvalidShape):
-        coloring_from_json({"parts": [2, 1], "bits": "zz"})  # not hex
+    # int(x, 16) takes each of these but "zz"
+    for not_hex in ("zz", "-1", "+f", " f", "0xf", "f_f"):
+        with pytest.raises(InvalidShape, match="must be a hex string"):
+            coloring_from_json({"parts": [2, 1], "bits": not_hex})
     with pytest.raises(InvalidShape):
         coloring_from_json({"parts": [2, 1], "edges": [[0, 2], [1, 2]]})
     with pytest.raises(InvalidShape):

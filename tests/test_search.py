@@ -545,7 +545,8 @@ def test_witness_attains_the_maximum():
 def test_class_counts_cross_validate():
     # frozen counts, re-derived via distinct canonical keys over raw space
     from mpcover.symmetry import bits_to_key, canonical_key
-    for sizes, want_classes in (([1, 1, 1], 2), ([2, 1, 1], 7)):
+    for sizes, want_classes in (([1, 1, 1], 2), ([2, 1, 1], 7),
+                                ([3, 2, 1], 134)):
         result = compute_D(sizes)
         assert result.classes == want_classes
         shape = build_shape(sizes)

@@ -123,17 +123,27 @@ def test_backtracking_key_agrees_with_expansion(rng):
 
 
 def test_canonical_key_past_the_expansion_cap(rng):
-    shape = build_shape([2] * 6)
-    assert vertex_group_order(shape) > FULL_EXPANSION_CAP
-    for _ in range(3):
-        chi = random_coloring(rng, [2] * 6)
-        key = canonical_key(chi)
-        assert canonical_key(chi.swap_colors()) == key
-        assert canonical_key(chi.permute(
-            [1, 0] + list(range(2, 12)))) == key  # a swap within a part
-        assert canonical_key(chi.permute(
-            [2, 3, 0, 1] + list(range(4, 12)))) == key  # a swap of two parts
-        assert canonical_key(EdgeColoring(shape, key)) == key
+    for sizes in ([2] * 6, [9, 1, 1], [6, 6], [4, 4, 4]):
+        shape = build_shape(sizes)
+        assert vertex_group_order(shape) > FULL_EXPANSION_CAP
+        p, q = next((p, q) for p in range(shape.k) for q in range(p + 1, shape.k)
+                    if sizes[p] == sizes[q])
+        within = list(range(shape.n))
+        within[0], within[1] = 1, 0  # a swap within part 0
+        across = list(range(shape.n))  # a swap of parts p and q
+        for o in range(sizes[p]):
+            u, v = shape.part_start[p] + o, shape.part_start[q] + o
+            across[u], across[v] = v, u
+        even = sum(1 << i for i, (u, v) in enumerate(shape.edges)
+                   if (u + v) % 2 == 0)  # blue iff u + v is even
+        colorings = [random_coloring(rng, sizes) for _ in range(3)]
+        colorings += [EdgeColoring(shape, 0), EdgeColoring(shape, even)]
+        for chi in colorings:
+            key = canonical_key(chi)
+            assert canonical_key(chi.swap_colors()) == key
+            assert canonical_key(chi.permute(within)) == key
+            assert canonical_key(chi.permute(across)) == key
+            assert canonical_key(EdgeColoring(shape, key)) == key
 
 
 def test_canonical_key_builds_no_group(monkeypatch, rng):
@@ -142,6 +152,14 @@ def test_canonical_key_builds_no_group(monkeypatch, rng):
     monkeypatch.setattr(symmetry, "symmetry_group", refuse)
     for _ in range(5):
         canonical_key(random_coloring(rng, [2, 2, 1]))
+
+
+def test_every_leader_is_its_own_canonical_key():
+    # the scan's leaders, checked by a search that builds no group
+    shape = build_shape([4, 2, 2])
+    leaders = [bits for _, bits in canonical_classes(shape, symmetry_group(shape))]
+    assert [canonical_key(EdgeColoring(shape, b)) for b in leaders] == leaders
+    assert len(set(leaders)) == len(leaders) == 4316
 
 
 def test_raw_mode_enumerates_every_bitstring():
