@@ -4,7 +4,8 @@ and two connected subgraphs with no diameter bound for any multipartite
 
 The diameter-3 pipeline is an executable case analysis driven by red BFS
 layers from a far-eccentric root.  The root is the first vertex whose red
-ball of radius 3 (``graphs._ball``) misses part of the graph, and the cases
+ball of radius 3 misses part of the graph (``graphs._far_vertex``, which
+skips the balls of vertices it can bound by a near one), and the cases
 read that root's distance layers as masks: layer r is its ball of radius r
 minus its ball of radius r - 1, and layer 4 is everything outside the ball
 of radius 3.
@@ -32,7 +33,8 @@ from dataclasses import dataclass, field
 from .covers import Cover, certifies_masks, cover_from_masks, verify_cover
 from .errors import ConstructionExhausted, InvalidShape
 from .graphs import (BLUE, INF, RED, EdgeColoring, MultipartiteShape,
-                     _ball, bits_of, component_of, mask_of, other_color)
+                     _ball, _far_vertex, bits_of, component_of, mask_of,
+                     other_color)
 
 
 @dataclass
@@ -224,8 +226,7 @@ def _cases(chi, groups, trace):
     # coloring of red diameter <= 3, and between-group rows only lengthen
     # distances, so a red root exists past it; only a harness that rejects
     # every candidate gets here with none, and the loop then raises.
-    v = next((u for u in range(shape.n)
-              if _ball(rows[RED], u, 3, full) != full), None)
+    v = _far_vertex(rows[RED], full, 3)
     if v is None:
         trace.add("no-far-root")
         return

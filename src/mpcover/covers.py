@@ -19,7 +19,10 @@ by one mask test per piece.  Each piece is decided with the early-exit
 one ball (a connectivity test; an unbounded cover checked at d = n takes
 this path), and bounds a dominated piece (one vertex adjacent in the piece's
 color to all the others, as in a star) at diameter 2 without growing a
-ball.  The exact diameter is computed only for a piece that fails,
+ball.  At d >= 3 it grows balls only from the vertices an eccentricity
+bound cannot clear (``graphs._far_vertex``): a center whose balls fill the
+piece at radius r clears every vertex within d - r of it.  The exact
+diameter, by the same sweep, is computed only for a piece that fails,
 to build its witness.  ``verify_cover`` reports the first violation with an
 exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
 on (color, mask) pieces.  The ladder's prune rules and the diameter-3

@@ -10,23 +10,29 @@ steps those rows from one orbit leader to the next (``recolored``), which
 touches only the edges whose bit differs, rather than rebuilding them.  One
 ball kernel, ``_ball``, gives the vertices of a mask within distance d of a
 vertex in the graph induced on the mask, and every graph walk goes through
-it except the all-pairs BFS oracle (``distances``, ``color_distance``) and
-two radius-2 balls in the full graph taken as one fold past the rows,
-u | row | ``_grow(rows, row)``, with none of ``_ball``'s stop tests:
-``far_masks`` at d = 2 and the spanning rung ``ladder._spanning_diameter``
-at d = 2 on shapes with no size-1 part.  Through ``_ball``, a mask has
-diameter <= d exactly when each vertex's radius-d ball fills it
-(``diameter_at_most``, which tests a clique with one AND per vertex at
+it except the all-pairs BFS oracle (``distances``, ``color_distance``), two
+radius-2 balls in the full graph taken as one fold past the rows,
+u | row | ``_grow(rows, row)``, with none of ``_ball``'s stop tests
+(``far_masks`` at d = 2 and the spanning rung ``ladder._spanning_diameter``
+at d = 2 on shapes with no size-1 part), and the eccentricity-skip sweeps
+of ``_far_vertex`` and ``diameter_in_mask``, which keep a BFS's ball of each
+radius.  A mask has diameter <= d exactly when each vertex's radius-d ball
+fills it.  ``diameter_at_most`` tests a clique with one AND per vertex at
 d = 1, grows a single ball, a connectivity test, when d >= |mask| - 1,
 since a connected mask of k vertices has diameter at most k - 1, and
 otherwise first bounds a dominated mask, one vertex adjacent to all the
 others, at diameter 2 when d >= 2; stars and the covers built from them are
-dominated), the exact ``diameter_in_mask`` raises a
-running bound until every ball fills the mask, ``far_masks`` is the
-complement of each vertex's radius-d ball, and ``component_of`` is a ball of
-radius n.  ``remap_edges`` carries edges through a vertex map onto a shape's
-edge indices (relabelings, file vertex orders, symmetries and clone
-extensions).
+dominated.  Past that it grows one ball per vertex at d = 2, and at d >= 3
+asks ``_far_vertex`` for the lowest vertex whose radius-d ball misses part
+of the mask.  That sweep rests on ecc(w) <= dist(u, w) + ecc(u) (Takes and
+Kosters, CIKM 2011): once the balls of a center u fill the mask at radius
+r, every vertex within d - r of u has eccentricity at most d and grows no
+ball.  The diameter-3 pipeline finds its far root with it too.  The exact
+``diameter_in_mask`` runs the same sweep against its running maximum,
+``far_masks`` is the complement of each vertex's radius-d ball, and
+``component_of`` is a ball of radius n.  ``remap_edges`` carries edges
+through a vertex map onto a shape's edge indices (relabelings, file vertex
+orders, symmetries and clone extensions).
 
 The prune rules AND the blue distance layers of a clone pair (the two
 vertices of a size-2 part), masks from ``bilayer_partition``, into cells;
@@ -320,9 +326,14 @@ class EdgeColoring:
                                      self.adj[BLUE], self.adj[RED])
 
     def permute(self, perm) -> "EdgeColoring":
-        """Coloring with vertex u relabeled perm[u] (must respect parts)."""
+        """Coloring with vertex u relabeled perm[u] (must respect parts).
+
+        ``InvalidVertex`` unless perm is a permutation of the vertex ids; a
+        bool is no vertex id, though it is an int.
+        """
         shape = self.shape
-        if sorted(perm) != list(range(shape.n)):
+        if any(type(v) is not int for v in perm) or \
+                sorted(perm) != list(range(shape.n)):
             raise InvalidVertex(f"{perm!r} is not a permutation of 0..{shape.n - 1}")
         for p in range(shape.k):
             images = {shape.part_id[perm[u]] for u in shape.part_vertices(p)}
@@ -379,6 +390,38 @@ def _ball(rows, u: int, d: int, allowed: int) -> int:
             break
         frontier = _grow(rows, frontier) & allowed & ~ball
     return ball
+
+
+def _far_vertex(rows, allowed: int, d: int):
+    """The lowest vertex of ``allowed`` whose radius-d ball misses part of
+    it, in the graph induced on the mask; None when there is none.
+
+    Takes & Kosters' eccentricity skip: ecc(w) <= dist(u, w) + ecc(u).  The
+    sweep grows the balls of the lowest vertex u it has not yet cleared.  If
+    they fill the mask at radius r <= d, every vertex within d - r of u has
+    eccentricity at most d and is cleared with u, and grows no ball of its
+    own.  Otherwise u is far, and the lowest such vertex, since each vertex
+    below it was grown or cleared.
+    """
+    todo = allowed
+    while todo:
+        low = todo & -todo
+        u = low.bit_length() - 1
+        ball = low
+        balls = [ball]  # balls[r]: u's ball of radius r
+        frontier = rows[u] & allowed if d else 0
+        r = 0
+        while frontier:
+            ball |= frontier
+            balls.append(ball)
+            r += 1
+            if r == d or ball == allowed:
+                break
+            frontier = _grow(rows, frontier) & allowed & ~ball
+        if ball != allowed:
+            return u
+        todo &= ~balls[min(d - r, r)]
+    return None
 
 
 def component_of(rows, v: int) -> int:
@@ -480,18 +523,31 @@ def far_masks(chi: EdgeColoring, c: int, d: int) -> tuple:
 def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
     """Diameter of the color-c graph induced on a vertex bitmask.
 
-    INF when the first vertex's full ball misses part of the mask; otherwise
-    a running bound rises until each vertex's ball of that radius fills the
+    A sweep as in ``_far_vertex``: the lowest vertex not yet cleared grows
+    balls until one fills the mask, at radius r, its eccentricity, and
+    ``best`` keeps the largest r.  Every vertex within best - r of that
+    vertex is then cleared, since none of them can raise ``best``, which
+    only grows.  INF when the first vertex's full ball misses part of the
     mask.  An empty mask has diameter 0.
     """
     rows = chi.adj[c]
-    vs = list(bits_of(allowed))
-    if vs and _ball(rows, vs[0], INF, allowed) != allowed:
-        return INF
     best = 0
-    for u in vs:
-        while _ball(rows, u, best, allowed) != allowed:
-            best += 1
+    todo = allowed
+    while todo:
+        ball = todo & -todo
+        balls = [ball]  # balls[r]: the center's ball of radius r
+        frontier = rows[ball.bit_length() - 1] & allowed
+        while frontier:
+            ball |= frontier
+            balls.append(ball)
+            if ball == allowed:
+                break
+            frontier = _grow(rows, frontier) & allowed & ~ball
+        if ball != allowed:
+            return INF
+        r = len(balls) - 1
+        best = max(best, r)
+        todo &= ~balls[min(best - r, r)]
     return best
 
 
@@ -504,9 +560,12 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     vertex decides it (the unbounded covers, verified at d = n or INF, take
     this path).  Otherwise, at d >= 2 a vertex adjacent in color c to every
     other vertex of the mask dominates it, which bounds the diameter by 2: a
-    scan of one AND per vertex looks for one before any ball is grown.  Then
-    one ball per vertex, stopping with False at the first radius-d ball that
-    misses part of the mask.  An empty mask is vacuously True.
+    scan of one AND per vertex looks for one before any ball is grown.  Then,
+    at d = 2 (and d = 0), one ball per vertex, stopping with False at the
+    first radius-d ball that misses part of the mask; at d >= 3, True when
+    ``_far_vertex`` finds no far vertex, which grows balls only from the
+    vertices its eccentricity bound cannot clear.  An empty mask is
+    vacuously True.
     """
     if d < 0:
         return False
@@ -529,6 +588,8 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
             if allowed & ~rows[low.bit_length() - 1] == low:
                 return True
             rest ^= low
+        if d >= 3:
+            return _far_vertex(rows, allowed, d) is None
         rest = allowed
     while rest:
         low = rest & -rest

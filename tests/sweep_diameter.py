@@ -1,15 +1,18 @@
-"""``diameter_at_most`` against a plain BFS, and the row builder against a
+"""``diameter_at_most``, ``diameter_in_mask`` and the eccentricity-skip
+sweep ``_far_vertex`` against a plain BFS, and the row builder against a
 pair enumeration, on colorings of up to 30 vertices.
 
-Kept out of the tier-1 suite (about twenty-five seconds), so it is named to
+Kept out of the tier-1 suite (about forty seconds), so it is named to
 stay out of test discovery; run it with
 ``python -m pytest tests/sweep_diameter.py``.
 The colorings are seeded, with the part sizes of the ``tc2`` fuzz driver
 (2 to 6 parts, n <= 30).  On each, for both colors, it takes random masks
 and masks on which it plants an induced path or cycle (long diameters, which
-random masks almost never have), and checks the verdict at every d in
-0..n + 1 and at INF.  The reference shares no code with the kernels: it
-reads only ``chi.color_of`` and ``shape.part_of``, builds neighbor lists,
+random masks almost never have), or a broom or lollipop whose hub is the
+mask's lowest vertex (where the sweep clears vertices next to far ones).  It
+checks the verdict and the lowest far vertex at every d in 0..n + 1 and at
+INF, and the exact diameter.  The reference shares no code with the kernels:
+it reads only ``chi.color_of`` and ``shape.part_of``, builds neighbor lists,
 and runs a BFS over vertex lists from every vertex of the mask.
 
 The same colorings check the rows that ``EdgeColoring`` builds from each
@@ -23,17 +26,18 @@ import random
 import pytest
 
 from mpcover.cli import _random_sizes
-from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, build_shape,
-                            diameter_at_most)
+from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, _far_vertex,
+                            build_shape, diameter_at_most, diameter_in_mask)
 
 
-def _bfs_diameter(chi, c, members):
-    """Largest color-c distance inside ``members``; ``math.inf`` when
-    disconnected, which exceeds every d, INF included."""
+def _bfs_eccentricities(chi, c, members):
+    """Each member's largest color-c distance inside ``members``, all
+    ``math.inf`` when they are disconnected (it exceeds every d, INF
+    included)."""
     shape = chi.shape
     nbrs = {u: [v for v in members if shape.part_of(v) != shape.part_of(u)
                 and chi.color_of(u, v) == c] for u in members}
-    worst = 0
+    ecc = {}
     for root in members:
         dist = {root: 0}
         queue = [root]
@@ -43,17 +47,18 @@ def _bfs_diameter(chi, c, members):
                     dist[v] = dist[u] + 1
                     queue.append(v)
         if len(dist) < len(members):
-            return math.inf
-        worst = max(worst, dist[queue[-1]])
-    return worst
+            return dict.fromkeys(members, math.inf)
+        ecc[root] = dist[queue[-1]]
+    return ecc
 
 
-def _walk(rng, shape, length):
-    """Up to ``length`` distinct vertices, consecutive ones in different
+def _walk(rng, shape, length, order=None, avoid=()):
+    """``order`` (a random vertex when None) extended to up to ``length``
+    distinct vertices outside ``avoid``, consecutive ones in different
     parts."""
-    order = [rng.randrange(shape.n)]
+    order = order or [rng.randrange(shape.n)]
     while len(order) < length:
-        free = [v for v in range(shape.n) if v not in order
+        free = [v for v in range(shape.n) if v not in order and v not in avoid
                 and shape.part_of(v) != shape.part_of(order[-1])]
         if not free:
             break
@@ -61,23 +66,46 @@ def _walk(rng, shape, length):
     return order
 
 
-def _plant(chi, c, order, closed):
-    """chi with the color-c graph induced on ``order`` made its path (or,
-    when ``closed``, its cycle): color c on consecutive pairs, the other
-    color on every other pair inside the walk."""
-    pairs = list(zip(order, order[1:] + order[:1] if closed else order[1:]))
-    walk = {frozenset(p) for p in pairs}
+def _plant(chi, c, members, pairs):
+    """chi with the color-c graph induced on ``members`` made the graph of
+    ``pairs``: color c on those pairs, the other color on every other pair
+    inside ``members``."""
+    pairs = {frozenset(p) for p in pairs}
     bits = chi.bits
     for i, (u, v) in enumerate(chi.shape.edges):
-        if u in order and v in order:
+        if u in members and v in members:
             bits &= ~(1 << i)
-            if (frozenset((u, v)) in walk) == (c == BLUE):
+            if (frozenset((u, v)) in pairs) == (c == BLUE):
                 bits |= 1 << i
     return EdgeColoring(chi.shape, bits)
 
 
+def _broom(rng, shape, candy):
+    """(members, pairs): two arms from a hub, the lowest member, and at the
+    end of the second up to three bristles or, with ``candy``, up to three
+    pairwise joined vertices (a lollipop)."""
+    hub = rng.randrange(shape.n // 2)
+    below = set(range(hub + 1))
+    arm = _walk(rng, shape, rng.randint(1, 7), [hub], below)
+    handle = _walk(rng, shape, rng.randint(2, 8), [hub], below | set(arm))
+    end = handle[-1]
+    tip = []
+    for v in rng.sample(range(hub + 1, shape.n), shape.n - hub - 1):
+        if len(tip) < 3 and v not in arm + handle \
+                and shape.part_of(v) != shape.part_of(end) \
+                and not (candy and any(shape.part_of(v) == shape.part_of(w)
+                                       for w in tip)):
+            tip.append(v)
+    pairs = [*zip(arm, arm[1:]), *zip(handle, handle[1:])]
+    pairs += [(end, v) for v in tip]
+    if candy:
+        pairs += [(v, w) for i, v in enumerate(tip) for w in tip[i + 1:]]
+    return sorted(set(arm + handle + tip)), pairs
+
+
 def _cases(seed, count):
-    """(chi, c, member list) triples: random masks, paths and cycles."""
+    """(chi, c, member list) triples: random masks, paths, cycles, brooms
+    and lollipops."""
     rng = random.Random(seed)
     for _ in range(count):
         shape = build_shape(_random_sizes(rng, 2, 6, 30))
@@ -87,31 +115,47 @@ def _cases(seed, count):
                 p = rng.choice((0.2, 0.5, 0.8))
                 yield chi, c, [v for v in range(shape.n) if rng.random() < p]
             order = _walk(rng, shape, rng.randint(1, shape.n))
-            yield _plant(chi, c, order, False), c, sorted(order)
+            yield _plant(chi, c, order, list(zip(order, order[1:]))), c, \
+                sorted(order)
             if shape.n < 3:
                 continue
+            for candy in (False, True):
+                members, pairs = _broom(rng, shape, candy)
+                yield _plant(chi, c, members, pairs), c, members
             order = _walk(rng, shape, rng.randint(3, shape.n))
             while len(order) > 3 and \
                     shape.part_of(order[0]) == shape.part_of(order[-1]):
                 order.pop()
             if len(order) >= 3 and \
                     shape.part_of(order[0]) != shape.part_of(order[-1]):
-                yield _plant(chi, c, order, True), c, sorted(order)
+                yield _plant(chi, c, order,
+                             list(zip(order, order[1:] + order[:1]))), c, \
+                    sorted(order)
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_diameter_at_most_agrees_with_a_plain_bfs(seed):
-    seen = {"long": 0, "cut": 0}
+def test_diameter_kernels_agree_with_a_plain_bfs(seed):
+    seen = {"long": 0, "cut": 0, "far-past-skip": 0}
     for chi, c, members in _cases(seed, 400):
-        want = _bfs_diameter(chi, c, members)
+        ecc = _bfs_eccentricities(chi, c, members)
+        want = max(ecc.values(), default=0)
         seen["long"] += 3 < want < math.inf
         seen["cut"] += want == math.inf
         mask = sum(1 << v for v in members)
+        at = (chi.shape.part_sizes, hex(chi.bits), c, members)
+        assert diameter_in_mask(chi, c, mask) == min(want, INF), at
+        skipped = False
         for d in list(range(chi.n + 2)) + [INF]:
-            assert diameter_at_most(chi, c, mask, d) == (want <= d), \
-                (chi.shape.part_sizes, hex(chi.bits), c, members, d, want)
+            assert diameter_at_most(chi, c, mask, d) == (want <= d), (*at, d)
+            far = min((u for u in members if ecc[u] > d), default=None)
+            assert _far_vertex(chi.adj[c], mask, d) == far, (*at, d)
+            # the lowest vertex's ball fills the mask, so the sweep clears
+            # a ball around it, yet some vertex is far
+            skipped |= far is not None and ecc[members[0]] <= d
+        seen["far-past-skip"] += skipped
     # the planted walks reach the diameters a random mask does not
     assert seen["long"] >= 100 and seen["cut"] >= 100
+    assert seen["far-past-skip"] >= 1000
 
 
 def _pair_rows(shape, bits):

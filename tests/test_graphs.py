@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coloring
+from mpcover import graphs
 from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
                             NoUniqueClone)
 from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
-                            _ball, bilayer_partition, bits_of, build_shape,
+                            _ball, _far_vertex, bilayer_partition, bits_of, build_shape,
                             color_diameter, color_distance, coloring_from_json,
                             coloring_to_json, component_of, diameter_at_most,
                             diameter_in_mask, far_masks, mask_of, other_color)
@@ -214,6 +215,11 @@ def test_swap_and_permute(rng):
     assert chi2.color_of(0, 2) == chi.color_of(1, 2)
     with pytest.raises(InvalidVertex):
         chi.permute([2, 1, 0, 3, 4])  # moves across parts
+    # a bool is no vertex id, though it sorts as one; nor is a float
+    three = EdgeColoring(build_shape([1, 1, 1]), 0b101)
+    for perm in ([True, False, 2], [1.0, 0.0, 2.0]):
+        with pytest.raises(InvalidVertex):
+            three.permute(perm)
 
 
 @pytest.mark.parametrize("sizes", [[1], [3], [2, 1], [3, 2, 2], [6] * 5])
@@ -361,6 +367,18 @@ def test_ball_matches_bfs_inside_the_mask(chi_mask, c, data, d):
     assert set(bits_of(ball)) == _bfs_ball(chi, c, u, d, mask)
 
 
+@settings(deadline=None, max_examples=400)
+@given(masked_colorings(), st.sampled_from((RED, BLUE)),
+       st.one_of(st.integers(0, 14), st.just(INF)))
+def test_far_vertex_is_the_lowest_vertex_whose_ball_misses_the_mask(
+        chi_mask, c, d):
+    chi, mask = chi_mask
+    inside = set(bits_of(mask))
+    want = next((u for u in sorted(inside)
+                 if _bfs_ball(chi, c, u, d, mask) != inside), None)
+    assert _far_vertex(chi.adj[c], mask, d) == want
+
+
 @st.composite
 def star_or_random_masks(draw):
     """(chi, c, mask): a center u with a random subset of its color-c
@@ -465,6 +483,71 @@ def test_empty_and_singleton_masks_have_diameter_0(c, d):
     for mask in (0, 1, 1 << 29):
         assert diameter_in_mask(chi, c, mask) == 0
         assert diameter_at_most(chi, c, mask, d)
+
+
+def _broom(d, r, candy, c):
+    """(chi, mask) on a complete graph: a hub 0 of eccentricity r <= d, and
+    a vertex 1 at distance d - r + 1 from it of eccentricity d + 1.
+
+    Two arms leave the hub in color c: 0, 2, ..., 1 of d - r + 1 edges, and
+    a handle of r - 1 edges that ends in three bristles (a broom) or, with
+    ``candy``, a triangle (a lollipop), at distance r.  The last vertex lies
+    outside the mask and is joined in color c to every vertex of it, a
+    shortcut that only a walk leaving the mask can take.
+    """
+    arm = [0] + list(range(2, d - r + 2)) + [1]
+    handle = [0] + list(range(d - r + 2, d + 1))
+    tip = [d + 1, d + 2, d + 3]
+    pairs = {*zip(arm, arm[1:]), *zip(handle, handle[1:])}
+    pairs |= {(handle[-1], v) for v in tip}
+    if candy:
+        pairs |= {(d + 1, d + 2), (d + 1, d + 3), (d + 2, d + 3)}
+    pairs |= {(v, d + 4) for v in range(d + 4)}
+    shape = build_shape([1] * (d + 5))
+    colored = [(u, v, c if (u, v) in pairs or (v, u) in pairs
+                else other_color(c))
+               for u, v in shape.edges]
+    return EdgeColoring.from_edges(shape, colored), shape.full_mask >> 1
+
+
+@pytest.mark.parametrize("c", (RED, BLUE))
+@pytest.mark.parametrize("candy", (False, True))
+@pytest.mark.parametrize("d, r", [(d, r) for d in range(3, 7)
+                                  for r in range((d + 2) // 2, d + 1)])
+def test_the_eccentricity_skip_stops_next_to_a_far_vertex(d, r, candy, c):
+    # The hub's ball fills the mask at radius r, which clears the hub's
+    # radius-(d - r) ball; vertex 1, one step past it, is the lowest vertex
+    # of eccentricity d + 1.  At r = (d + 1) / 2 one more step of clearing
+    # would take every far vertex.
+    chi, mask = _broom(d, r, candy, c)
+    inside = set(bits_of(mask))
+    ecc = {u: next(e for e in range(chi.n)
+                   if _bfs_ball(chi, c, u, e, mask) == inside) for u in inside}
+    assert ecc[0] == r and ecc[1] == d + 1 == max(ecc.values())
+    assert 1 in _bfs_ball(chi, c, 0, d - r + 1, mask) - \
+        _bfs_ball(chi, c, 0, d - r, mask)
+    assert _far_vertex(chi.adj[c], mask, d) == 1
+    assert diameter_in_mask(chi, c, mask) == d + 1
+    for e in range(d + 3):
+        assert diameter_at_most(chi, c, mask, e) == (d + 1 <= e), e
+        assert _far_vertex(chi.adj[c], mask, e) == \
+            min((u for u in inside if ecc[u] > e), default=None), e
+
+
+def test_diameter_at_most_grows_no_sweep_below_d_3(rng, monkeypatch):
+    # the surveys decide d <= 2 with one ball per vertex, as before the sweep
+    def no_sweep(rows, allowed, d):
+        raise AssertionError(f"_far_vertex at d = {d}")
+
+    monkeypatch.setattr(graphs, "_far_vertex", no_sweep)
+    for _ in range(300):
+        chi = random_coloring(rng, rng.choice(([2, 2, 2, 2], [3, 3, 2],
+                                                [5, 2, 2], [1] * 8)))
+        c = rng.choice((RED, BLUE))
+        mask = rng.getrandbits(chi.n)
+        for d in (0, 1, 2):
+            assert diameter_at_most(chi, c, mask, d) == \
+                (diameter_in_mask(chi, c, mask) <= d)
 
 
 @st.composite
