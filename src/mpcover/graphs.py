@@ -14,20 +14,25 @@ it except the all-pairs BFS oracle (``distances``, ``color_distance``), two
 radius-2 balls in the full graph taken as one fold past the rows,
 u | row | ``_grow(rows, row)``, with none of ``_ball``'s stop tests
 (``far_masks`` at d = 2 and the spanning rung ``ladder._spanning_diameter``
-at d = 2 on shapes with no size-1 part), and the eccentricity-skip sweeps
-of ``_far_vertex`` and ``diameter_in_mask``, which keep a BFS's ball of each
-radius.  A mask has diameter <= d exactly when each vertex's radius-d ball
-fills it.  ``diameter_at_most`` tests a clique with one AND per vertex at
-d = 1, grows a single ball, a connectivity test, when d >= |mask| - 1,
-since a connected mask of k vertices has diameter at most k - 1, and
-otherwise first bounds a dominated mask, one vertex adjacent to all the
-others, at diameter 2 when d >= 2; stars and the covers built from them are
-dominated.  Past that it grows one ball per vertex at d = 2, and at d >= 3
-asks ``_far_vertex`` for the lowest vertex whose radius-d ball misses part
-of the mask.  That sweep rests on ecc(w) <= dist(u, w) + ecc(u) (Takes and
-Kosters, CIKM 2011): once the balls of a center u fill the mask at radius
-r, every vertex within d - r of u has eccentricity at most d and grows no
-ball.  The diameter-3 pipeline finds its far root with it too.  The exact
+at d = 2 on shapes with no size-1 part), and ``_balls``, which keeps a
+BFS's ball of each radius for the eccentricity-skip sweeps of
+``_far_vertex`` and ``diameter_in_mask``.  A mask has diameter <= d exactly
+when each vertex's radius-d ball fills it.  ``diameter_at_most`` tests a
+clique with one AND per vertex at d = 1, grows a single ball, a
+connectivity test, when d >= |mask| - 1, since a connected mask of k
+vertices has diameter at most k - 1, and otherwise first bounds a dominated
+mask, one vertex adjacent to all the others, at diameter 2 when d >= 2;
+stars and the covers built from them are dominated.  Past that it grows
+one ball per vertex at d = 2, and at d >= 3 asks ``_far_vertex`` for the
+lowest vertex whose radius-d ball misses part of the mask.  That sweep
+rests on ecc(w) <= dist(u, w) + ecc(u) (Takes and Kosters, CIKM 2011):
+once the balls of a center u fill the mask at radius r, every vertex
+within d - r of u has eccentricity at most d and grows no ball.  At d = 2
+no vertex left by the dominator scan has eccentricity below 2, so the
+sweep would clear only each center and grow the same balls as the plain
+loop, at the cost of keeping them: the surveys, which decide nearly every
+such mask at d = 2, ran 4-7% slower with the sweep there.  The diameter-3
+pipeline finds its far root with the sweep too.  The exact
 ``diameter_in_mask`` runs the same sweep against its running maximum,
 ``far_masks`` is the complement of each vertex's radius-d ball, and
 ``component_of`` is a ball of radius n.  ``remap_edges`` carries edges
@@ -392,6 +397,25 @@ def _ball(rows, u: int, d: int, allowed: int) -> int:
     return ball
 
 
+def _balls(rows, u: int, allowed: int, d: int) -> list:
+    """u's balls of radius 0, 1, ... in the graph induced on ``allowed``.
+
+    The list ends at radius d, or at the first ball that fills the mask or
+    stops growing: u's eccentricity in the mask is its last index when the
+    last ball is ``allowed``.
+    """
+    ball = 1 << u
+    balls = [ball]
+    frontier = rows[u] & allowed if d else 0
+    while frontier:
+        ball |= frontier
+        balls.append(ball)
+        if len(balls) > d or ball == allowed:
+            break
+        frontier = _grow(rows, frontier) & allowed & ~ball
+    return balls
+
+
 def _far_vertex(rows, allowed: int, d: int):
     """The lowest vertex of ``allowed`` whose radius-d ball misses part of
     it, in the graph induced on the mask; None when there is none.
@@ -405,21 +429,11 @@ def _far_vertex(rows, allowed: int, d: int):
     """
     todo = allowed
     while todo:
-        low = todo & -todo
-        u = low.bit_length() - 1
-        ball = low
-        balls = [ball]  # balls[r]: u's ball of radius r
-        frontier = rows[u] & allowed if d else 0
-        r = 0
-        while frontier:
-            ball |= frontier
-            balls.append(ball)
-            r += 1
-            if r == d or ball == allowed:
-                break
-            frontier = _grow(rows, frontier) & allowed & ~ball
-        if ball != allowed:
+        u = (todo & -todo).bit_length() - 1
+        balls = _balls(rows, u, allowed, d)
+        if balls[-1] != allowed:
             return u
+        r = len(balls) - 1
         todo &= ~balls[min(d - r, r)]
     return None
 
@@ -524,8 +538,8 @@ def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
     """Diameter of the color-c graph induced on a vertex bitmask.
 
     A sweep as in ``_far_vertex``: the lowest vertex not yet cleared grows
-    balls until one fills the mask, at radius r, its eccentricity, and
-    ``best`` keeps the largest r.  Every vertex within best - r of that
+    its ``_balls`` until one fills the mask, at radius r, its eccentricity,
+    and ``best`` keeps the largest r.  Every vertex within best - r of that
     vertex is then cleared, since none of them can raise ``best``, which
     only grows.  INF when the first vertex's full ball misses part of the
     mask.  An empty mask has diameter 0.
@@ -534,16 +548,8 @@ def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
     best = 0
     todo = allowed
     while todo:
-        ball = todo & -todo
-        balls = [ball]  # balls[r]: the center's ball of radius r
-        frontier = rows[ball.bit_length() - 1] & allowed
-        while frontier:
-            ball |= frontier
-            balls.append(ball)
-            if ball == allowed:
-                break
-            frontier = _grow(rows, frontier) & allowed & ~ball
-        if ball != allowed:
+        balls = _balls(rows, (todo & -todo).bit_length() - 1, allowed, INF)
+        if balls[-1] != allowed:
             return INF
         r = len(balls) - 1
         best = max(best, r)
@@ -562,7 +568,8 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     other vertex of the mask dominates it, which bounds the diameter by 2: a
     scan of one AND per vertex looks for one before any ball is grown.  Then,
     at d = 2 (and d = 0), one ball per vertex, stopping with False at the
-    first radius-d ball that misses part of the mask; at d >= 3, True when
+    first radius-d ball that misses part of the mask: there the sweep below
+    could clear no vertex but its center.  At d >= 3, True when
     ``_far_vertex`` finds no far vertex, which grows balls only from the
     vertices its eccentricity bound cannot clear.  An empty mask is
     vacuously True.

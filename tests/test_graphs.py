@@ -11,10 +11,11 @@ from mpcover import graphs
 from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
                             NoUniqueClone)
 from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
-                            _ball, _far_vertex, bilayer_partition, bits_of, build_shape,
-                            color_diameter, color_distance, coloring_from_json,
-                            coloring_to_json, component_of, diameter_at_most,
-                            diameter_in_mask, far_masks, mask_of, other_color)
+                            _ball, _far_vertex, bilayer_partition, bits_of,
+                            build_shape, color_diameter, color_distance,
+                            coloring_from_json, coloring_to_json, component_of,
+                            diameter_at_most, diameter_in_mask, far_masks,
+                            mask_of, other_color)
 
 SMALL_SHAPES = ((2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1),
                 (2, 2, 2))
@@ -535,7 +536,9 @@ def test_the_eccentricity_skip_stops_next_to_a_far_vertex(d, r, candy, c):
 
 
 def test_diameter_at_most_grows_no_sweep_below_d_3(rng, monkeypatch):
-    # the surveys decide d <= 2 with one ball per vertex, as before the sweep
+    # past the dominator scan the sweep could clear only each center at
+    # d = 2, and keeping its balls made the surveys, which decide nearly
+    # every mask at d = 2, slower; d <= 2 keeps one plain ball per vertex
     def no_sweep(rows, allowed, d):
         raise AssertionError(f"_far_vertex at d = {d}")
 
