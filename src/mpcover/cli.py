@@ -102,23 +102,24 @@ def cmd_cover(args) -> int:
     if chi.shape.k < 2:
         _warn("a single part has no edges; no connected cover exists")
         return CONFIG_ERROR
-    if chi.shape.k == 2:
-        _warn("the diameter-3 guarantee needs at least 3 parts; "
-              "falling back to an unbounded-diameter connected cover")
-        cover = tc2_cover(chi)
-        trace_json = {"cases": [{"label": "two-part-fallback", "witnesses": []}]}
-    else:
-        try:
+    try:
+        if chi.shape.k == 2:
+            _warn("the diameter-3 guarantee needs at least 3 parts; "
+                  "falling back to an unbounded-diameter connected cover")
+            cover = tc2_cover(chi)
+            trace_json = {"cases": [{"label": "two-part-fallback",
+                                     "witnesses": []}]}
+        else:
             cover, trace = multipartite_cover(chi, args.grouping)
-        except ConstructionExhausted as e:
-            dump = {"coloring": coloring_to_json(chi),
-                    "trace": e.trace.to_json() if e.trace else None,
-                    "error": str(e)}
-            path = "mpcover-exhausted.json"
-            _emit(dump, path)
-            _warn(f"construction exhausted; forensics in {path}")
-            return REFUTED
-        trace_json = trace.to_json()
+            trace_json = trace.to_json()
+    except ConstructionExhausted as e:
+        dump = {"coloring": coloring_to_json(chi),
+                "trace": e.trace.to_json() if e.trace else None,
+                "error": str(e)}
+        path = "mpcover-exhausted.json"
+        _emit(dump, path)
+        _warn(f"construction exhausted; forensics in {path}")
+        return REFUTED
     ok = verify_cover(chi, cover, args.d, 2)
     achieved = max((subgraph_diameter(chi, g) for g in cover), default=0)
     _emit({"cover": cover_to_json(cover), "trace": trace_json,
@@ -280,18 +281,17 @@ def _fuzz_one(mode, rng, i):
                                 "report": e.report}
         return "graph-ok", None
     # the other modes build one cover and verify it at d
-    if mode == "construct":
-        chi = _random_coloring(rng, _random_sizes(rng, 3, 6, 30))
+    if mode in ("construct", "tc2"):
+        construct = mode == "construct"
+        chi = _random_coloring(rng, _random_sizes(rng, 3 if construct else 2,
+                                                  6, 30))
         try:
-            cover, _trace = multipartite_cover(chi)
+            cover = multipartite_cover(chi)[0] if construct else tc2_cover(chi)
         except MpcoverError as e:
             return "exhausted", {"coloring": coloring_to_json(chi),
                                  "error": str(e)}
-        d, ok_label, bad_label = 3, "covered", "bad-cover"
-    elif mode == "tc2":
-        chi = _random_coloring(rng, _random_sizes(rng, 2, 6, 30))
-        cover = tc2_cover(chi)
-        d, ok_label, bad_label = chi.n, "covered", "bad-cover"
+        d = 3 if construct else chi.n
+        ok_label, bad_label = "covered", "bad-cover"
     elif mode == "prune":
         chi = _random_coloring(rng, [2, 2, 2, 2, 2])
         cover = prune_with_constructions(chi, 2)

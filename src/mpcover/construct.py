@@ -12,17 +12,17 @@ of radius 3.
 The unbounded connected cover (``tc2_cover``) grows its pieces from color
 components (``graphs.component_of``).  The cases are one generator
 (``_cases``) of candidates as (color, mask) pieces, in the order tried; it
-writes the case notes to the trace as it goes.  One loop in
-``tripartite_cover`` tests them with ``certifies_masks``, builds the winner
-into a ``Cover`` and checks it once with ``verify_cover`` before it is
-returned, so the pipeline doubles as a machine check of the underlying case
-analysis: a coloring that defeats every case raises
+writes the case notes to the trace as it goes.  Both constructions are
+producers in the sense of ``covers``: they test each candidate once with
+``certifies_masks`` and build a ``Cover`` only for the winner, which their
+callers verify.  So the pipeline doubles as a machine check of the
+underlying case analysis: a coloring that defeats every case raises
 ``ConstructionExhausted`` with a full trace, which would mean either a bug
 here or a counterexample to the diameter-3 guarantee.
 
 Shapes with more than three parts are handled by grouping the parts into
-three groups and ignoring within-group edges during construction; the final
-verification always runs against the full coloring (extra edges can only
+three groups and ignoring within-group edges during construction; each
+candidate is still certified against the full coloring (extra edges can only
 shrink distances, never grow them).
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .covers import Cover, certifies_masks, cover_from_masks, verify_cover
+from .covers import Cover, certifies_masks, cover_from_masks
 from .errors import ConstructionExhausted, InvalidShape
 from .graphs import (BLUE, INF, RED, EdgeColoring, MultipartiteShape,
                      _ball, _far_vertex, bits_of, component_of, mask_of,
@@ -130,9 +130,9 @@ def multipartite_cover(chi: EdgeColoring, grouping: str = "balanced"):
 def tripartite_cover(chi: EdgeColoring, groups=None):
     """Run the case pipeline over a 3-group split of the parts.
 
-    Returns (cover, trace) with the cover verified at (d=3, t=2) against the
-    full coloring.  Raises ConstructionExhausted when every candidate of
-    every case fails verification.
+    Returns (cover, trace): the cover is the first candidate that
+    ``certifies_masks`` accepts at (d=3, t=2) against the full coloring.
+    Raises ConstructionExhausted when it accepts none.
     """
     shape = chi.shape
     if groups is None:
@@ -149,17 +149,11 @@ def tripartite_cover(chi: EdgeColoring, groups=None):
 
     trace = CaseTrace()
     for label, witnesses, pieces, d in _cases(chi, groups, trace):
-        if not certifies_masks(chi, pieces, d, 2):
-            continue
-        cover = cover_from_masks(pieces)
-        violation = verify_cover(chi, cover, d, 2)
-        if violation is not None:
-            raise RuntimeError(f"case {label!r} built a cover that fails "
-                               f"verify_cover: {violation.describe()}")
-        trace.add(label, *witnesses)
-        return cover, trace
+        if certifies_masks(chi, pieces, d, 2):
+            trace.add(label, *witnesses)
+            return cover_from_masks(pieces), trace
     raise ConstructionExhausted(
-        "no case produced a verified cover", chi, trace)
+        "no case produced a certified cover", chi, trace)
 
 
 def _cases(chi, groups, trace):
@@ -326,6 +320,8 @@ def tc2_cover(chi: EdgeColoring) -> Cover:
     component of the first vertex and covers the leftovers with blue blocks.
     When the red component is a lone vertex and would strand its part-mates,
     the color roles are swapped (the swapped run lands in a clean case).
+    Each color role's candidate is tested once with ``certifies_masks``;
+    raises ConstructionExhausted when neither passes.
     """
     shape = chi.shape
     if shape.k < 2:
@@ -345,7 +341,6 @@ def tc2_cover(chi: EdgeColoring) -> Cover:
             if b1 == 0 and (amask & ~a1).bit_count() >= 2:
                 continue  # would strand the rest of the first part; swap colors
             pieces = ((blue, (amask & ~a1) | b1), (blue, a1 | (bmask & ~b1)))
-        cover = cover_from_masks(pieces)
-        if verify_cover(chi, cover, INF, 2) is None:
-            return cover
+        if certifies_masks(chi, pieces, INF, 2):
+            return cover_from_masks(pieces)
     raise ConstructionExhausted("connected 2-cover construction failed", chi)

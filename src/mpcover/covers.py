@@ -25,11 +25,12 @@ piece at radius r clears every vertex within d - r of it.  The exact
 diameter, by the same sweep, is computed only for a piece that fails,
 to build its witness.  ``verify_cover`` reports the first violation with an
 exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
-on (color, mask) pieces.  The ladder's prune rules and the diameter-3
-pipeline's cases yield their candidates as such pieces from generators; one
-loop per caller tests them with ``certifies_masks``.  A ``Cover`` is built
-only for the one that wins (``cover_from_masks``), and ``_decide`` or the
-pipeline checks it once with ``verify_cover``.
+on (color, mask) pieces.  One rule splits the two: producers certify,
+consumers verify.  A producer tests each candidate once with a boolean check
+(``certifies_masks`` in the ladder's prune rules, the diameter-3 pipeline
+and ``tc2_cover``) and builds a ``Cover`` only for the winner
+(``cover_from_masks``); ``ladder._decide`` and the callers of a construction
+check what they get with ``verify_cover``.
 """
 
 from __future__ import annotations

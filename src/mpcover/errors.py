@@ -47,11 +47,11 @@ class CapExceeded(MpcoverError):
 
 
 class ConstructionExhausted(MpcoverError):
-    """Every candidate of the cover pipeline failed verification.
+    """Every candidate of a cover construction failed ``certifies_masks``.
 
     This signals either an implementation bug or a counterexample to the
-    diameter-3 cover guarantee, so the exception carries the coloring and the
-    full case trace for forensics.
+    cover guarantee, so the exception carries the coloring and, from the
+    diameter-3 pipeline, the full case trace for forensics.
     """
 
     def __init__(self, message: str, coloring=None, trace=None):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coloring
-from mpcover import cli, search
+from mpcover import cli, construct, search
 from mpcover.cli import CONFIG_ERROR, OK, REFUTED, main
 from mpcover.covers import (cover_from_json, cover_to_json, make_cover,
                             verify_cover)
@@ -106,6 +106,44 @@ def test_cover_two_parts_checks_the_requested_d(tmp_path, capsys):
     obj = json.loads(out)
     assert code == REFUTED
     assert obj["ok"] is False and obj["achieved_d"] == 2
+
+
+@pytest.mark.parametrize("parts, bits, trace", [
+    ([2, 2, 1], 5, {"cases": [
+        {"label": "size-one-group-failed", "witnesses": [4]},
+        {"label": "dominating-vertex-failed", "witnesses": [0, 2]},
+        {"label": "no-far-root", "witnesses": []}]}),
+    ([2, 2], 13, None),
+], ids=["pipeline", "two-part-fallback"])
+def test_an_exhausted_construction_exits_1_with_forensics(
+        tmp_path, capsys, monkeypatch, parts, bits, trace):
+    # every candidate rejected: a refutation (exit 1), never a config error
+    monkeypatch.chdir(tmp_path)  # the forensics file lands in cwd
+    monkeypatch.setattr(construct, "certifies_masks", lambda *args: False)
+    chi = EdgeColoring(build_shape(parts), bits)
+    code, out, err = run(capsys, "cover", "--input",
+                         write_coloring(tmp_path, chi))
+    assert code == REFUTED and out == ""
+    assert "forensics in mpcover-exhausted.json" in err
+    dump = json.loads((tmp_path / "mpcover-exhausted.json").read_text())
+    assert coloring_from_json(dump["coloring"]).bits == bits
+    assert dump["trace"] == trace
+
+
+@pytest.mark.parametrize("mode", ["construct", "tc2"])
+def test_an_exhausted_fuzz_construction_is_a_counted_violation(
+        tmp_path, capsys, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)  # reproducer files land in cwd
+    monkeypatch.setattr(construct, "certifies_masks", lambda *args: False)
+    code, out, _ = run(capsys, "fuzz", "--mode", mode, "--seed", "3",
+                       "--n", "2")
+    obj = json.loads(out)
+    assert code == REFUTED
+    assert obj["counters"] == {"exhausted": 2} and obj["violations"] == 2
+    assert obj["reproducers"] == [f"mpcover-repro-{mode}-3-{i}.json"
+                                  for i in range(2)]
+    for path in obj["reproducers"]:
+        assert "coloring" in json.loads((tmp_path / path).read_text())
 
 
 def test_cover_single_part_is_config_error(tmp_path, capsys, rng):

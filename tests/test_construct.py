@@ -13,9 +13,9 @@ from mpcover.construct import (GROUPINGS, balanced_grouping,
                                first_fit_grouping, multipartite_cover,
                                star_doublestar_search, tc2_cover,
                                tripartite_cover)
-from mpcover.covers import (COVERAGE_GAP, Violation, cover_from_masks,
-                            cover_to_json, verify_cover)
-from mpcover.errors import InvalidShape, MpcoverError
+from mpcover.covers import (certifies_masks, cover_from_masks, cover_to_json,
+                            verify_cover)
+from mpcover.errors import ConstructionExhausted, InvalidShape
 from mpcover.families import check_monotone_extension, gen_fig4, gen_thm31
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, build_shape,
                             mask_of)
@@ -75,15 +75,57 @@ def test_allred_tripartite_spans_at_diameter_two():
     assert trace.cases[-1][0] == "spanning"
 
 
-def test_a_certified_cover_that_fails_verification_is_an_internal_error(
-        monkeypatch):
-    # the winner of certifies_masks meets verify_cover once before it returns
-    monkeypatch.setattr(construct, "verify_cover",
-                        lambda *args: Violation(COVERAGE_GAP, None, (0,)))
-    chi = EdgeColoring.all_same(build_shape([4, 3, 2]), RED)
-    with pytest.raises(RuntimeError, match="case 'spanning'") as err:
+def _recorded_certifies(monkeypatch, verdict=None):
+    """Record each (pieces, verdict) of construct's certifies_masks calls.
+
+    ``verdict(i, real)`` may replace the real verdict of call i.
+    """
+    calls = []
+
+    def certifies(chi, pieces, d, t):
+        ok = certifies_masks(chi, pieces, d, t)
+        if verdict is not None:
+            ok = verdict(len(calls), ok)
+        calls.append((pieces, ok))
+        return ok
+
+    monkeypatch.setattr(construct, "certifies_masks", certifies)
+    return calls
+
+
+def test_a_construction_returns_the_one_candidate_it_certified(monkeypatch):
+    # producers certify, consumers verify: the constructions test each
+    # candidate once with certifies_masks, stop at the first it accepts and
+    # return that one as cover_from_masks builds it, with no second check
+    assert not hasattr(construct, "verify_cover")
+    chi = gen_thm31(2)  # both spanning candidates fail first
+    calls = _recorded_certifies(monkeypatch)
+    cover, trace = tripartite_cover(chi)
+    assert [ok for _, ok in calls] == [False, False, True]
+    assert cover == cover_from_masks(calls[-1][0])
+    assert trace.cases[-1][0] == "dominating-vertex"
+
+    # the first color role rejected, tc2_cover returns the swapped one
+    chi = EdgeColoring(build_shape([2, 2]), 13)
+    calls = _recorded_certifies(monkeypatch, lambda i, ok: ok and i > 0)
+    cover = tc2_cover(chi)
+    assert [ok for _, ok in calls] == [False, True]
+    assert calls[0][0] != calls[1][0]
+    assert cover == cover_from_masks(calls[-1][0])
+
+
+def test_an_exhausted_pipeline_raises_with_its_trace_in_order(monkeypatch):
+    calls = _recorded_certifies(monkeypatch, lambda i, ok: False)
+    chi = EdgeColoring(build_shape([2, 2, 1]), 5)
+    with pytest.raises(ConstructionExhausted) as err:
         multipartite_cover(chi)
-    assert not isinstance(err.value, MpcoverError)
+    assert calls and err.value.coloring is chi
+    assert err.value.trace.cases == [("size-one-group-failed", (4,)),
+                                     ("dominating-vertex-failed", (0, 2)),
+                                     ("no-far-root", ())]
+    with pytest.raises(ConstructionExhausted) as err:
+        tc2_cover(EdgeColoring(build_shape([2, 2]), 13))
+    assert err.value.coloring is not None and err.value.trace is None
 
 
 def test_triangle_shapes_finish_at_diameter_two(rng):
