@@ -25,12 +25,12 @@ piece at radius r clears every vertex within d - r of it.  The exact
 diameter, by the same sweep, is computed only for a piece that fails,
 to build its witness.  ``verify_cover`` reports the first violation with an
 exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
-on (color, mask) pieces.  One rule splits the two: producers certify,
-consumers verify.  A producer tests each candidate once with a boolean check
-(``certifies_masks`` in the ladder's prune rules, the diameter-3 pipeline
-and ``tc2_cover``) and builds a ``Cover`` only for the winner
-(``cover_from_masks``); ``ladder._decide`` and the callers of a construction
-check what they get with ``verify_cover``.
+on (color, mask) pieces.  Each candidate is tested once.  The diameter-3
+pipeline and ``tc2_cover`` test theirs with ``certifies_masks`` and build a
+``Cover`` only for the winner (``cover_from_masks``), which their callers
+check with ``verify_cover``.  ``ladder._decide`` tests each construction
+candidate of the ladder with ``verify_cover`` itself, so its winner is
+checked once, and checks the one winner of each searched rung with it too.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The per-coloring decision: a cover by t monochromatic pieces of diameter <= d.
 
 ``find_cover`` decides whether a coloring admits a cover by t monochromatic
-pieces of diameter <= d (t in {1, 2}).  The decision ladder (``_ladder``)
+pieces of diameter <= d (t in {1, 2}).  The decision ladder (``_decide``)
 runs its rungs from cheap to expensive: counting bounds, the spanning
 diameter (at d = 2, on shapes with no size-1 part, each vertex's ball is
 one fold past its row, as in ``far_masks``), two stars at a size-1 part's
@@ -9,15 +9,23 @@ vertex, the clone-pair prune rules, star + double-star pairs, and last the
 exhaustive two-bag search, which takes its conflicts from radius-d balls in
 the full color graph (``far_masks``) and so stays exact.  At d = 1 a
 clique-pair filter rejects first but never supplies the cover; it tests its
-cliques with ``diameter_at_most`` at d = 1, one AND per vertex.  The two
-stars and the prune rules are generators of (label, pieces) candidates in
-the order tried (``_two_star_candidates``, ``_prune_candidates``); one loop
-(``_first_certified``) tests them, rejecting a candidate with an empty piece
-and then asking ``certifies_masks``.  Every rung returns its winning (color,
-mask) pieces; ``_decide`` builds the one ``Cover`` and checks it once with
-``verify_cover``, so every positive answer is backed by a cover that passed
-it.  The ladder sees one coloring at a time; key ranges, checkpoints and
-pools belong to the survey engine (``search``).
+cliques with ``diameter_at_most`` at d = 1, one AND per vertex.
+
+The rungs propose and ``_decide`` verifies.  The two stars and the prune
+rules are generators of (label, pieces) candidates in the order tried
+(``_two_star_candidates``, ``_prune_candidates``), and ``_decide`` tests
+each one itself: a candidate with an empty piece or a coverage gap is
+dropped with one OR, and each other one becomes a ``Cover`` checked once
+with ``verify_cover``.  The searched rungs before and after them
+(``_early_rungs``, ``_late_rungs``) reject far too often for that path, so
+they test their own candidates and hand ``_decide`` one winner's (color,
+mask) pieces, which it builds and checks with ``verify_cover``.  So every
+positive answer is backed by a cover that passed it, and a construction
+winner is checked only there.  ``_first_certified`` tests a generator with
+``certifies_masks`` instead, for ``_prune_labeled`` and
+``prune_with_constructions`` (the prune fuzz driver and the benchmark).
+The ladder sees one coloring at a time; key ranges, checkpoints and pools
+belong to the survey engine (``search``).
 
 Below the counting bound (``lowest_d``) every d is rejected before any
 rung runs.  A survey may also hand the ladder a list of hints: the two-bag
@@ -358,10 +366,26 @@ def lowest_d(shape: MultipartiteShape, t: int) -> int:
 def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
     """(verified cover | None, label of the deciding rule).
 
-    The one place the ladder's winning pieces become a ``Cover``.  ``hints``
-    is a survey chunk's list of recent two-bag winners at d, or None.
+    The one place the ladder's pieces become a ``Cover``, each checked once
+    with ``verify_cover``.  A construction candidate (``_prune_candidates``,
+    or ``_two_star_candidates`` with the prune rules off) that fails is a
+    reject; a searched rung's winner that fails is an internal error.
+    ``hints`` is a survey chunk's list of recent two-bag winners at d, or
+    None.
     """
-    pieces, label = _ladder(chi, t, d, prune, hints)
+    decided = _early_rungs(chi, t, d)
+    if decided is None:
+        if d >= 2:
+            full = chi.shape.full_mask
+            for label, pieces in (_prune_candidates(chi) if prune
+                                  else _two_star_candidates(chi)):
+                (_, m1), (_, m2) = pieces
+                if m1 and m2 and m1 | m2 == full:
+                    cover = cover_from_masks(pieces)
+                    if verify_cover(chi, cover, d, t) is None:
+                        return cover, label
+        decided = _late_rungs(chi, d, hints)
+    pieces, label = decided
     if pieces is None:
         return None, label
     cover = cover_from_masks(pieces)
@@ -372,18 +396,17 @@ def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
     return cover, label
 
 
-def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
-    """((color, mask) pieces | None, label of the deciding rule).
+def _early_rungs(chi: EdgeColoring, t: int, d: int):
+    """((color, mask) pieces | None, label) of the rungs before the
+    constructions, or None when they leave d open.
 
-    Every candidate it returns was certified by its rung.  ``hints``, when
-    given, is updated in place: a hint that certifies, or else a fresh
-    two-bag winner, moves to its front.
+    The counting bound, the tiny shapes, then the spanning diameter; with
+    t = 1 nothing else can cover.
     """
-    n = chi.n
     if d < lowest_d(chi.shape, t):
         return None, "none"
-    if n <= t:
-        return tuple((BLUE, 1 << v) for v in range(n)), "tiny"
+    if chi.n <= t:
+        return tuple((BLUE, 1 << v) for v in range(chi.n)), "tiny"
     # at d = 1 two vertices of one part (not adjacent) rule out spanning
     if d >= 2 or chi.shape.part_sizes[0] == 1:
         for c in (RED, BLUE):
@@ -391,11 +414,19 @@ def _ladder(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
                 return ((c, chi.shape.full_mask),), "spanning"
     if t == 1:
         return None, "none"
-    if d >= 2:
-        pieces, label = (_prune_labeled(chi, d) if prune else
-                         _first_certified(chi, d, _two_star_candidates(chi)))
-        if pieces is not None:
-            return pieces, label
+    return None
+
+
+def _late_rungs(chi: EdgeColoring, d: int, hints=None):
+    """((color, mask) pieces | None, label) of the two-piece rungs after the
+    constructions.
+
+    Star + double-star pairs at d >= 3, the clique-pair filter at d = 1,
+    then the hints and the exhaustive two-bag search.  Every candidate it
+    returns was certified by its rung.  ``hints``, when given, is updated in
+    place: a hint that certifies, or else a fresh two-bag winner, moves to
+    its front.
+    """
     if d >= 3:
         pieces = star_doublestar_search(chi, d)
         if pieces is not None:

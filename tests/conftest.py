@@ -135,6 +135,25 @@ def prune_digest(sizes, d, samples, seed):
     return h.hexdigest()
 
 
+def decide_digest(sizes, d, prune):
+    """sha256 of the ladder's decisions over a shape's orbit leaders.
+
+    The hash runs over ``repr((label, pieces))`` of ``ladder._decide(chi, 2,
+    d, prune)`` for each leader in scan order, with a newline after it;
+    ``pieces`` is the returned cover's (color, mask) pairs, or None.  So it
+    pins the deciding rule and every piece, whichever rung produced them.
+    """
+    shape = build_shape(sizes)
+    h = hashlib.sha256()
+    for _, bits in canonical_classes(shape, symmetry_group(shape)):
+        cover, label = ladder._decide(EdgeColoring(shape, bits), 2, d, prune)
+        pieces = (None if cover is None
+                  else tuple((g.color, g.mask) for g in cover))
+        h.update(repr((label, pieces)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def construct_digest(seed, count):
     """sha256 of the diameter-3 pipeline's output on the construct fuzz
     colorings.

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (prune_digest, random_coloring, two_bag_digest,
-                      two_star_pieces)
+from conftest import (decide_digest, prune_digest, random_coloring,
+                      two_bag_digest, two_star_pieces)
 from test_graphs import colorings_up_to_12
 from mpcover import ladder, search
 from mpcover.covers import (certifies_masks, cover_from_masks, make_cover,
@@ -230,6 +230,48 @@ def test_prune_rules_output_matches_pinned_digest(sizes, d, samples, sha256):
     assert prune_digest(sizes, d, samples, seed=1) == sha256
 
 
+# sha256 of the ladder's (label, pieces) over every orbit leader, with the
+# prune rules on and off (``conftest.decide_digest``), as a trusted commit's
+# ladder decided them; tests/sweep_ladder.py holds the same pins for two
+# larger shapes.  Never regenerate these to make a failing run pass.
+@pytest.mark.parametrize("sizes, d, prune, sha256", [
+    pytest.param(
+        (4, 2, 2), 2, True,
+        "2ac7690813e07e6b130f0dd86d96ae9e554804898c2dfba78e82db8aeaf84e74",
+        id="4-2-2-d2-prune"),
+    pytest.param(
+        (4, 2, 2), 2, False,
+        "23292e83a594efa08cb95eea7b0e1c592efe2c793e24618a0245742b971129fe",
+        id="4-2-2-d2"),
+    pytest.param(
+        (4, 2, 2), 3, True,
+        "c1ba36c7420d48ff00181998cacb0ab921eaa5a9a05a53a64327d4f9bf1d3899",
+        id="4-2-2-d3-prune"),
+    pytest.param(
+        (4, 2, 2), 3, False,
+        "40c7789f5d9beb8d76e282f282acb6a1e2f605b2d7b3220c00369e5444fed9fb",
+        id="4-2-2-d3"),
+    pytest.param(
+        (2, 2, 2, 1), 2, True,
+        "0f477f1d424efec172c3fc664a32104a7eaec6fdd7b497a70e02c98d0d5d8cee",
+        id="2-2-2-1-d2-prune"),
+    pytest.param(
+        (2, 2, 2, 1), 2, False,
+        "0f477f1d424efec172c3fc664a32104a7eaec6fdd7b497a70e02c98d0d5d8cee",
+        id="2-2-2-1-d2"),
+    pytest.param(
+        (2, 2, 2, 1), 3, True,
+        "89ad1fab24e8250422a647cdcb69e48263a5bc752fc9e8e5de8bb203f1bcccc6",
+        id="2-2-2-1-d3-prune"),
+    pytest.param(
+        (2, 2, 2, 1), 3, False,
+        "89ad1fab24e8250422a647cdcb69e48263a5bc752fc9e8e5de8bb203f1bcccc6",
+        id="2-2-2-1-d3"),
+])
+def test_ladder_decisions_match_pinned_digest(sizes, d, prune, sha256):
+    assert decide_digest(sizes, d, prune) == sha256
+
+
 def test_no_diameter_one_cover_when_a_part_exceeds_t(rng):
     # the exact counting bound: t cliques hold at most t vertices of a part,
     # on shapes where n <= t·k, so only this bound rules d = 1 out
@@ -320,32 +362,84 @@ def test_two_stars_cover_only_at_size_one_parts(rng):
 def test_a_returned_cover_that_fails_verification_is_an_internal_error(
         rng, monkeypatch):
     chi = random_coloring(rng, [2, 2, 1])
-    monkeypatch.setattr(ladder, "_ladder",
+    monkeypatch.setattr(ladder, "_early_rungs",
                         lambda *args: (((RED, 1),), "spanning"))
     with pytest.raises(RuntimeError, match="CoverageGap") as err:
         find_cover(chi, 2, 2)
     assert not isinstance(err.value, MpcoverError)  # never a config error
 
 
-def test_one_verify_cover_per_class(tmp_path, monkeypatch):
-    # the ladder's rungs return pieces; only _decide builds and verifies a
-    # cover, once per class at its minimal d and never for a refutation
+def _recorded_verify(monkeypatch):
+    """A list that collects (cover, verdict) of each ``verify_cover`` call
+    the ladder makes."""
     calls = []
     original = ladder.verify_cover
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def recorded(chi, cover, d, t):
+        violation = original(chi, cover, d, t)
+        calls.append((cover, violation))
+        return violation
 
-    monkeypatch.setattr(ladder, "verify_cover", counted)
-    result = compute_D([3, 2, 2])
-    assert len(calls) == result.classes > 0
-    calls.clear()
-    result = gk_survey(3, checkpoint_path=str(tmp_path / "gk3.json"))
-    assert len(calls) == result.classes > 0
+    monkeypatch.setattr(ladder, "verify_cover", recorded)
+    return calls
+
+
+def test_one_passing_verify_cover_per_class(tmp_path, monkeypatch):
+    # the ladder's rungs propose pieces; only _decide builds and verifies a
+    # cover.  A rejected construction candidate is verified too, so what
+    # holds is one *passing* call per class, on the very object returned,
+    # and no cover verified twice
+    calls = _recorded_verify(monkeypatch)
+    returned = []
+    decide = search._decide
+
+    def recorded(*args):
+        cover, label = decide(*args)
+        if cover is not None:
+            returned.append(cover)
+        return cover, label
+
+    monkeypatch.setattr(search, "_decide", recorded)
+    gk3 = str(tmp_path / "gk3.json")
+    for survey in (lambda: compute_D([3, 2, 2]),
+                   lambda: gk_survey(3, checkpoint_path=gk3)):
+        calls.clear()
+        returned.clear()
+        result = survey()
+        passed = [cover for cover, violation in calls if violation is None]
+        assert len(passed) == len(returned) == result.classes > 0
+        assert all(a is b for a, b in zip(passed, returned))
+        assert len({id(cover) for cover, _ in calls}) == len(calls)
     calls.clear()
     assert find_cover(gen_thm31(2), 2, 2) is None
-    assert calls == []
+    assert all(violation is not None for _, violation in calls)
+
+
+def test_a_construction_candidate_that_fails_verify_cover_is_skipped(
+        monkeypatch):
+    chi, decided = _two_bag_pieces((3, 3, 2), 2)[0]  # no rung before wins
+    full = chi.shape.full_mask
+    wide = ((RED, full), (BLUE, full))  # covers V; no color spans at d = 2
+    bad = [("clone-star", ((RED, 0), (BLUE, full))),  # an empty piece
+           ("clone-star", ((RED, 1), (BLUE, full & ~3))),  # misses vertex 1
+           ("far-clone", wide)]
+    calls = _recorded_verify(monkeypatch)
+
+    monkeypatch.setattr(ladder, "_prune_candidates",
+                        lambda chi: iter(bad + [("near-clone", decided)]))
+    cover, label = ladder._decide(chi, 2, 2, True)
+    assert label == "near-clone"
+    assert tuple((g.color, g.mask) for g in cover) == decided
+    # the empty piece and the gap never reach verify_cover; the wide one fails
+    assert [violation is None for _, violation in calls] == [False, True]
+    assert calls[-1][0] is cover
+
+    calls.clear()
+    monkeypatch.setattr(ladder, "_prune_candidates", lambda chi: iter(bad))
+    cover, label = ladder._decide(chi, 2, 2, True)
+    assert label == "trichotomy"  # the later rungs give today's answer
+    assert tuple((g.color, g.mask) for g in cover) == decided
+    assert [violation is None for _, violation in calls] == [False, True]
 
 
 def test_every_class_is_decided_on_its_own_rows(tmp_path, monkeypatch):
@@ -1221,9 +1315,8 @@ def _two_bag_pieces(sizes, d):
     out = []
     for _, bits in canonical_classes(shape, symmetry_group(shape)):
         chi = EdgeColoring(shape, bits)
-        pieces, label = ladder._ladder(chi, 2, d, True)
-        if label == "trichotomy":
-            out.append((chi, pieces))
+        if ladder._decide(chi, 2, d, True)[1] == "trichotomy":
+            out.append((chi, ladder._late_rungs(chi, d)[0]))
     return out
 
 
@@ -1242,7 +1335,7 @@ def test_a_hint_that_does_not_certify_is_never_returned():
         stale = list(islice(_other_winners(chi, pieces, winners, False),
                             ladder.HINTS))
         hints = list(stale)
-        got, label = ladder._ladder(chi, 2, 2, True, hints)
+        got, label = ladder._late_rungs(chi, 2, hints)
         assert (got, label) == (pieces, "trichotomy")
         assert hints == [pieces] + stale[:ladder.HINTS - 1]
         checked += len(stale) == ladder.HINTS
@@ -1259,7 +1352,7 @@ def test_a_hint_hit_moves_to_the_front():
         if len(stale) < ladder.HINTS - 1 or good is None:
             continue
         hints = stale[:2] + [good] + stale[2:]
-        got, label = ladder._ladder(chi, 2, 2, True, hints)
+        got, label = ladder._late_rungs(chi, 2, hints)
         assert (got, label) == (good, "trichotomy")  # not the search's own
         assert hints == [good] + stale  # moved, and no longer than before
         checked += 1
@@ -1268,13 +1361,13 @@ def test_a_hint_hit_moves_to_the_front():
 
 def test_find_cover_reads_no_hint(rng, monkeypatch):
     seen = []
-    original = ladder._ladder
+    original = ladder._late_rungs
 
-    def recorded(chi, t, d, prune, hints=None):
+    def recorded(chi, d, hints=None):
         seen.append(hints)
-        return original(chi, t, d, prune, hints)
+        return original(chi, d, hints)
 
-    monkeypatch.setattr(ladder, "_ladder", recorded)
+    monkeypatch.setattr(ladder, "_late_rungs", recorded)
     for sizes in ([3, 3, 2], [4, 2, 2], [2, 2, 2, 2]):
         for _ in range(10):
             chi = random_coloring(rng, sizes)
