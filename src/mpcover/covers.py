@@ -28,9 +28,9 @@ exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
 on (color, mask) pieces.  Each candidate is tested once.  The diameter-3
 pipeline and ``tc2_cover`` test theirs with ``certifies_masks`` and build a
 ``Cover`` only for the winner (``cover_from_masks``), which their callers
-check with ``verify_cover``.  ``ladder._decide`` tests each construction
-candidate of the ladder with ``verify_cover`` itself, so its winner is
-checked once, and checks the one winner of each searched rung with it too.
+check with ``verify_cover``.  The ladder tests each construction candidate
+with ``verify_cover`` (``ladder._first_verified``), so its winner is checked
+once, and checks the one winner of each searched rung with it too.
 """
 
 from __future__ import annotations

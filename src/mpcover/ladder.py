@@ -11,21 +11,19 @@ the full color graph (``far_masks``) and so stays exact.  At d = 1 a
 clique-pair filter rejects first but never supplies the cover; it tests its
 cliques with ``diameter_at_most`` at d = 1, one AND per vertex.
 
-The rungs propose and ``_decide`` verifies.  The two stars and the prune
+One tester takes the construction candidates: the two stars and the prune
 rules are generators of (label, pieces) candidates in the order tried
-(``_two_star_candidates``, ``_prune_candidates``), and ``_decide`` tests
-each one itself: a candidate with an empty piece or a coverage gap is
-dropped with one OR, and each other one becomes a ``Cover`` checked once
-with ``verify_cover``.  The searched rungs before and after them
-(``_early_rungs``, ``_late_rungs``) reject far too often for that path, so
-they test their own candidates and hand ``_decide`` one winner's (color,
-mask) pieces, which it builds and checks with ``verify_cover``.  So every
-positive answer is backed by a cover that passed it, and a construction
-winner is checked only there.  ``_first_certified`` tests a generator with
-``certifies_masks`` instead, for ``_prune_labeled`` and
-``prune_with_constructions`` (the prune fuzz driver and the benchmark).
-The ladder sees one coloring at a time; key ranges, checkpoints and pools
-belong to the survey engine (``search``).
+(``_two_star_candidates``, ``_prune_candidates``), and ``_first_verified``
+drops a candidate with an empty piece or a coverage gap with one OR and
+checks each other one, as a ``Cover``, once with ``verify_cover``.  The
+searched rungs (tiny, spanning, ``_late_rungs``) reject far too often for
+that path, so they test their own candidates and hand ``_decide`` one
+winner's (color, mask) pieces, which it builds and checks with
+``verify_cover``.  So every positive answer is backed by a cover that
+passed it, checked once.  ``_prune_labeled`` and
+``prune_with_constructions`` run the prune rules alone through the same
+tester.  The ladder sees one coloring at a time; key ranges, checkpoints
+and pools belong to the survey engine (``search``).
 
 Below the counting bound (``lowest_d``) every d is rejected before any
 rung runs.  A survey may also hand the ladder a list of hints: the two-bag
@@ -223,22 +221,27 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
 # CLONE-BASED PRUNING RULES
 # ============================================================================
 
-def _first_certified(chi: EdgeColoring, d: int, candidates):
-    """(pieces, label) of the first (label, pieces) candidate that
-    certifies, or (None, "none").
+def _first_verified(chi: EdgeColoring, d: int, candidates):
+    """(verified cover, label) of the first (label, two pieces) candidate
+    that passes ``verify_cover`` at t = 2, or (None, "none").
 
-    A candidate with an empty piece is rejected.
+    A candidate with an empty piece or a coverage gap is dropped with one OR
+    and never reaches ``verify_cover``.
     """
+    full = chi.shape.full_mask
     for label, pieces in candidates:
-        if all(mask for _, mask in pieces) and certifies_masks(chi, pieces, d, 2):
-            return pieces, label
+        (_, m1), (_, m2) = pieces
+        if m1 and m2 and m1 | m2 == full:
+            cover = cover_from_masks(pieces)
+            if verify_cover(chi, cover, d, 2) is None:
+                return cover, label
     return None, "none"
 
 
 def _prune_labeled(chi: EdgeColoring, d: int):
-    """(pieces, rule label) from the cheap certified constructions, or
+    """(verified cover, rule label) from the cheap constructions, or
     (None, "none")."""
-    return _first_certified(chi, d, _prune_candidates(chi))
+    return _first_verified(chi, d, _prune_candidates(chi))
 
 
 def _prune_candidates(chi: EdgeColoring):
@@ -249,6 +252,13 @@ def _prune_candidates(chi: EdgeColoring):
     clone pair (red-star pairs and star surgeries); a vertex adjacent to one
     end and far from the other (star plus a 5-cycle blow-up, with red-star
     fallbacks).  Soundness is by verification, never by derivation.
+
+    A far vertex y with a clone y' adjacent to base alone gets no red star
+    of y with the blue star of y'.  A vertex w that those two stars miss is
+    blue to y and red to y', so they cover V exactly when the clone sector
+    (blue at y, red at y') is empty.  Then clone-star has already yielded
+    these very pieces, and stars have diameter <= 2 <= d, so that earlier
+    candidate has won.
     """
     shape = chi.shape
     if shape.part_sizes[-1] == 1:  # sizes descend; no generator otherwise
@@ -285,8 +295,6 @@ def _prune_candidates(chi: EdgeColoring):
                     yield "far-clone", (
                         (RED, _star_mask(chi, RED, yp) | 1 << y | 1 << base),
                         (BLUE, _star_mask(chi, BLUE, yp)))
-                    yield "far-clone", ((RED, _star_mask(chi, RED, y)),
-                                        (BLUE, _star_mask(chi, BLUE, yp)))
 
             # adjacent to base, far from its clone
             near_cob = lc[1] & ~lb[1]
@@ -307,9 +315,8 @@ def _prune_candidates(chi: EdgeColoring):
 
 
 def prune_with_constructions(chi: EdgeColoring, d: int = 2):
-    """Certified cover from the cheap construction rules, or None."""
-    pieces, _ = _prune_labeled(chi, d)
-    return None if pieces is None else cover_from_masks(pieces)
+    """Verified cover from the cheap construction rules, or None."""
+    return _prune_labeled(chi, d)[0]
 
 
 def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
@@ -366,55 +373,43 @@ def lowest_d(shape: MultipartiteShape, t: int) -> int:
 def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
     """(verified cover | None, label of the deciding rule).
 
-    The one place the ladder's pieces become a ``Cover``, each checked once
-    with ``verify_cover``.  A construction candidate (``_prune_candidates``,
-    or ``_two_star_candidates`` with the prune rules off) that fails is a
-    reject; a searched rung's winner that fails is an internal error.
+    The counting bound, tiny and spanning (with t = 1 nothing else can
+    cover), at d >= 2 the construction candidates through
+    ``_first_verified`` (only the two stars with the prune rules off), then
+    ``_late_rungs``.  A searched rung's winner is checked once with
+    ``verify_cover`` here, and one that fails is an internal error.
     ``hints`` is a survey chunk's list of recent two-bag winners at d, or
     None.
     """
-    decided = _early_rungs(chi, t, d)
-    if decided is None:
-        if d >= 2:
-            full = chi.shape.full_mask
-            for label, pieces in (_prune_candidates(chi) if prune
-                                  else _two_star_candidates(chi)):
-                (_, m1), (_, m2) = pieces
-                if m1 and m2 and m1 | m2 == full:
-                    cover = cover_from_masks(pieces)
-                    if verify_cover(chi, cover, d, t) is None:
-                        return cover, label
-        decided = _late_rungs(chi, d, hints)
-    pieces, label = decided
+    shape = chi.shape
+    if d < lowest_d(shape, t):
+        return None, "none"
+    pieces = None
+    if chi.n <= t:
+        pieces, label = tuple((BLUE, 1 << v) for v in range(chi.n)), "tiny"
+    elif d >= 2 or shape.part_sizes[0] == 1:
+        # at d = 1 two vertices of one part (not adjacent) rule out spanning
+        for c in (RED, BLUE):
+            if _spanning_diameter(chi, c, d):
+                pieces, label = ((c, shape.full_mask),), "spanning"
+                break
     if pieces is None:
-        return None, label
+        if t == 1:
+            return None, "none"
+        if d >= 2:
+            cover, label = (_prune_labeled(chi, d) if prune else
+                            _first_verified(chi, d, _two_star_candidates(chi)))
+            if cover is not None:
+                return cover, label
+        pieces, label = _late_rungs(chi, d, hints)
+        if pieces is None:
+            return None, label
     cover = cover_from_masks(pieces)
     violation = verify_cover(chi, cover, d, t)
     if violation is not None:
         raise RuntimeError(f"rule {label!r} returned a cover that fails "
                            f"verify_cover: {violation.describe()}")
     return cover, label
-
-
-def _early_rungs(chi: EdgeColoring, t: int, d: int):
-    """((color, mask) pieces | None, label) of the rungs before the
-    constructions, or None when they leave d open.
-
-    The counting bound, the tiny shapes, then the spanning diameter; with
-    t = 1 nothing else can cover.
-    """
-    if d < lowest_d(chi.shape, t):
-        return None, "none"
-    if chi.n <= t:
-        return tuple((BLUE, 1 << v) for v in range(chi.n)), "tiny"
-    # at d = 1 two vertices of one part (not adjacent) rule out spanning
-    if d >= 2 or chi.shape.part_sizes[0] == 1:
-        for c in (RED, BLUE):
-            if _spanning_diameter(chi, c, d):
-                return ((c, chi.shape.full_mask),), "spanning"
-    if t == 1:
-        return None, "none"
-    return None
 
 
 def _late_rungs(chi: EdgeColoring, d: int, hints=None):

@@ -116,9 +116,10 @@ def prune_digest(sizes, d, samples, seed):
 
     The colorings are the shape's orbit leaders in scan order when
     ``samples`` is None, else that many random colorings drawn at ``seed``.
-    The hash runs over
-    ``repr((label, pieces))`` of ``ladder._prune_labeled(chi, d)`` for each
-    with a newline after it, so it pins the deciding rule and every piece.
+    The hash runs over ``repr((label, pieces))`` of
+    ``ladder._prune_labeled(chi, d)`` for each, with a newline after it;
+    ``pieces`` is the returned cover's (color, mask) pairs, or None.  So it
+    pins the deciding rule and every piece.
     """
     shape = build_shape(sizes)
     if samples is None:
@@ -129,7 +130,9 @@ def prune_digest(sizes, d, samples, seed):
         bits_seq = (rng.getrandbits(shape.m) for _ in range(samples))
     h = hashlib.sha256()
     for bits in bits_seq:
-        pieces, label = ladder._prune_labeled(EdgeColoring(shape, bits), d)
+        cover, label = ladder._prune_labeled(EdgeColoring(shape, bits), d)
+        pieces = (None if cover is None
+                  else tuple((g.color, g.mask) for g in cover))
         h.update(repr((label, pieces)).encode())
         h.update(b"\n")
     return h.hexdigest()

@@ -8,6 +8,7 @@ import sys
 from collections import Counter, defaultdict
 from concurrent.futures import Future
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -81,12 +82,15 @@ def test_single_bag_is_the_spanning_diameter():
 
 
 def test_matches_brute_force_oracle(rng):
-    for sizes in ([2, 1, 1], [2, 2, 1], [3, 2, 1], [2, 2, 2]):
+    # every rung, the counting bound, tiny and the t = 1 exit included
+    for sizes in ([1, 1], [2, 1], [2, 1, 1], [2, 2, 1], [3, 2, 1], [2, 2, 2]):
         for _ in range(12):
             chi = random_coloring(rng, sizes)
-            for d in (1, 2, 3):
-                want = oracle_cover_exists(chi, 2, d)
-                assert cover_exists(chi, 2, d) == want, (sizes, chi.bits, d)
+            for t in (1, 2):
+                for d in range(4):
+                    want = oracle_cover_exists(chi, t, d)
+                    assert cover_exists(chi, t, d) == want, (
+                        sizes, chi.bits, t, d)
 
 
 def test_found_covers_verify_and_none_means_none(rng):
@@ -362,10 +366,11 @@ def test_two_stars_cover_only_at_size_one_parts(rng):
 def test_a_returned_cover_that_fails_verification_is_an_internal_error(
         rng, monkeypatch):
     chi = random_coloring(rng, [2, 2, 1])
-    monkeypatch.setattr(ladder, "_early_rungs",
+    monkeypatch.setattr(ladder, "_late_rungs",
                         lambda *args: (((RED, 1),), "spanning"))
+    # at d = 1 no rung runs before _late_rungs (two stars win at d >= 2)
     with pytest.raises(RuntimeError, match="CoverageGap") as err:
-        find_cover(chi, 2, 2)
+        find_cover(chi, 2, 1)
     assert not isinstance(err.value, MpcoverError)  # never a config error
 
 
@@ -515,20 +520,45 @@ def candidate_pieces(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(candidate_pieces(), st.integers(2, 4))
-def test_try_returns_its_pieces_when_they_verify(chi_pieces, d):
-    # the prune rules' one test loop, on a single candidate
+def test_first_verified_returns_the_pieces_that_verify(chi_pieces, d):
+    # the construction candidates' one tester, on a single candidate
     chi, pieces = chi_pieces
-    got, label = ladder._first_certified(chi, d, [("rule", tuple(pieces))])
-    if not all(mask for _, mask in pieces):
-        assert got is None
+    with mock.patch.object(ladder, "verify_cover",
+                           wraps=verify_cover) as verify:
+        got, label = ladder._first_verified(chi, d, [("rule", tuple(pieces))])
+    (_, m1), (_, m2) = pieces
+    if not (m1 and m2 and m1 | m2 == chi.shape.full_mask):
+        # an empty piece or a gap is dropped before verify_cover
+        assert (got, label) == (None, "none")
+        assert not verify.called
         return
+    assert verify.call_count == 1
     cover = make_cover(*((c, bits_of(mask)) for c, mask in pieces))
     if got is None:
         assert label == "none"
         assert verify_cover(chi, cover, d, 2) is not None
     else:
-        assert (got, label) == (tuple(pieces), "rule")
+        assert label == "rule"
+        assert tuple((g.color, g.mask) for g in got) == tuple(pieces)
         assert verify_cover(chi, cover, d, 2) is None
+
+
+@pytest.mark.parametrize("sizes", ([2, 2, 2, 2], [3, 2, 2], [5, 2, 2]))
+def test_red_and_blue_stars_of_a_clone_pair_cover_iff_its_sector_is_empty(
+        sizes, rng):
+    # why the far-clone rule need not try y's red star with its clone's
+    # blue star: those pieces cover exactly when clone-star yields them
+    for _ in range(200):
+        chi = random_coloring(rng, sizes)
+        candidates = list(ladder._prune_candidates(chi))
+        for x, xp in chi.shape.clone_pairs:
+            for y, yp in ((x, xp), (xp, x)):
+                pieces = ((RED, ladder._star_mask(chi, RED, y)),
+                          (BLUE, ladder._star_mask(chi, BLUE, yp)))
+                covers = pieces[0][1] | pieces[1][1] == chi.shape.full_mask
+                empty = not chi.adj[BLUE][y] & chi.adj[RED][yp]
+                assert covers == empty
+                assert (("clone-star", pieces) in candidates) == empty
 
 
 def test_prune_finds_the_empty_sector_rule():
