@@ -21,8 +21,8 @@ from .covers import (cover_from_json, cover_to_json, subgraph_diameter,
 from .errors import (CapExceeded, ConstructionExhausted, InequalityViolated,
                      InvalidParameter, MpcoverError, Unwritable)
 from .families import classify_tripartite, parse_family
-from .graphs import (EdgeColoring, build_shape, coloring_from_json,
-                     coloring_to_json)
+from .graphs import (EdgeColoring, build_shape, color_diameter,
+                     coloring_from_json, coloring_to_json)
 from .ryser import Hypergraph, hypergraph_to_json, verify_equivalence_chain
 from .ladder import find_cover, prune_with_constructions
 from .search import (MAX_THREADS, SearchResult, compute_D, gk_checkpoint_path,
@@ -297,7 +297,21 @@ def _fuzz_one(mode, rng, i):
         cover = prune_with_constructions(chi, 2)
         if cover is None:
             return "no-rule", None
-        d, ok_label, bad_label = 2, "certified", "unverified-certificate"
+        # the rules' tester passed this cover with verify_cover, so check it
+        # again another way: one OR for coverage and each piece's exact
+        # diameter by the full sweep
+        covered = 0
+        for g in cover:
+            covered |= g.mask
+        wide = [(i, diam) for i, g in enumerate(cover)
+                if (diam := color_diameter(chi, g.color, g.vertices)) > 2]
+        if len(cover) <= 2 and covered == chi.shape.full_mask and not wide:
+            return "certified", None
+        return "unverified-certificate", {
+            "coloring": coloring_to_json(chi), "cover": cover_to_json(cover),
+            "violation": f"{len(cover)} pieces, covered mask {covered:#x} of "
+                         f"{chi.shape.full_mask:#x}, (piece, diameter) over 2: "
+                         f"{wide}"}
     else:
         raise AssertionError(mode)
     bad = verify_cover(chi, cover, d, 2)

@@ -405,7 +405,9 @@ def _edge_cap():
 
 # Most classes per chunk, at every thread count.  Small, so that a dense range
 # comes back often enough to be split while another worker would otherwise
-# idle; restarting the enumeration at a key is cheap.
+# idle.  A restart re-walks the scan to its key and re-decides the tail block
+# there: the first leader took 0.09 ms on [5,2,2], 0.28 ms on [2,2,2,2] and
+# 0.44 ms on [3,3,3] (2-core VM), at most about 1.5% of a 500-class chunk.
 CHUNK_CLASSES = 500
 
 

@@ -19,10 +19,21 @@ stabilizer of those positions (the base ``0, 1, ..., m - 1`` is fixed by the
 key order), and they decide comparisons ``0..j`` alike.  So the scan runs
 over a coset chain (``SymmetryGroup.chain``): one entry stands for a whole
 coset until its members part, and a larger image drops the coset at once.
-Visiting leaves in key order makes the enumeration restartable from any
-key, which is what checkpoints and work sharding rely on.  ``leader_count``
-gives the number of leaders by Burnside's lemma, which every finished survey
-is checked against.
+The walk stops ``k`` edges short of the leaves, where ``k`` is the number
+of edges in the rows of the vertices past part 0 (the last edges of the
+key), capped at ``TAIL_CAP`` = 8: 4 on ``[5,2,2]``, 6 on ``[3,3,2]``, 8 on
+``[2,2,2,2]`` (which has 12), 0 on two parts.  Each node there that
+survives decides all ``2^k`` completions of its prefix in one pass over
+its live entries, each making its comparisons once for every completion,
+on ``2^k``-bit masks.  Which comparisons are made, and in what order,
+cannot change whether some image is smaller, so the leaders are those of a
+walk to the leaves.  The cap bounds the masks, whose width doubles with
+each edge (``[2,2,2,2,2]`` has 24 edges past part 0), and the work a
+restart repeats: a scan that stops inside a block re-walks to it and
+re-decides it from the restart key on.  Visiting leaves in key order makes
+the enumeration restartable from any key, which is what checkpoints and
+work sharding rely on.  ``leader_count`` gives the number of leaders by
+Burnside's lemma, which every finished survey is checked against.
 
 ``canonical_key`` finds one coloring's orbit minimum by a search over vertex
 placements that fills the slots in the order their rows fix the key, cuts a
@@ -39,6 +50,7 @@ are unchanged; only the class count inflates.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
@@ -228,6 +240,34 @@ def key_to_bits(key: int, m: int) -> int:
     return bits_to_key(key, m)  # bit reversal is an involution
 
 
+# The widest tail block, in edges.  Its masks are 2^TAIL_CAP bits, and a
+# survey, which restarts its scan every ``search.CHUNK_CLASSES`` leaders,
+# re-decides the block it stopped in.  Not tuned: 12 on [2,2,2,2] and 9 on
+# [3,3,3] scanned faster than 8 in 500-leader chunks.
+TAIL_CAP = 8
+
+
+def _tail_width(shape: MultipartiteShape) -> int:
+    """How many last edges the scan decides at once: the edges in the rows of
+    the vertices past part 0, at most ``TAIL_CAP``."""
+    a0 = shape.part_sizes[0]
+    return min(shape.m - a0 * (shape.n - a0), TAIL_CAP)
+
+
+@lru_cache(maxsize=None)
+def _tail_tables(k: int) -> tuple:
+    """A k-edge tail's positions as masks over its completions, and the
+    completions' stored bits.
+
+    Completion x sets tail position i to bit ``k - 1 - i`` of x, so ascending
+    x is ascending key.  Returns (the mask of the x that set position i, for
+    each i; the stored bits of each x, from bit 0).
+    """
+    masks = [sum(1 << x for x in range(1 << k) if x >> (k - 1 - i) & 1)
+             for i in range(k)]
+    return masks, [key_to_bits(x, k) for x in range(1 << k)]
+
+
 def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
                       lo: int = 0, hi: int | None = None):
     """Yield (key, bits) of orbit leaders with key in [lo, hi).
@@ -253,6 +293,22 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
     the current depth or earlier; such a kid whose image is already larger
     would drop on arrival, so it is not pushed.  Those pushes are popped when
     the node returns, so both children of a node read its buckets unchanged.
+
+    The walk stops at depth ``m - k``, where ``k`` is ``_tail_width``: the
+    edges in the rows past part 0, at most ``TAIL_CAP``.  A node there that
+    survives decides all ``2^k`` completions of its prefix at once.  Its
+    live entries all wait in buckets ``m - k + 1 .. m``, lowest first, and
+    each makes its comparisons on masks over the completions: a chosen
+    position reads as 0 or all-ones, position ``m - k + i`` as bit
+    ``k - 1 - i`` of the completion, and a flip entry's image reads the
+    complement.  An entry starts with ``alive``, the completions in the
+    window that no image has yet beaten; at each comparison the completions
+    where its image is smaller are pruned and those where the two differ
+    leave ``alive``, until ``alive`` is empty or the pointer reaches ``m``.
+    At a coset's split each kid carries ``alive`` on.  The completions left
+    come out in ascending key order.  A leaf is a leader exactly when no
+    image is smaller, whatever order the comparisons are made in, so the
+    keys, their order and the windows are those of a walk to the leaves.
     """
     m = shape.m
     if hi is None:
@@ -263,25 +319,72 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
         for key in range(lo, hi):
             yield key, key_to_bits(key, m)
         return
-    if m == 0:
-        yield 0, 0
-        return
 
-    # bucket m + 1 holds the lone elements that matched a whole leaf; never
-    # read.  A coset always parts before position m.
-    b = [0] * m
-    nb = [1] * m  # the prefix with its colors swapped, read by flip elements
+    k = _tail_width(shape)
+    top = m - k
+    full = (1 << (1 << k)) - 1
+    masks, tail_bits = _tail_tables(k)
+    # ``b[j]`` is position j as a mask over the completions of a depth-top
+    # prefix; ``nb`` is the prefix with its colors swapped, read by flip
+    # elements.  The walk sets the chosen positions to 0 or ``full``.
+    b = [0] * top + masks
+    nb = [0] * top + [full ^ mask for mask in masks]
+    chosen = (0, full)
     sides = []
     for src, entries in zip((b, nb), group.chain()):
         buckets = [[] for _ in range(m + 2)]
         for entry in entries:
             buckets[entry[1][0]].append(entry)
         sides.append((src, buckets))
+    # bucket m + 1 holds the lone elements that matched a whole leaf; never
+    # read.  A coset always parts before position m.
     parts = m + 2  # the row value that marks a node's split
-    nxt = [0] * m           # next bit to try at each depth; 2 = both done
-    prefs = [0] * m         # key of the prefix at each depth
-    bits_at = [0] * m       # stored bits of the prefix at each depth
-    pushed = [[] for _ in range(m)]  # buckets pushed to under each depth's child
+
+    def block(pref, bits):
+        """The leaders among the completions of a surviving depth-top node."""
+        xlo = max(lo - pref, 0)
+        live = (1 << min(hi - pref, 1 << k)) - (1 << xlo)  # the window
+        kids_left = []  # (kid, its completions still equal at the split)
+        for src, buckets in sides:
+            for bucket in buckets[top + 1:m + 1]:
+                for entry in bucket:
+                    alive = live
+                    while True:
+                        inv, wake, j, kids = entry
+                        while alive:
+                            img = src[inv[j]]
+                            key = b[j]
+                            if img != key:
+                                cut = alive & key & ~img  # a smaller image
+                                if cut:
+                                    live &= ~cut
+                                    if not live:
+                                        return
+                                alive &= ~(img ^ key)
+                            j += 1
+                            w = wake[j]
+                            if w > m:
+                                if w == parts:  # the coset parts here
+                                    kids_left += [(kid, alive)
+                                                  for _, kid in kids]
+                                break
+                        if not kids_left:
+                            break
+                        entry, alive = kids_left.pop()
+                        alive &= live
+        while live:
+            low = live & -live
+            x = low.bit_length() - 1
+            yield pref | x, bits | tail_bits[x] << top
+            live ^= low
+
+    if not top:
+        yield from block(0, 0)
+        return
+    nxt = [0] * top         # next bit to try at each depth; 2 = both done
+    prefs = [0] * top       # key of the prefix at each depth
+    bits_at = [0] * top     # stored bits of the prefix at each depth
+    pushed = [[] for _ in range(top)]  # buckets pushed to under each depth's child
     d = 0
     while d >= 0:
         undo = pushed[d]
@@ -299,8 +402,8 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
             continue
         if pref + (1 << shift) <= lo:
             continue
-        b[d] = bit
-        nb[d] = 1 - bit
+        b[d] = chosen[bit]
+        nb[d] = chosen[1 - bit]
         nd = d + 1
         for src, buckets in sides:
             for inv, wake, j, kids in buckets[nd]:
@@ -333,8 +436,8 @@ def canonical_classes(shape: MultipartiteShape, group: SymmetryGroup | None,
             break  # pruned
         else:
             bits = bits_at[d] | (bit << d)
-            if nd == m:
-                yield pref, bits
+            if nd == top:
+                yield from block(pref, bits)
             else:
                 prefs[nd] = pref
                 bits_at[nd] = bits

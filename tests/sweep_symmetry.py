@@ -4,7 +4,8 @@ Too slow for the tier-1 suite (several seconds), so it is named to stay out
 of test discovery; run it with ``python -m pytest tests/sweep_symmetry.py``.
 Each pinned case is the leader count and the sha256 of the key sequence
 (``conftest.scan_digest``) that a trusted commit's scan produced, for the
-full scan and for three fixed ``[lo, hi)`` windows of it.  Every leader of
+full scan and for fixed ``[lo, hi)`` windows of it: three each for
+``[4,3,2]`` and ``[3,3,3]``, one each for ``[4,4,1]`` and ``[2,2,2,1]``.  Every leader of
 ``[2,2,2,2]`` is checked to be its own ``canonical_key``, a search that
 builds no group.
 """
@@ -35,6 +36,20 @@ CASES = {
          "1188a182434b0ee1014c5978256398e58d8af64eeae1a6eb2b9a0f8b36a36d8a"),
         (19516813, 1 << 27, 100,
          "5e6346e65abab2317639b2f6d0fb5489658ab27fc06ca5fac6a878483694d834"),
+    ],
+    # size-1 parts: the scan's tail width counts the edges of the rows past
+    # part 0, which a part of size 1 makes short
+    (4, 4, 1): [
+        (0, 1 << 24, 11703,
+         "25ca129940498999c82202f275829aa4f52b0c0a381d95f3de422ea146d4f354"),
+        (103883, 646500, 3900,
+         "e515fced5d22145c7f18250f37ce2dc32cc3ecab8dfc4a59eb5e5046ce205bc3"),
+    ],
+    (2, 2, 2, 1): [
+        (0, 1 << 18, 3236,
+         "c129a6ce97a7d282f4385cda4a5e8319560e4c261577a0bd48ef2ed653fd8bd8"),
+        (7950, 18613, 1078,
+         "9eceda588dbbb657e2062e5b1feca96067456b3dd54526c8189d557a63e521a7"),
     ],
 }
 

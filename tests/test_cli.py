@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coloring
-from mpcover import cli, construct, search
+from mpcover import cli, construct, covers, search
 from mpcover.cli import CONFIG_ERROR, OK, REFUTED, main
-from mpcover.covers import (cover_from_json, cover_to_json, make_cover,
-                            verify_cover)
+from mpcover.covers import (cover_from_json, cover_from_masks, cover_to_json,
+                            make_cover, verify_cover)
 from mpcover.graphs import (RED, EdgeColoring, build_shape,
                             coloring_from_json, coloring_to_json)
 from mpcover.search import SearchResult, compute_D, gk_survey
@@ -319,6 +319,32 @@ def test_fuzz_modes_run_clean(mode, n, tmp_path, capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["violations"] == 0 and obj["reproducers"] == []
     assert sum(obj["counters"].values()) == n
+
+
+def test_fuzz_prune_rechecks_without_verify_cover(tmp_path, capsys,
+                                                  monkeypatch):
+    # verify_cover is broken to pass every diameter, and the rules return a
+    # cover whose first piece is two vertices of part 0 (disconnected):
+    # only a re-check that does not use verify_cover can refuse it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(covers, "diameter_at_most", lambda *args: True)
+
+    def too_wide(chi, d):
+        rest = chi.shape.full_mask & ~0b11
+        cover = cover_from_masks([(RED, 0b11), (RED, rest)])
+        assert covers.verify_cover(chi, cover, d, 2) is None
+        return cover
+
+    monkeypatch.setattr(cli, "prune_with_constructions", too_wide)
+    code, out, _ = run(capsys, "fuzz", "--mode", "prune", "--seed", "1",
+                       "--n", "3")
+    assert code == REFUTED
+    obj = json.loads(out)
+    assert obj["counters"] == {"unverified-certificate": 3}
+    assert obj["violations"] == 3 and len(obj["reproducers"]) == 3
+    repro = json.loads((tmp_path / obj["reproducers"][0]).read_text())
+    assert repro["cover"]["subgraphs"][0] == {"color": "red",
+                                              "vertices": [0, 1]}
 
 
 def test_fuzz_is_seed_deterministic(tmp_path, capsys, monkeypatch):

@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_shapes_with_few_edges, scan_digest
+from mpcover import symmetry
 from mpcover.graphs import build_shape
-from mpcover.symmetry import SymmetryGroup, canonical_classes, symmetry_group
+from mpcover.symmetry import (SymmetryGroup, bits_to_key, canonical_classes,
+                              key_to_bits, symmetry_group)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "scan-digests.json")
 
@@ -159,3 +161,113 @@ def test_windows_and_restarts_on_larger_shapes(sizes, cuts, stop):
         tail = list(canonical_classes(shape, group,
                                       lo=max(lo, head[-1][0] + 1), hi=hi))
         assert head + tail == want
+
+
+# ---------------------------------------------------------------------------
+# The tail: the scan decides the last k = _tail_width(shape) edges of a
+# prefix in one block of 2^k completions.
+# ---------------------------------------------------------------------------
+
+def test_tail_width_is_the_rows_past_part_0_capped():
+    widths = {(5, 2, 2): 4, (4, 2, 2): 4, (3, 3, 2): 6, (4, 3, 2): 6,
+              (2, 2, 2, 2): 8, (3, 3, 3): 8, (2, 2, 2, 1): 8, (4, 4, 1): 4,
+              (3, 2): 0, (1, 1): 0, (3,): 0}
+    for sizes, k in widths.items():
+        assert symmetry._tail_width(build_shape(sizes)) == k
+    assert symmetry.TAIL_CAP == 8  # [2,2,2,2] has 12 such edges
+
+
+@pytest.mark.parametrize("sizes", [(5, 2, 2), (2, 2, 2, 2)])
+def test_windows_inside_one_tail_block(sizes):
+    shape, group, whole = _full_scan(sizes)
+    k = symmetry._tail_width(shape)
+    assert 0 < k < shape.m
+    size = 1 << k
+    blocks = sorted({key >> k for key, _ in whole})
+    # blocks holding several leaders, from the start, middle and end
+    crowded = [p for p in blocks
+               if sum(1 for key, _ in whole if key >> k == p) >= 3]
+    picks = {crowded[0], crowded[len(crowded) // 2], crowded[-1]}
+    step = max(1, size // 24)  # every edge of a [5,2,2] block; a grid on 256
+    for p in picks:
+        start = p << k
+        inside = [(key, b) for key, b in whole if key >> k == p]
+        for lo in range(start + 1, start + size - 1, step):
+            for hi in range(lo + 1, start + size, step):
+                got = list(canonical_classes(shape, group, lo=lo, hi=hi))
+                assert got == [(key, b) for key, b in inside if lo <= key < hi]
+
+
+def test_restarting_every_500_leaders_gives_the_full_scan():
+    # a survey's chunks: stop after 500 leaders, restart at the last key + 1
+    shape, group, whole = _full_scan((2, 2, 2, 2))
+    got, pos, span = [], 0, 1 << shape.m
+    while pos < span:
+        gen = canonical_classes(shape, group, lo=pos)
+        chunk = list(islice(gen, 500))
+        gen.close()
+        got += chunk
+        pos = chunk[-1][0] + 1 if len(chunk) == 500 else span
+    assert got == whole
+    assert len(whole) == 24607
+    # the goldens hash keys only: the bits must be the same coloring
+    assert all(b == key_to_bits(key, shape.m) for key, b in whole)
+
+
+def _orbit_minima(shape, group):
+    """(key, bits) of every coloring whose key is its orbit's least."""
+    m = shape.m
+    ones = (1 << m) - 1
+    out = []
+    for bits in range(1 << m):
+        key = bits_to_key(bits, m)
+        for inv, flip in group.elements:
+            img = sum(1 << j for j in range(m) if bits >> inv[j] & 1)
+            if bits_to_key(img ^ (ones if flip else 0), m) < key:
+                break
+        else:
+            out.append((key, bits))
+    return sorted(out)
+
+
+def test_a_scan_that_starts_in_the_tail(monkeypatch):
+    # With m <= k the walk stops at depth 0 and the root decides every
+    # coloring.  A shape of one part has m = k = 0.
+    shape = build_shape([3])
+    group = symmetry_group(shape)
+    assert symmetry._tail_width(shape) == 0 == shape.m
+    assert list(canonical_classes(shape, group)) == [(0, 0)]
+    assert list(canonical_classes(shape, group, lo=1, hi=2)) == []
+    # Every shape of two or more parts has edges in part 0's rows, so
+    # m > k; make the width m to start one in the tail too.
+    shape, group, whole = _full_scan((2, 2, 1))
+    monkeypatch.setattr(symmetry, "_tail_width", lambda s: s.m)
+    assert list(canonical_classes(shape, group)) == whole
+    assert whole == _orbit_minima(shape, group)
+    span = 1 << shape.m
+    for lo, hi in [(1, span - 1), (span // 3, span // 2), (5, 6)]:
+        got = list(canonical_classes(shape, group, lo=lo, hi=hi))
+        assert got == [(key, b) for key, b in whole if lo <= key < hi]
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (4, 2), (2, 2), (3, 3)])
+def test_two_part_shapes_yield_one_leaf_blocks(sizes):
+    # no edge lies in a row past part 0, so every block is one completion
+    shape, group, whole = _full_scan(sizes)
+    assert symmetry._tail_width(shape) == 0
+    assert whole == _orbit_minima(shape, group)
+    span = 1 << shape.m
+    for lo, hi in [(0, span // 2), (span // 3, span - 1), (7, 8)]:
+        got = list(canonical_classes(shape, group, lo=lo, hi=hi))
+        assert got == [(key, b) for key, b in whole if lo <= key < hi]
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 1), (3, 2, 1), (2, 1, 1, 1)])
+def test_every_tail_width_gives_the_same_scan(monkeypatch, sizes):
+    shape, group, whole = _full_scan(sizes)
+    for k in range(shape.m + 1):
+        monkeypatch.setattr(symmetry, "_tail_width", lambda s: k)
+        assert list(canonical_classes(shape, group)) == whole
+        hi = (1 << shape.m) - 5
+        assert (list(canonical_classes(shape, group, lo=3, hi=hi))
+                == [(key, b) for key, b in whole if 3 <= key < hi])
