@@ -30,7 +30,10 @@ pipeline and ``tc2_cover`` test theirs with ``certifies_masks`` and build a
 ``Cover`` only for the winner (``cover_from_masks``), which their callers
 check with ``verify_cover``.  The ladder tests each construction candidate
 with ``verify_cover`` (``ladder._first_verified``), so its winner is checked
-once, and checks the one winner of each searched rung with it too.
+once, and checks the one winner of each searched rung with it too.  Its
+candidate generator drops those with a coverage gap or a ring that fails at
+d, so a rejected construction candidate no longer reaches ``verify_cover``
+and pays for no failure witness.
 """
 
 from __future__ import annotations

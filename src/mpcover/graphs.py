@@ -10,11 +10,13 @@ steps those rows from one orbit leader to the next (``recolored``), which
 touches only the edges whose bit differs, rather than rebuilding them.  One
 ball kernel, ``_ball``, gives the vertices of a mask within distance d of a
 vertex in the graph induced on the mask, and every graph walk goes through
-it except the all-pairs BFS oracle (``distances``, ``color_distance``), two
-radius-2 balls in the full graph taken as one fold past the rows,
-u | row | ``_grow(rows, row)``, with none of ``_ball``'s stop tests
-(``far_masks`` at d = 2 and the spanning rung ``ladder._spanning_diameter``
-at d = 2 on shapes with no size-1 part), and ``_balls``, which keeps a
+it except the all-pairs BFS oracle (``distances``, ``color_distance``), the
+radius-2 balls taken as one fold past the rows, u | row |
+``_grow(rows, row)``, with none of ``_ball``'s stop tests (in the full graph
+for ``far_masks`` at d = 2 and the spanning rung
+``ladder._spanning_diameter`` at d = 2 on shapes with no size-1 part, and
+inside a mask, with the row and the fold cut to it, for
+``diameter_at_most`` at d = 2), and ``_balls``, which keeps a
 BFS's ball of each radius for the eccentricity-skip sweeps of
 ``_far_vertex`` and ``diameter_in_mask``.  A mask has diameter <= d exactly
 when each vertex's radius-d ball fills it.  ``diameter_at_most`` tests a
@@ -23,8 +25,8 @@ connectivity test, when d >= |mask| - 1, since a connected mask of k
 vertices has diameter at most k - 1, and otherwise first bounds a dominated
 mask, one vertex adjacent to all the others, at diameter 2 when d >= 2;
 stars and the covers built from them are dominated.  Past that it grows
-one ball per vertex at d = 2, and at d >= 3 asks ``_far_vertex`` for the
-lowest vertex whose radius-d ball misses part of the mask.  That sweep
+one one-fold ball per vertex at d = 2, and at d >= 3 asks ``_far_vertex``
+for the lowest vertex whose radius-d ball misses part of the mask.  That sweep
 rests on ecc(w) <= dist(u, w) + ecc(u) (Takes and Kosters, CIKM 2011):
 once the balls of a center u fill the mask at radius r, every vertex
 within d - r of u has eccentricity at most d and grows no ball.  At d = 2
@@ -567,11 +569,13 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     this path).  Otherwise, at d >= 2 a vertex adjacent in color c to every
     other vertex of the mask dominates it, which bounds the diameter by 2: a
     scan of one AND per vertex looks for one before any ball is grown.  Then,
-    at d = 2 (and d = 0), one ball per vertex, stopping with False at the
-    first radius-d ball that misses part of the mask: there the sweep below
-    could clear no vertex but its center.  At d >= 3, True when
-    ``_far_vertex`` finds no far vertex, which grows balls only from the
-    vertices its eccentricity bound cannot clear.  An empty mask is
+    at d = 2, one ball per vertex, each one OR-fold past the vertex's row in
+    the mask, u | row | ``_grow(rows, row)`` cut to the mask, as in
+    ``far_masks``, stopping with False at the first ball that misses part of
+    the mask: there the sweep below could clear no vertex but its center.
+    At d >= 3, True when ``_far_vertex`` finds no far vertex, which grows
+    balls only from the vertices its eccentricity bound cannot clear.  At
+    d = 0 only a mask of at most one vertex passes.  An empty mask is
     vacuously True.
     """
     if d < 0:
@@ -589,18 +593,20 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
         low = allowed & -allowed
         return not low or \
             _ball(rows, low.bit_length() - 1, d, allowed) == allowed
-    if d >= 2:
-        while rest:
-            low = rest & -rest
-            if allowed & ~rows[low.bit_length() - 1] == low:
-                return True
-            rest ^= low
-        if d >= 3:
-            return _far_vertex(rows, allowed, d) is None
-        rest = allowed
+    if d == 0:
+        return False  # two or more vertices
     while rest:
         low = rest & -rest
-        if _ball(rows, low.bit_length() - 1, d, allowed) != allowed:
+        if allowed & ~rows[low.bit_length() - 1] == low:
+            return True
+        rest ^= low
+    if d >= 3:
+        return _far_vertex(rows, allowed, d) is None
+    rest = allowed
+    while rest:
+        low = rest & -rest
+        row = rows[low.bit_length() - 1] & allowed
+        if (low | row | _grow(rows, row)) & allowed != allowed:
             return False
         rest ^= low
     return True

@@ -14,12 +14,16 @@ cliques with ``diameter_at_most`` at d = 1, one AND per vertex.
 One tester takes the construction candidates: the two stars and the prune
 rules are generators of (label, pieces) candidates in the order tried
 (``_two_star_candidates``, ``_prune_candidates``), and ``_first_verified``
-drops a candidate with an empty piece or a coverage gap with one OR and
-checks each other one, as a ``Cover``, once with ``verify_cover``.  The
-searched rungs (tiny, spanning, ``_late_rungs``) reject far too often for
-that path, so they test their own candidates and hand ``_decide`` one
-winner's (color, mask) pieces, which it builds and checks with
-``verify_cover``.  So every positive answer is backed by a cover that
+checks each one, as a ``Cover``, once with ``verify_cover``.  The prune
+generator builds only candidates that can win: it skips a coverage gap
+before building the candidate, and pairs a star with a 5-cycle ring only
+when the ring passes ``diameter_at_most`` at d, since a star always passes.
+On every shape surveyed, that leaves no construction candidate that fails
+``verify_cover``; the tester's one OR against an empty piece or a gap stays
+as a guard.  The searched rungs (tiny, spanning, ``_late_rungs``) reject
+far too often for that path, so they test their own candidates and hand
+``_decide`` one winner's (color, mask) pieces, which it builds and checks
+with ``verify_cover``.  So every positive answer is backed by a cover that
 passed it, checked once.  ``_prune_labeled`` and
 ``prune_with_constructions`` run the prune rules alone through the same
 tester.  The ladder sees one coloring at a time; key ranges, checkpoints
@@ -214,7 +218,12 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
                        bar2 | conf2[v])
         return None
 
-    return dfs(0, 0, 0, 0, 0, 0, 0)
+    try:
+        return dfs(0, 0, 0, 0, 0, 0, 0)
+    finally:
+        # dfs refers to itself through its closure cell; emptying the cell
+        # breaks that cycle, so refcounting frees the closure on return
+        del dfs
 
 
 # ============================================================================
@@ -226,7 +235,8 @@ def _first_verified(chi: EdgeColoring, d: int, candidates):
     that passes ``verify_cover`` at t = 2, or (None, "none").
 
     A candidate with an empty piece or a coverage gap is dropped with one OR
-    and never reaches ``verify_cover``.
+    and never reaches ``verify_cover``.  The ladder's generators yield no
+    such candidate, so the OR is only a guard.
     """
     full = chi.shape.full_mask
     for label, pieces in candidates:
@@ -241,10 +251,10 @@ def _first_verified(chi: EdgeColoring, d: int, candidates):
 def _prune_labeled(chi: EdgeColoring, d: int):
     """(verified cover, rule label) from the cheap constructions, or
     (None, "none")."""
-    return _first_verified(chi, d, _prune_candidates(chi))
+    return _first_verified(chi, d, _prune_candidates(chi, d))
 
 
-def _prune_candidates(chi: EdgeColoring):
+def _prune_candidates(chi: EdgeColoring, d: int):
     """(rule label, pieces) of the cheap constructions, in the order tried.
 
     Rules in order: two stars at one vertex; an empty sent-color sector of a
@@ -252,6 +262,15 @@ def _prune_candidates(chi: EdgeColoring):
     clone pair (red-star pairs and star surgeries); a vertex adjacent to one
     end and far from the other (star plus a 5-cycle blow-up, with red-star
     fallbacks).  Soundness is by verification, never by derivation.
+
+    Only candidates that can win are built.  The red-star pairs and the
+    pairs with a ring can leave a coverage gap, so each is tested against
+    the vertices its first piece misses (``need``, one mask per base, or
+    one OR with the ring) before its tuple is built.  A ring is yielded
+    only when it passes ``diameter_at_most`` at d: its partner is a star,
+    of diameter at most 2, so a covering candidate with a ring fails
+    ``verify_cover`` exactly when its ring fails.  A dropped candidate
+    would have failed ``_first_verified``, so no label or piece moves.
 
     A far vertex y with a clone y' adjacent to base alone gets no red star
     of y with the blue star of y'.  A vertex w that those two stars miss is
@@ -267,6 +286,7 @@ def _prune_candidates(chi: EdgeColoring):
     pairs = shape.clone_pairs
     clone = shape.clone
     adj = chi.adj
+    full = shape.full_mask
 
     for x, xp in pairs:
         for v, vp in ((x, xp), (xp, x)):
@@ -281,9 +301,12 @@ def _prune_candidates(chi: EdgeColoring):
         # lb, lc: the layers of base and cob; cell (i, j) is lb[i] & lc[j]
         for base, cob, lb, lc in ((x, xp, lx, lxp), (xp, x, lxp, lx)):
             # far from both ends
+            red_base = _star_mask(chi, RED, base)
+            need = full & ~red_base  # what y's red star must hold
             for y in bits_of(lb[3] & ~lc[1]):
-                yield "far-clone", ((RED, _star_mask(chi, RED, base)),
-                                    (RED, _star_mask(chi, RED, y)))
+                red_y = _star_mask(chi, RED, y)
+                if not need & ~red_y:
+                    yield "far-clone", ((RED, red_base), (RED, red_y))
                 yp = clone[y]
                 if yp is None:
                     continue
@@ -297,21 +320,30 @@ def _prune_candidates(chi: EdgeColoring):
                         (BLUE, _star_mask(chi, BLUE, yp)))
 
             # adjacent to base, far from its clone
+            near_y = lb[1] & lc[3]
+            if not near_y:
+                continue
             near_cob = lc[1] & ~lb[1]
             ring_core = (1 << base) | (1 << cob) | (lb[2] & lc[2]) | near_cob
-            for y in bits_of(lb[1] & lc[3]):
+            blue_base = _star_mask(chi, BLUE, base)
+            red_cob = _star_mask(chi, RED, cob)
+            need_blue, need_cob = full & ~blue_base, full & ~red_cob
+            for y in bits_of(near_y):
                 yp = clone[y]
                 ring = ring_core | 1 << y
                 if yp is not None:
                     ring &= ~(1 << yp)
                 if yp is None or not (near_cob >> yp) & 1:
-                    yield "near-clone", ((BLUE, _star_mask(chi, BLUE, base)),
-                                         (RED, ring))
+                    if (not need_blue & ~ring
+                            and diameter_at_most(chi, RED, ring, d)):
+                        yield "near-clone", ((BLUE, blue_base), (RED, ring))
                 elif ((lb[3] & lc[1]) >> yp) & 1:
-                    yield "near-clone", ((RED, _star_mask(chi, RED, yp)),
-                                         (RED, ring))
-                    yield "near-clone", ((RED, _star_mask(chi, RED, yp)),
-                                         (RED, _star_mask(chi, RED, cob)))
+                    red_yp = _star_mask(chi, RED, yp)
+                    if (red_yp | ring == full
+                            and diameter_at_most(chi, RED, ring, d)):
+                        yield "near-clone", ((RED, red_yp), (RED, ring))
+                    if not need_cob & ~red_yp:
+                        yield "near-clone", ((RED, red_yp), (RED, red_cob))
 
 
 def prune_with_constructions(chi: EdgeColoring, d: int = 2):

@@ -553,6 +553,30 @@ def test_diameter_at_most_grows_no_sweep_below_d_3(rng, monkeypatch):
                 (diameter_in_mask(chi, c, mask) <= d)
 
 
+def _dominated(chi, c, mask):
+    return any(mask & ~chi.adj[c][u] == 1 << u for u in bits_of(mask))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_diameter_at_most_2_matches_the_exact_diameter(seed):
+    # past the dominator scan, d = 2 grows one one-fold ball per vertex
+    # inside the mask; the seeded masks reach that loop with both answers
+    rng = random.Random(seed)
+    reached = {False: 0, True: 0}
+    for _ in range(400):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        while sum(sizes) > 12:
+            sizes.pop()
+        chi = random_coloring(rng, sizes)
+        c = rng.choice((RED, BLUE))
+        mask = rng.getrandbits(chi.n)
+        got = diameter_at_most(chi, c, mask, 2)
+        assert got == (diameter_in_mask(chi, c, mask) <= 2)
+        if mask.bit_count() > 3 and not _dominated(chi, c, mask):
+            reached[got] += 1
+    assert reached[False] and reached[True]
+
+
 @st.composite
 def colorings_up_to_12(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)

@@ -1,6 +1,7 @@
 """Exact cover decisions, pruning soundness, and the shape survey engine."""
 
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -25,7 +26,8 @@ from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
 from mpcover.families import (check_monotone_extension, classify_tripartite,
                               gen_thm31)
 from mpcover.graphs import (BLUE, RED, EdgeColoring, bits_of, build_shape,
-                            color_distance, diameter_in_mask, far_masks)
+                            color_distance, diameter_at_most,
+                            diameter_in_mask, far_masks)
 from mpcover.ladder import (cover_exists, find_cover, prune_with_constructions,
                             survivor_property_violations, two_bag_cover)
 from mpcover.search import (MAX_NOTES, SearchResult, compute_D, gk_survey,
@@ -143,6 +145,26 @@ def test_two_bag_matches_oracle_on_four_parts(rng):
                     (sizes, chi.bits, d)
                 if pieces is not None:
                     assert verify_cover(chi, cover_from_masks(pieces), d, 2) is None
+
+
+def test_two_bag_cover_leaves_no_reference_cycle(rng):
+    # the recursive search is a closure that refers to itself through its
+    # cell; left as it is, each call's closure, rows and coloring wait for
+    # the cyclic collector instead of being freed on return
+    chis = [random_coloring(rng, sizes)
+            for sizes in ([5, 2, 2], [3, 3, 2]) for _ in range(20)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for chi in chis:
+            for d in (2, 3):
+                two_bag_cover(chi, d)
+        leaked = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert leaked == 0
 
 
 def test_two_bag_search_ignores_bag_order(rng):
@@ -391,9 +413,9 @@ def _recorded_verify(monkeypatch):
 
 def test_one_passing_verify_cover_per_class(tmp_path, monkeypatch):
     # the ladder's rungs propose pieces; only _decide builds and verifies a
-    # cover.  A rejected construction candidate is verified too, so what
-    # holds is one *passing* call per class, on the very object returned,
-    # and no cover verified twice
+    # cover.  The construction generator drops the candidates with a gap or
+    # a failing ring, so every call passes: one per class, on the very
+    # object returned, and no cover verified twice
     calls = _recorded_verify(monkeypatch)
     returned = []
     decide = search._decide
@@ -411,9 +433,9 @@ def test_one_passing_verify_cover_per_class(tmp_path, monkeypatch):
         calls.clear()
         returned.clear()
         result = survey()
-        passed = [cover for cover, violation in calls if violation is None]
-        assert len(passed) == len(returned) == result.classes > 0
-        assert all(a is b for a, b in zip(passed, returned))
+        assert all(violation is None for _, violation in calls)
+        assert len(calls) == len(returned) == result.classes > 0
+        assert all(a is b for (a, _), b in zip(calls, returned))
         assert len({id(cover) for cover, _ in calls}) == len(calls)
     calls.clear()
     assert find_cover(gen_thm31(2), 2, 2) is None
@@ -431,7 +453,7 @@ def test_a_construction_candidate_that_fails_verify_cover_is_skipped(
     calls = _recorded_verify(monkeypatch)
 
     monkeypatch.setattr(ladder, "_prune_candidates",
-                        lambda chi: iter(bad + [("near-clone", decided)]))
+                        lambda chi, d: iter(bad + [("near-clone", decided)]))
     cover, label = ladder._decide(chi, 2, 2, True)
     assert label == "near-clone"
     assert tuple((g.color, g.mask) for g in cover) == decided
@@ -440,7 +462,8 @@ def test_a_construction_candidate_that_fails_verify_cover_is_skipped(
     assert calls[-1][0] is cover
 
     calls.clear()
-    monkeypatch.setattr(ladder, "_prune_candidates", lambda chi: iter(bad))
+    monkeypatch.setattr(ladder, "_prune_candidates",
+                        lambda chi, d: iter(bad))
     cover, label = ladder._decide(chi, 2, 2, True)
     assert label == "trichotomy"  # the later rungs give today's answer
     assert tuple((g.color, g.mask) for g in cover) == decided
@@ -550,7 +573,7 @@ def test_red_and_blue_stars_of_a_clone_pair_cover_iff_its_sector_is_empty(
     # blue star: those pieces cover exactly when clone-star yields them
     for _ in range(200):
         chi = random_coloring(rng, sizes)
-        candidates = list(ladder._prune_candidates(chi))
+        candidates = list(ladder._prune_candidates(chi, 2))
         for x, xp in chi.shape.clone_pairs:
             for y, yp in ((x, xp), (xp, x)):
                 pieces = ((RED, ladder._star_mask(chi, RED, y)),
@@ -559,6 +582,26 @@ def test_red_and_blue_stars_of_a_clone_pair_cover_iff_its_sector_is_empty(
                 empty = not chi.adj[BLUE][y] & chi.adj[RED][yp]
                 assert covers == empty
                 assert (("clone-star", pieces) in candidates) == empty
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("sizes", ([5, 2, 2], [3, 2, 2], [2, 2, 2, 2],
+                                   [4, 3, 2]))
+def test_construction_candidates_cover_and_their_rings_pass(sizes, d, rng):
+    # the generator builds no candidate with a coverage gap, and yields a
+    # ring (the red piece of a near-clone candidate that is no red star)
+    # only when it passes at d
+    full = build_shape(sizes).full_mask
+    rings = 0
+    for _ in range(300):
+        chi = random_coloring(rng, sizes)
+        red_stars = {ladder._star_mask(chi, RED, v) for v in range(chi.n)}
+        for label, ((_, m1), (c2, m2)) in ladder._prune_candidates(chi, d):
+            assert m1 | m2 == full
+            if label == "near-clone" and m2 not in red_stars:
+                assert c2 == RED and diameter_at_most(chi, RED, m2, d)
+                rings += 1
+    assert rings
 
 
 def test_prune_finds_the_empty_sector_rule():
