@@ -8,7 +8,7 @@ ball of radius 3 misses part of the graph (``graphs._far_vertex``, which
 skips the balls of vertices it can bound by a near one), and the cases
 read that root's distance layers as masks: layer r is its ball of radius r
 minus its ball of radius r - 1, and layer 4 is everything outside the ball
-of radius 3.
+of radius 3.  One ``graphs._balls`` walk gives all four balls.
 The unbounded connected cover (``tc2_cover``) grows its pieces from color
 components (``graphs.component_of``).  The cases are one generator
 (``_cases``) of candidates as (color, mask) pieces, in the order tried; it
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .covers import Cover, certifies_masks, cover_from_masks
 from .errors import ConstructionExhausted, InvalidShape
 from .graphs import (BLUE, INF, RED, EdgeColoring, MultipartiteShape,
-                     _ball, _far_vertex, bits_of, component_of, mask_of,
+                     _balls, _far_vertex, bits_of, component_of, mask_of,
                      other_color)
 
 
@@ -226,10 +226,11 @@ def _cases(chi, groups, trace):
         return
     ga = group_of[v]
     gb, gc = [gi for gi in range(3) if gi != ga]
-    # the root's red balls of radius 0 to 3, then the whole graph: layer
-    # r >= 1 is ball[r] minus ball[r - 1], and layer 4 is farther or
-    # unreachable
-    ball = [_ball(rows[RED], v, r, full) for r in range(4)] + [full]
+    # the root's red balls of radius 0 to 3, the last repeated if they stop
+    # growing sooner, then the whole graph: layer r >= 1 is ball[r] minus
+    # ball[r - 1], and layer 4 is farther or unreachable
+    ball = _balls(rows[RED], v, full, 3)
+    ball += ball[-1:] * (4 - len(ball)) + [full]
 
     def layer(gi, lo, hi=None):
         return ball[lo if hi is None else hi] & ~ball[lo - 1] & gmask[gi]

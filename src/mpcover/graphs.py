@@ -7,43 +7,48 @@ Edges (u < v, u and v in different parts) are ordered lexicographically and a
 blue, 0 means red.  All distance work runs on per-color bitmask adjacency
 rows, so a BFS step is one OR-fold over the frontier (``_grow``).  A survey
 steps those rows from one orbit leader to the next (``recolored``), which
-touches only the edges whose bit differs, rather than rebuilding them.  One
-ball kernel, ``_ball``, gives the vertices of a mask within distance d of a
-vertex in the graph induced on the mask, and every graph walk goes through
-it except the all-pairs BFS oracle (``distances``, ``color_distance``), the
-radius-2 balls taken as one fold past the rows, u | row |
-``_grow(rows, row)``, with none of ``_ball``'s stop tests (in the full graph
-for ``far_masks`` at d = 2 and the spanning rung
-``ladder._spanning_diameter`` at d = 2 on shapes with no size-1 part, and
-inside a mask, with the row and the fold cut to it, for
-``diameter_at_most`` at d = 2), and ``_balls``, which keeps a
-BFS's ball of each radius for the eccentricity-skip sweeps of
-``_far_vertex`` and ``diameter_in_mask``.  A mask has diameter <= d exactly
-when each vertex's radius-d ball fills it.  ``diameter_at_most`` tests a
-clique with one AND per vertex at d = 1, grows a single ball, a
-connectivity test, when d >= |mask| - 1, since a connected mask of k
-vertices has diameter at most k - 1, and otherwise first bounds a dominated
-mask, one vertex adjacent to all the others, at diameter 2 when d >= 2;
-stars and the covers built from them are dominated.  Past that it grows
-one one-fold ball per vertex at d = 2, and at d >= 3 asks ``_far_vertex``
-for the lowest vertex whose radius-d ball misses part of the mask.  That sweep
-rests on ecc(w) <= dist(u, w) + ecc(u) (Takes and Kosters, CIKM 2011):
-once the balls of a center u fill the mask at radius r, every vertex
-within d - r of u has eccentricity at most d and grows no ball.  At d = 2
-no vertex left by the dominator scan has eccentricity below 2, so the
-sweep would clear only each center and grow the same balls as the plain
-loop, at the cost of keeping them: the surveys, which decide nearly every
-such mask at d = 2, ran 4-7% slower with the sweep there.  The diameter-3
-pipeline finds its far root with the sweep too.  The exact
-``diameter_in_mask`` runs the same sweep against its running maximum,
-``far_masks`` is the complement of each vertex's radius-d ball, and
-``component_of`` is a ball of radius n.  ``remap_edges`` carries edges
-through a vertex map onto a shape's edge indices (relabelings, file vertex
-orders, symmetries and clone extensions).
+touches only the edges whose bit differs, rather than rebuilding them.
+
+The kernels walk a color graph in three ways.  ``_balls`` is the one
+bounded walk: a vertex's balls of radius 0, 1, ..., d in the graph induced
+on a mask, grown one OR-fold at a time and cut short once a ball fills the
+mask or stops growing.  Its last ball is the radius-d ball: ``far_masks``
+(d != 2) is the complement of each vertex's, ``component_of`` is one of
+radius n, ``diameter_at_most`` grows one from the mask's lowest vertex when
+d >= |mask| - 1, and the diameter-3 pipeline takes its root's balls of
+radius 0 to 3 from one list.  The eccentricity-skip sweeps of
+``_far_vertex`` and ``diameter_in_mask`` read every ball of the list.  A
+radius-2 ball needs none of that: the row is the first fold, so u | row |
+``_grow(rows, row)`` is the ball, with no frontier, list or stop test.  The
+surveys decide nearly every piece at d = 2, so the four d = 2 sites take it
+inline: ``far_masks``, the spanning rung ``ladder._spanning_diameter`` on
+shapes with no size-1 part, ``diameter_at_most`` (inside its mask, with the
+row and the fold cut to it) and each end's layer 2 in ``bilayer_partition``.
+The third walk, ``_bfs_dists``, is the reference BFS, one vertex's distance
+list, behind ``EdgeColoring.distances`` and ``color_distance``.
+
+A mask has diameter <= d exactly when each vertex's radius-d ball fills it.
+``diameter_at_most`` tests a clique with one AND per vertex at d = 1, grows
+a single ball, a connectivity test, when d >= |mask| - 1, since a connected
+mask of k vertices has diameter at most k - 1, and otherwise first bounds a
+dominated mask, one vertex adjacent to all the others, at diameter 2 when
+d >= 2; stars and the covers built from them are dominated.  Past that it
+grows one one-fold ball per vertex at d = 2, and at d >= 3 asks
+``_far_vertex`` for the lowest vertex whose radius-d ball misses part of the
+mask.  That sweep rests on ecc(w) <= dist(u, w) + ecc(u) (Takes and
+Kosters, CIKM 2011): once the balls of a center u fill the mask at radius
+r, every vertex within d - r of u has eccentricity at most d and grows no
+ball.  At d = 2 no vertex left by the dominator scan has eccentricity below
+2, so the sweep would clear only each center and grow the same balls as the
+plain loop, at the cost of keeping them: the surveys ran 4-7% slower with
+the sweep there.  The diameter-3 pipeline finds its far root with the sweep
+too, and the exact ``diameter_in_mask`` runs it against its running
+maximum.  ``remap_edges`` carries edges through a vertex map onto a shape's
+edge indices (relabelings, file vertex orders, symmetries and clone
+extensions).
 
 The prune rules AND the blue distance layers of a clone pair (the two
-vertices of a size-2 part), masks from ``bilayer_partition``, into cells;
-each end's layer 2 comes from its radius-2 ball.
+vertices of a size-2 part), masks from ``bilayer_partition``, into cells.
 
 In edge order, the edges from a vertex u to the vertices past its part are
 one run of consecutive bits, u's slice, and their ends are consecutive
@@ -381,30 +386,13 @@ def _grow(rows, frontier: int) -> int:
     return grow
 
 
-def _ball(rows, u: int, d: int, allowed: int) -> int:
-    """The vertices of ``allowed`` within distance d of u (u in the mask).
-
-    Distances are taken in the graph induced on ``allowed``.  The ball grows
-    one OR-fold at a time and stops once it fills the mask or stops growing,
-    so a d of n or more gives u's component inside the mask.
-    """
-    ball = 1 << u
-    frontier = rows[u] & allowed if d else 0  # the first fold, from u alone
-    while frontier:
-        ball |= frontier
-        d -= 1
-        if not d or ball == allowed:
-            break
-        frontier = _grow(rows, frontier) & allowed & ~ball
-    return ball
-
-
 def _balls(rows, u: int, allowed: int, d: int) -> list:
     """u's balls of radius 0, 1, ... in the graph induced on ``allowed``.
 
     The list ends at radius d, or at the first ball that fills the mask or
-    stops growing: u's eccentricity in the mask is its last index when the
-    last ball is ``allowed``.
+    stops growing.  So the last ball is u's radius-d ball (u's component in
+    the mask when d >= |mask| - 1), and u's eccentricity in the mask is its
+    last index when that ball is ``allowed``.
     """
     ball = 1 << u
     balls = [ball]
@@ -442,7 +430,7 @@ def _far_vertex(rows, allowed: int, d: int):
 
 def component_of(rows, v: int) -> int:
     """Mask of v's component in the graph with these adjacency rows."""
-    return _ball(rows, v, len(rows), (1 << len(rows)) - 1)
+    return _balls(rows, v, (1 << len(rows)) - 1, len(rows))[-1]
 
 
 def _bfs_dists(adj_rows, root: int, n: int):
@@ -526,14 +514,14 @@ def far_masks(chi: EdgeColoring, c: int, d: int) -> tuple:
     Distances are taken in the full color-c graph, and unreachable vertices
     count as far: each mask is the complement of u's radius-d ball.  Entry u
     is in v's mask exactly when v is in u's.  At d = 2 that ball is u, its
-    row and one fold of the row, with none of ``_ball``'s stop tests.
+    row and one fold of the row, with none of the stop tests of ``_balls``.
     """
     rows = chi.adj[c]
     full = chi.shape.full_mask
     if d == 2:
         return tuple(full & ~(1 << u | row | _grow(rows, row))
                      for u, row in enumerate(rows))
-    return tuple(full & ~_ball(rows, u, d, full) for u in range(chi.n))
+    return tuple(full & ~_balls(rows, u, full, d)[-1] for u in range(chi.n))
 
 
 def diameter_in_mask(chi: EdgeColoring, c: int, allowed: int) -> int:
@@ -592,7 +580,7 @@ def diameter_at_most(chi: EdgeColoring, c: int, allowed: int, d: int) -> bool:
     if d >= allowed.bit_count() - 1:
         low = allowed & -allowed
         return not low or \
-            _ball(rows, low.bit_length() - 1, d, allowed) == allowed
+            _balls(rows, low.bit_length() - 1, allowed, d)[-1] == allowed
     if d == 0:
         return False  # two or more vertices
     while rest:
@@ -616,8 +604,9 @@ def bilayer_partition(chi: EdgeColoring, x: int):
     """Blue distance layers of a size-2-part vertex x and of its clone x'.
 
     ``(lx, lxp)``, each ``(None, L1, L2, L3)``: the masks of V minus the pair
-    at blue distance 1, 2 and at least 3 (unreachable included).  Cell
-    (i, j) is ``lx[i] & lxp[j]``; the nine cells tile V minus the pair.
+    at blue distance 1, 2 and at least 3 (unreachable included).  Layer 2 is
+    one fold past the end's row, as in ``far_masks`` at d = 2.  Cell (i, j)
+    is ``lx[i] & lxp[j]``; the nine cells tile V minus the pair.
     """
     xp = chi.shape.clone_of(x)
     rows, full = chi.adj[BLUE], chi.shape.full_mask
@@ -625,7 +614,7 @@ def bilayer_partition(chi: EdgeColoring, x: int):
 
     def layers(v):
         near = rows[v] & rest
-        mid = _ball(rows, v, 2, full) & rest & ~near
+        mid = _grow(rows, rows[v]) & rest & ~near
         return None, near, mid, rest & ~(near | mid)
 
     return layers(x), layers(xp)

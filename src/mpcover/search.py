@@ -237,6 +237,9 @@ class _Tally:
         d, bits = state["best"]["d"], state["best"]["witness_bits"]
         best = None
         if d is not None or bits is not None:
+            # int(x, 16) alone would take a sign, as in "-1"
+            if not set(bits) <= set("0123456789abcdef"):
+                raise ValueError(f"witness_bits {bits!r} is not lower-case hex")
             best = (_count(d), int(bits, 16))
             if f"{best[1]:x}" != bits or best[0] > d_max + 1 \
                     or best[1] >= 1 << m:

@@ -1,8 +1,10 @@
-"""``diameter_at_most``, ``diameter_in_mask`` and the eccentricity-skip
-sweep ``_far_vertex`` against a plain BFS, and the row builder against a
-pair enumeration, on colorings of up to 30 vertices.
+"""The graph kernels against a plain BFS, and the row builder against a
+pair enumeration, on colorings of up to 30 vertices: ``diameter_at_most``,
+``diameter_in_mask``, the eccentricity-skip sweep ``_far_vertex`` and the
+ball walk ``_balls`` inside masks, and ``far_masks``, ``component_of`` and
+``bilayer_partition`` in the full color graph.
 
-Kept out of the tier-1 suite (about forty seconds), so it is named to
+Kept out of the tier-1 suite (about fifty seconds), so it is named to
 stay out of test discovery; run it with
 ``python -m pytest tests/sweep_diameter.py``.
 The colorings are seeded, with the part sizes of the ``tc2`` fuzz driver
@@ -11,9 +13,13 @@ and masks on which it plants an induced path or cycle (long diameters, which
 random masks almost never have), or a broom or lollipop whose hub is the
 mask's lowest vertex (where the sweep clears vertices next to far ones).  It
 checks the verdict and the lowest far vertex at every d in 0..n + 1 and at
-INF, and the exact diameter.  The reference shares no code with the kernels:
-it reads only ``chi.color_of`` and ``shape.part_of``, builds neighbor lists,
-and runs a BFS over vertex lists from every vertex of the mask.
+INF, the exact diameter, and each member's balls, one by one.  The first
+150 colorings of each seed, planted ones included, also check the full-graph
+kernels: ``far_masks`` at every d in 0..n + 1 and at INF, each vertex's
+``component_of``, and, in blue, the layers of every clone pair.  The
+reference shares no code with the kernels: it reads only ``chi.color_of``
+and ``shape.part_of``, builds neighbor lists, and runs a BFS over vertex
+lists from every vertex of the mask.
 
 The same colorings check the rows that ``EdgeColoring`` builds from each
 vertex's bit slice, and ``color_of``, against rows filled one edge at a time
@@ -26,18 +32,18 @@ import random
 import pytest
 
 from mpcover.cli import _random_sizes
-from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, _far_vertex,
-                            build_shape, diameter_at_most, diameter_in_mask)
+from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, _balls, _far_vertex,
+                            bilayer_partition, build_shape, component_of,
+                            diameter_at_most, diameter_in_mask, far_masks)
 
 
-def _bfs_eccentricities(chi, c, members):
-    """Each member's largest color-c distance inside ``members``, all
-    ``math.inf`` when they are disconnected (it exceeds every d, INF
-    included)."""
+def _bfs_distances(chi, c, members):
+    """Each member's color-c distances inside ``members``, as
+    {root: {vertex it reaches: distance}}."""
     shape = chi.shape
     nbrs = {u: [v for v in members if shape.part_of(v) != shape.part_of(u)
                 and chi.color_of(u, v) == c] for u in members}
-    ecc = {}
+    dists = {}
     for root in members:
         dist = {root: 0}
         queue = [root]
@@ -46,10 +52,27 @@ def _bfs_eccentricities(chi, c, members):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
-        if len(dist) < len(members):
-            return dict.fromkeys(members, math.inf)
-        ecc[root] = dist[queue[-1]]
-    return ecc
+        dists[root] = dist
+    return dists
+
+
+def _eccentricities(dists):
+    """Each member's largest distance, all ``math.inf`` when the members
+    are disconnected (it exceeds every d, INF included)."""
+    if any(len(dist) < len(dists) for dist in dists.values()):
+        return dict.fromkeys(dists, math.inf)
+    return {root: max(dist.values()) for root, dist in dists.items()}
+
+
+def _ball_list(dist):
+    """The masks of the vertices within distance 0, 1, ... of a root, up to
+    the farthest vertex it reaches."""
+    balls = [0] * (max(dist.values()) + 1)
+    for v, e in dist.items():
+        balls[e] |= 1 << v
+    for r in range(1, len(balls)):
+        balls[r] |= balls[r - 1]
+    return balls
 
 
 def _walk(rng, shape, length, order=None, avoid=()):
@@ -137,12 +160,20 @@ def _cases(seed, count):
 def test_diameter_kernels_agree_with_a_plain_bfs(seed):
     seen = {"long": 0, "cut": 0, "far-past-skip": 0}
     for chi, c, members in _cases(seed, 400):
-        ecc = _bfs_eccentricities(chi, c, members)
+        dists = _bfs_distances(chi, c, members)
+        ecc = _eccentricities(dists)
         want = max(ecc.values(), default=0)
         seen["long"] += 3 < want < math.inf
         seen["cut"] += want == math.inf
         mask = sum(1 << v for v in members)
         at = (chi.shape.part_sizes, hex(chi.bits), c, members)
+        rows = chi.adj[c]
+        for u in members:
+            # ball by ball to u's eccentricity in its component, and cut at d
+            balls = _balls(rows, u, mask, INF)
+            assert balls == _ball_list(dists[u]), (*at, u)
+            for d in range(4):
+                assert _balls(rows, u, mask, d) == balls[:d + 1], (*at, u, d)
         assert diameter_in_mask(chi, c, mask) == min(want, INF), at
         skipped = False
         for d in list(range(chi.n + 2)) + [INF]:
@@ -156,6 +187,42 @@ def test_diameter_kernels_agree_with_a_plain_bfs(seed):
     # the planted walks reach the diameters a random mask does not
     assert seen["long"] >= 100 and seen["cut"] >= 100
     assert seen["far-past-skip"] >= 1000
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_full_graph_kernels_agree_with_a_plain_bfs(seed):
+    seen = {"cut": 0, "long": 0, "bilayer": 0}
+    done = set()
+    for chi, c, _ in _cases(seed, 150):
+        if (chi, c) in done:
+            continue
+        done.add((chi, c))
+        shape, n = chi.shape, chi.n
+        at = (shape.part_sizes, hex(chi.bits), c)
+        dists = _bfs_distances(chi, c, range(n))
+        seen["cut"] += len(dists[0]) < n
+        seen["long"] += max(max(dist.values()) for dist in dists.values()) > 3
+        for v in range(n):
+            assert component_of(chi.adj[c], v) == \
+                sum(1 << w for w in dists[v]), (*at, v)
+        balls = [_ball_list(dists[u]) for u in range(n)]
+        for d in [*range(n + 2), INF]:
+            assert far_masks(chi, c, d) == tuple(
+                shape.full_mask & ~ball[min(d, len(ball) - 1)]
+                for ball in balls), (*at, d)
+        if c == BLUE:
+            for x, xp in shape.clone_pairs:
+                seen["bilayer"] += 1
+                for end, layers in zip((x, xp), bilayer_partition(chi, x)):
+                    want = [None, 0, 0, 0]
+                    for v in range(n):
+                        if v not in (x, xp):
+                            want[min(dists[end].get(v, 3), 3)] |= 1 << v
+                    assert list(layers) == want, (*at, x, end)
+    # disconnected color graphs, distances past 3 (planted walks) and
+    # clone pairs all occur
+    assert seen["cut"] >= 50 and seen["long"] >= 300
+    assert seen["bilayer"] >= 300
 
 
 def _pair_rows(shape, bits):

@@ -128,6 +128,29 @@ def test_an_exhausted_pipeline_raises_with_its_trace_in_order(monkeypatch):
     assert err.value.coloring is not None and err.value.trace is None
 
 
+@pytest.mark.parametrize("sizes, bits", [([2, 2, 1], 121), ([2, 2, 2], 3430)])
+def test_a_root_ball_list_cut_short_gives_the_radius_3_layers(
+        monkeypatch, sizes, bits):
+    # the far root 0's red balls stop growing before radius 3, so the ball
+    # list is short; every candidate of the exhausted pipeline must be the
+    # one drawn from the root's balls of radius 0, 1, 2 and 3
+    chi = EdgeColoring(build_shape(sizes), bits)
+    groups = [[0], [1], [2]]  # the rows between groups are chi's own
+
+    def drawn():
+        trace = construct.CaseTrace()
+        return list(construct._cases(chi, groups, trace)), trace.cases
+
+    short = construct._balls(chi.adj[RED], 0, chi.shape.full_mask, 3)
+    assert len(short) < 4
+    want = drawn()
+    assert want[0][-1][:2] == ("cycle-blowup-split", (0,))
+    dist = chi.distances(RED)[0]
+    monkeypatch.setattr(construct, "_balls", lambda rows, v, allowed, d: [
+        mask_of(w for w in range(chi.n) if dist[w] <= r) for r in range(4)])
+    assert drawn() == want
+
+
 def test_triangle_shapes_finish_at_diameter_two(rng):
     for _ in range(8):
         chi = random_coloring(rng, [1, 1, 1])

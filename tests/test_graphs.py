@@ -11,7 +11,7 @@ from mpcover import graphs
 from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
                             NoUniqueClone)
 from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
-                            _ball, _far_vertex, bilayer_partition, bits_of,
+                            _balls, _far_vertex, bilayer_partition, bits_of,
                             build_shape, color_diameter, color_distance,
                             coloring_from_json, coloring_to_json, component_of,
                             diameter_at_most, diameter_in_mask, far_masks,
@@ -359,13 +359,22 @@ def _bfs_ball(chi, c, u, d, mask):
 @settings(deadline=None, max_examples=400)
 @given(masked_colorings(), st.sampled_from((RED, BLUE)), st.data(),
        st.one_of(st.integers(0, 14), st.just(INF)))
-def test_ball_matches_bfs_inside_the_mask(chi_mask, c, data, d):
+def test_balls_match_bfs_inside_the_mask(chi_mask, c, data, d):
     chi, mask = chi_mask
     if not mask:
         mask = 1 << data.draw(st.integers(0, chi.n - 1))
     u = data.draw(st.sampled_from(list(bits_of(mask))))
-    ball = _ball(chi.adj[c], u, d, mask)
-    assert set(bits_of(ball)) == _bfs_ball(chi, c, u, d, mask)
+    rows = chi.adj[c]
+    balls = _balls(rows, u, mask, d)
+    for r, ball in enumerate(balls):
+        assert set(bits_of(ball)) == _bfs_ball(chi, c, u, r, mask)
+        # each ball grows the one before: the list ends where growth stops
+        assert r == 0 or ball & ~balls[r - 1]
+    assert set(bits_of(balls[-1])) == _bfs_ball(chi, c, u, d, mask)
+    # every radius cuts the unbounded list there
+    whole = _balls(rows, u, mask, INF)
+    assert all(_balls(rows, u, mask, e) == whole[:e + 1]
+               for e in range(len(whole) + 1))
 
 
 @settings(deadline=None, max_examples=400)

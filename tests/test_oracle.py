@@ -1,7 +1,7 @@
 """The survey's per-class answers on the large shapes, re-decided independently.
 
 ``conftest.oracle_min_cover_d`` decides a class's minimal cover diameter from
-a plain BFS over vertex lists, with none of the engine's kernels (``_ball``,
+a plain BFS over vertex lists, with none of the engine's kernels (``_balls``,
 ``_grow``, ``diameter_at_most``).  ``conftest.check_against_oracle`` asks it
 for classes of the shapes whose D the surveys establish: a seeded sample of
 leaders, each shape's D witness, and every ``[4,3,2]`` class with no d = 2

@@ -835,10 +835,11 @@ def _with_range(i, change):
     _with_range(1, lambda r: [r[0], r[1], r[0] - 1]),
     lambda good: dict(good, cursor_ranges=[]),
     lambda good: dict(good, cursor_ranges=[5]),
+    lambda good: dict(good, best=dict(good["best"], witness_bits="-1")),
 ], ids=["no-config", "not-an-object", "bad-range", "missing-counts",
         "rewound-and-doubled", "unsorted", "repeated", "overlapping",
         "missing-start", "missing-end", "past-the-key-space", "pos-above-hi",
-        "pos-below-lo", "no-ranges", "not-a-range"])
+        "pos-below-lo", "no-ranges", "not-a-range", "negative-witness"])
 def test_checkpoint_rejects_malformed_files(tmp_path, corrupt):
     cp = tmp_path / "cp.json"
     compute_D([2, 2, 1], checkpoint_path=str(cp))
