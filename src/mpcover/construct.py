@@ -8,7 +8,8 @@ ball of radius 3 misses part of the graph (``graphs._far_vertex``, which
 skips the balls of vertices it can bound by a near one), and the cases
 read that root's distance layers as masks: layer r is its ball of radius r
 minus its ball of radius r - 1, and layer 4 is everything outside the ball
-of radius 3.  One ``graphs._balls`` walk gives all four balls.
+of radius 3.  The sweep hands back the root's ``graphs._balls`` list, so
+the walk that finds the root gives all four balls.
 The unbounded connected cover (``tc2_cover``) grows its pieces from color
 components (``graphs.component_of``).  The cases are one generator
 (``_cases``) of candidates as (color, mask) pieces, in the order tried; it
@@ -33,8 +34,7 @@ from dataclasses import dataclass, field
 from .covers import Cover, certifies_masks, cover_from_masks
 from .errors import ConstructionExhausted, InvalidShape
 from .graphs import (BLUE, INF, RED, EdgeColoring, MultipartiteShape,
-                     _balls, _far_vertex, bits_of, component_of, mask_of,
-                     other_color)
+                     _far_vertex, bits_of, component_of, mask_of, other_color)
 
 
 @dataclass
@@ -220,16 +220,17 @@ def _cases(chi, groups, trace):
     # coloring of red diameter <= 3, and between-group rows only lengthen
     # distances, so a red root exists past it; only a harness that rejects
     # every candidate gets here with none, and the loop then raises.
-    v = _far_vertex(rows[RED], full, 3)
-    if v is None:
+    ball = _far_vertex(rows[RED], full, 3)
+    if ball is None:
         trace.add("no-far-root")
         return
+    v = ball[0].bit_length() - 1
     ga = group_of[v]
     gb, gc = [gi for gi in range(3) if gi != ga]
-    # the root's red balls of radius 0 to 3, the last repeated if they stop
-    # growing sooner, then the whole graph: layer r >= 1 is ball[r] minus
-    # ball[r - 1], and layer 4 is farther or unreachable
-    ball = _balls(rows[RED], v, full, 3)
+    # the root's red balls of radius 0 to 3, as the sweep grew them, the last
+    # repeated if they stop growing sooner, then the whole graph: layer
+    # r >= 1 is ball[r] minus ball[r - 1], and layer 4 is farther or
+    # unreachable
     ball += ball[-1:] * (4 - len(ball)) + [full]
 
     def layer(gi, lo, hi=None):

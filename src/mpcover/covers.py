@@ -8,32 +8,36 @@ diameter 0, which also lets a cover use fewer than t useful parts.  A
 subgraph built from its vertex set (``make_cover``, ``cover_from_json``)
 sets its vertex mask once, -1 for an id no shape has (a bool included).  One
 built from a mask (``cover_from_masks``) keeps that mask and builds its
-vertex set only when something reads it: equality, hashing, ``repr``, the
-JSON form or a failure witness.  A passing ``verify_cover`` reads masks
-alone, so a survey builds no vertex set.
+vertex set only when something reads it: equality, hashing, ``repr`` or the
+JSON form.
 
 Verification never trusts the producer: coverage, per-subgraph connectivity
-and diameter are all recomputed from the coloring.  Vertex ids are checked
-by one mask test per piece.  Each piece is decided with the early-exit
-``diameter_at_most``, which decides a piece of k vertices at d >= k - 1 with
-one ball (a connectivity test; an unbounded cover checked at d = n takes
-this path), and bounds a dominated piece (one vertex adjacent in the piece's
-color to all the others, as in a star) at diameter 2 without growing a
-ball.  At d >= 3 it grows balls only from the vertices an eccentricity
-bound cannot clear (``graphs._far_vertex``): a center whose balls fill the
-piece at radius r clears every vertex within d - r of it.  The exact
-diameter, by the same sweep, is computed only for a piece that fails,
-to build its witness.  ``verify_cover`` reports the first violation with an
-exact witness; ``certifies_masks`` gives the same verdict as a bare boolean
-on (color, mask) pieces.  Each candidate is tested once.  The diameter-3
-pipeline and ``tc2_cover`` test theirs with ``certifies_masks`` and build a
-``Cover`` only for the winner (``cover_from_masks``), which their callers
-check with ``verify_cover``.  The ladder tests each construction candidate
-with ``verify_cover`` (``ladder._first_verified``), so its winner is checked
-once, and checks the one winner of each searched rung with it too.  Its
-candidate generator drops those with a coverage gap or a ring that fails at
-d, so a rejected construction candidate no longer reaches ``verify_cover``
-and pays for no failure witness.
+and diameter are all recomputed from the coloring.  ``verify_cover`` reads
+a ``Cover`` or (color, mask) pieces through one loop over (color, mask)
+pairs, dropping empty masks as ``cover_from_masks`` does, so both forms
+give the same verdict and the same witness, each read from the mask.
+Vertex ids are checked by one mask test per piece.  Each piece is decided
+with the early-exit ``diameter_at_most``, which decides a piece of k
+vertices at d >= k - 1 with one ball (a connectivity test; an unbounded
+cover checked at d = n takes this path), and bounds a dominated piece (one
+vertex adjacent in the piece's color to all the others, as in a star) at
+diameter 2 without growing a ball.  At d >= 3 it grows balls only from the
+vertices an eccentricity bound cannot clear (``graphs._far_vertex``): a
+center whose balls fill the piece at radius r clears every vertex within
+d - r of it.  The exact diameter, by the same sweep, is computed only for a
+piece that fails, to build its witness.  ``verify_cover`` reports the first
+violation with an exact witness; ``certifies_masks`` gives the same verdict
+as a bare boolean on (color, mask) pieces.  Each candidate is tested once.
+The diameter-3 pipeline and ``tc2_cover`` test theirs with
+``certifies_masks`` and build a ``Cover`` only for the winner
+(``cover_from_masks``), which their callers check with ``verify_cover``.
+The ladder hands ``verify_cover`` the pieces of each construction candidate
+(``ladder._first_verified``) and of each searched rung's one winner, and
+returns those pieces; a ``Cover`` is built only where the public API hands
+one out (``find_cover``, ``prune_with_constructions``), so a survey builds
+none.  Its candidate generator drops those with a coverage gap or a ring
+that fails at d, so a rejected construction candidate no longer reaches
+``verify_cover`` and pays for no failure witness.
 """
 
 from __future__ import annotations
@@ -137,39 +141,55 @@ class Violation:
         return f"{self.kind}{where}, witness {self.witness}"
 
 
-def _checked_mask(chi: EdgeColoring, g: MonoSubgraph) -> int:
-    """g's mask; InvalidVertex names the first vertex outside chi's shape."""
-    if g.mask < 0 or g.mask >> chi.n:
-        for v in g.vertices:
-            chi.shape.check_vertex(v)
-    return g.mask
+def _checked_mask(chi: EdgeColoring, mask: int, g) -> int:
+    """The mask; InvalidVertex names its lowest vertex at or past n, or,
+    for a subgraph g (None for a bare piece) with an id no shape has
+    (mask -1), that id."""
+    past = mask >> chi.n
+    if past:
+        if mask < 0 and g is not None:
+            for v in g.vertices:
+                chi.shape.check_vertex(v)
+        chi.shape.check_vertex(chi.n + (past & -past).bit_length() - 1)
+    return mask
 
 
 def subgraph_diameter(chi: EdgeColoring, g: MonoSubgraph) -> int:
     """Diameter of the color-induced subgraph; INF iff disconnected."""
-    return diameter_in_mask(chi, g.color, _checked_mask(chi, g))
+    return diameter_in_mask(chi, g.color, _checked_mask(chi, g.mask, g))
 
 
-def verify_cover(chi: EdgeColoring, cover: Cover, d: int, t: int):
+def verify_cover(chi: EdgeColoring, cover, d: int, t: int):
     """None if the cover certifies (t, d); otherwise the first Violation.
 
-    Scan order is deterministic: subgraph count, then each subgraph's
-    connectivity and diameter by index, then coverage by vertex id.  A piece
-    is decided by ``diameter_at_most``; only a failing one pays for its
-    exact diameter, which tells a disconnected piece from a too-wide one.
+    ``cover`` is a ``Cover`` or (color, mask) pieces; empty masks are
+    dropped, as ``cover_from_masks`` drops them, so both forms give the same
+    answer.  Scan order is deterministic: subgraph count, then each
+    subgraph's vertex ids, connectivity and diameter by index, then coverage
+    by vertex id.  A piece is decided by ``diameter_at_most``; only a
+    failing one pays for its exact diameter, which tells a disconnected
+    piece from a too-wide one.  Every witness is read from the mask.
     """
-    if len(cover) > t:
-        return Violation(TOO_MANY_SUBGRAPHS, None, (len(cover), t))
+    if isinstance(cover, Cover):
+        subs = cover.subgraphs
+        pieces = [(g.color, g.mask) for g in subs]
+    else:
+        subs = None
+        pieces = [p for p in cover if p[1]]
+    if len(pieces) > t:
+        return Violation(TOO_MANY_SUBGRAPHS, None, (len(pieces), t))
+    full = chi.shape.full_mask
     covered = 0
-    for i, g in enumerate(cover):
-        mask = _checked_mask(chi, g)
-        if not diameter_at_most(chi, g.color, mask, d):
-            diam = subgraph_diameter(chi, g)
+    for i, (color, mask) in enumerate(pieces):
+        if mask & ~full:
+            _checked_mask(chi, mask, None if subs is None else subs[i])
+        if not diameter_at_most(chi, color, mask, d):
+            diam = diameter_in_mask(chi, color, mask)
             if diam >= INF:
-                return Violation(DISCONNECTED, i, tuple(sorted(g.vertices))[:2])
+                return Violation(DISCONNECTED, i, tuple(bits_of(mask))[:2])
             return Violation(DIAMETER_EXCEEDED, i, (diam, d))
         covered |= mask
-    if covered != chi.shape.full_mask:
+    if covered != full:
         missing = next(v for v in range(chi.n) if not (covered >> v) & 1)
         return Violation(COVERAGE_GAP, None, (missing,))
     return None

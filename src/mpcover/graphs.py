@@ -407,8 +407,9 @@ def _balls(rows, u: int, allowed: int, d: int) -> list:
 
 
 def _far_vertex(rows, allowed: int, d: int):
-    """The lowest vertex of ``allowed`` whose radius-d ball misses part of
-    it, in the graph induced on the mask; None when there is none.
+    """The ``_balls`` list of the lowest vertex of ``allowed`` whose radius-d
+    ball misses part of it, in the graph induced on the mask; None when
+    there is none.  The list's first ball is the far vertex alone.
 
     Takes & Kosters' eccentricity skip: ecc(w) <= dist(u, w) + ecc(u).  The
     sweep grows the balls of the lowest vertex u it has not yet cleared.  If
@@ -422,7 +423,7 @@ def _far_vertex(rows, allowed: int, d: int):
         u = (todo & -todo).bit_length() - 1
         balls = _balls(rows, u, allowed, d)
         if balls[-1] != allowed:
-            return u
+            return balls
         r = len(balls) - 1
         todo &= ~balls[min(d - r, r)]
     return None

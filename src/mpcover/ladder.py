@@ -14,20 +14,23 @@ cliques with ``diameter_at_most`` at d = 1, one AND per vertex.
 One tester takes the construction candidates: the two stars and the prune
 rules are generators of (label, pieces) candidates in the order tried
 (``_two_star_candidates``, ``_prune_candidates``), and ``_first_verified``
-checks each one, as a ``Cover``, once with ``verify_cover``.  The prune
-generator builds only candidates that can win: it skips a coverage gap
-before building the candidate, and pairs a star with a 5-cycle ring only
-when the ring passes ``diameter_at_most`` at d, since a star always passes.
-On every shape surveyed, that leaves no construction candidate that fails
-``verify_cover``; the tester's one OR against an empty piece or a gap stays
-as a guard.  The searched rungs (tiny, spanning, ``_late_rungs``) reject
-far too often for that path, so they test their own candidates and hand
-``_decide`` one winner's (color, mask) pieces, which it builds and checks
-with ``verify_cover``.  So every positive answer is backed by a cover that
-passed it, checked once.  ``_prune_labeled`` and
-``prune_with_constructions`` run the prune rules alone through the same
-tester.  The ladder sees one coloring at a time; key ranges, checkpoints
-and pools belong to the survey engine (``search``).
+checks each one's (color, mask) pieces once with ``verify_cover``.  The
+prune generator builds only candidates that can win: it skips a coverage
+gap before building the candidate, and pairs a star with a 5-cycle ring
+only when the ring passes ``diameter_at_most`` at d, since a star always
+passes.  On every shape surveyed, that leaves no construction candidate
+that fails ``verify_cover``; the tester's one OR against an empty piece or
+a gap stays as a guard.  The searched rungs (tiny, spanning,
+``_late_rungs``) reject far too often for that path, so they test their own
+candidates and hand ``_decide`` one winner's pieces, which it checks with
+``verify_cover``.  So every positive answer is backed by pieces that passed
+it, checked once, and ``_first_verified``, ``_prune_labeled`` and
+``_decide`` return those very pieces.  No ``Cover`` is built on a survey's
+path: ``find_cover`` and ``prune_with_constructions`` build one
+(``cover_from_masks``) for their callers, and ``cover_exists`` builds none.
+``_prune_labeled`` and ``prune_with_constructions`` run the prune rules
+alone through the same tester.  The ladder sees one coloring at a time; key
+ranges, checkpoints and pools belong to the survey engine (``search``).
 
 Below the counting bound (``lowest_d``) every d is rejected before any
 rung runs.  A survey may also hand the ladder a list of hints: the two-bag
@@ -231,8 +234,8 @@ def _two_bag_pair(chi: EdgeColoring, d: int, c1: int, c2: int, far, pop):
 # ============================================================================
 
 def _first_verified(chi: EdgeColoring, d: int, candidates):
-    """(verified cover, label) of the first (label, two pieces) candidate
-    that passes ``verify_cover`` at t = 2, or (None, "none").
+    """(pieces, label) of the first (label, two pieces) candidate whose
+    pieces pass ``verify_cover`` at t = 2, or (None, "none").
 
     A candidate with an empty piece or a coverage gap is dropped with one OR
     and never reaches ``verify_cover``.  The ladder's generators yield no
@@ -241,15 +244,14 @@ def _first_verified(chi: EdgeColoring, d: int, candidates):
     full = chi.shape.full_mask
     for label, pieces in candidates:
         (_, m1), (_, m2) = pieces
-        if m1 and m2 and m1 | m2 == full:
-            cover = cover_from_masks(pieces)
-            if verify_cover(chi, cover, d, 2) is None:
-                return cover, label
+        if (m1 and m2 and m1 | m2 == full
+                and verify_cover(chi, pieces, d, 2) is None):
+            return pieces, label
     return None, "none"
 
 
 def _prune_labeled(chi: EdgeColoring, d: int):
-    """(verified cover, rule label) from the cheap constructions, or
+    """(verified pieces, rule label) from the cheap constructions, or
     (None, "none")."""
     return _first_verified(chi, d, _prune_candidates(chi, d))
 
@@ -348,7 +350,8 @@ def _prune_candidates(chi: EdgeColoring, d: int):
 
 def prune_with_constructions(chi: EdgeColoring, d: int = 2):
     """Verified cover from the cheap construction rules, or None."""
-    return _prune_labeled(chi, d)[0]
+    pieces = _prune_labeled(chi, d)[0]
+    return None if pieces is None else cover_from_masks(pieces)
 
 
 def survivor_property_violations(chi: EdgeColoring, has_cover: bool):
@@ -403,13 +406,14 @@ def lowest_d(shape: MultipartiteShape, t: int) -> int:
 
 
 def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
-    """(verified cover | None, label of the deciding rule).
+    """(verified (color, mask) pieces | None, label of the deciding rule).
 
     The counting bound, tiny and spanning (with t = 1 nothing else can
     cover), at d >= 2 the construction candidates through
     ``_first_verified`` (only the two stars with the prune rules off), then
     ``_late_rungs``.  A searched rung's winner is checked once with
-    ``verify_cover`` here, and one that fails is an internal error.
+    ``verify_cover`` here, on the very tuple returned, and one that fails is
+    an internal error.
     ``hints`` is a survey chunk's list of recent two-bag winners at d, or
     None.
     """
@@ -429,19 +433,18 @@ def _decide(chi: EdgeColoring, t: int, d: int, prune: bool, hints=None):
         if t == 1:
             return None, "none"
         if d >= 2:
-            cover, label = (_prune_labeled(chi, d) if prune else
-                            _first_verified(chi, d, _two_star_candidates(chi)))
-            if cover is not None:
-                return cover, label
+            pieces, label = (_prune_labeled(chi, d) if prune else
+                             _first_verified(chi, d, _two_star_candidates(chi)))
+            if pieces is not None:
+                return pieces, label
         pieces, label = _late_rungs(chi, d, hints)
         if pieces is None:
             return None, label
-    cover = cover_from_masks(pieces)
-    violation = verify_cover(chi, cover, d, t)
+    violation = verify_cover(chi, pieces, d, t)
     if violation is not None:
         raise RuntimeError(f"rule {label!r} returned a cover that fails "
                            f"verify_cover: {violation.describe()}")
-    return cover, label
+    return pieces, label
 
 
 def _late_rungs(chi: EdgeColoring, d: int, hints=None):
@@ -486,11 +489,12 @@ def _check_td(t: int, d: int) -> None:
 
 def cover_exists(chi: EdgeColoring, t: int, d: int) -> bool:
     """Does chi admit a cover by t monochromatic pieces of diameter <= d?"""
-    return find_cover(chi, t, d) is not None
+    _check_td(t, d)
+    return _decide(chi, t, d, False)[0] is not None
 
 
 def find_cover(chi: EdgeColoring, t: int, d: int):
     """Like cover_exists but returns the verified witness cover (or None)."""
     _check_td(t, d)
-    cover, _ = _decide(chi, t, d, False)
-    return cover
+    pieces, _ = _decide(chi, t, d, False)
+    return None if pieces is None else cover_from_masks(pieces)

@@ -62,11 +62,11 @@ def _min_cover_d(chi, t, d_max, prune, survey_d, recent=None):
     surv = None
     last = chi.n - 1 if survey_d is None else max(chi.n - 1, survey_d)
     for d in range(lowest_d(chi.shape, t), min(d_max, last) + 1):
-        cover, label = _decide(chi, t, d, prune,
-                               None if recent is None else recent[d])
-        if d == survey_d and (cover is None or label == "trichotomy"):
-            surv = tuple(survivor_property_violations(chi, cover is not None))
-        if cover is not None:
+        pieces, label = _decide(chi, t, d, prune,
+                                None if recent is None else recent[d])
+        if d == survey_d and (pieces is None or label == "trichotomy"):
+            surv = tuple(survivor_property_violations(chi, pieces is not None))
+        if pieces is not None:
             return d, label, surv
     return d_max + 1, "uncovered", surv
 

@@ -11,7 +11,8 @@ from mpcover import ladder, search
 from mpcover.cli import _random_sizes
 from mpcover.construct import multipartite_cover
 from mpcover.covers import cover_to_json, verify_cover
-from mpcover.graphs import BLUE, RED, EdgeColoring, build_shape
+from mpcover.graphs import (BLUE, RED, EdgeColoring, _balls, _far_vertex,
+                            build_shape)
 from mpcover.families import check_monotone_extension
 from mpcover.ladder import two_bag_cover
 from mpcover.symmetry import canonical_classes, symmetry_group
@@ -25,6 +26,17 @@ def random_coloring(rng, sizes):
 def two_star_pieces(chi, u):
     """The red and the blue star centered at u, as (color, mask) pieces."""
     return [(c, chi.adj[c][u] | 1 << u) for c in (RED, BLUE)]
+
+
+def far_vertex_of(rows, allowed, d):
+    """The vertex ``_far_vertex`` names, read from the first ball of the
+    list it returns, or None; the list must be that vertex's ``_balls``."""
+    balls = _far_vertex(rows, allowed, d)
+    if balls is None:
+        return None
+    u = balls[0].bit_length() - 1
+    assert balls == _balls(rows, u, allowed, d)
+    return u
 
 
 def final_case_tally(sizes):
@@ -118,8 +130,8 @@ def prune_digest(sizes, d, samples, seed):
     ``samples`` is None, else that many random colorings drawn at ``seed``.
     The hash runs over ``repr((label, pieces))`` of
     ``ladder._prune_labeled(chi, d)`` for each, with a newline after it;
-    ``pieces`` is the returned cover's (color, mask) pairs, or None.  So it
-    pins the deciding rule and every piece.
+    ``pieces`` is the returned (color, mask) pairs with a non-empty mask, or
+    None.  So it pins the deciding rule and every piece.
     """
     shape = build_shape(sizes)
     if samples is None:
@@ -130,12 +142,16 @@ def prune_digest(sizes, d, samples, seed):
         bits_seq = (rng.getrandbits(shape.m) for _ in range(samples))
     h = hashlib.sha256()
     for bits in bits_seq:
-        cover, label = ladder._prune_labeled(EdgeColoring(shape, bits), d)
-        pieces = (None if cover is None
-                  else tuple((g.color, g.mask) for g in cover))
-        h.update(repr((label, pieces)).encode())
+        pieces, label = ladder._prune_labeled(EdgeColoring(shape, bits), d)
+        h.update(repr((label, _nonempty(pieces))).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def _nonempty(pieces):
+    """The (color, mask) pairs with a non-empty mask, or None: what a cover
+    built from the pieces holds."""
+    return None if pieces is None else tuple(p for p in pieces if p[1])
 
 
 def decide_digest(sizes, d, prune):
@@ -143,16 +159,15 @@ def decide_digest(sizes, d, prune):
 
     The hash runs over ``repr((label, pieces))`` of ``ladder._decide(chi, 2,
     d, prune)`` for each leader in scan order, with a newline after it;
-    ``pieces`` is the returned cover's (color, mask) pairs, or None.  So it
-    pins the deciding rule and every piece, whichever rung produced them.
+    ``pieces`` is the returned (color, mask) pairs with a non-empty mask, or
+    None.  So it pins the deciding rule and every piece, whichever rung
+    produced them.
     """
     shape = build_shape(sizes)
     h = hashlib.sha256()
     for _, bits in canonical_classes(shape, symmetry_group(shape)):
-        cover, label = ladder._decide(EdgeColoring(shape, bits), 2, d, prune)
-        pieces = (None if cover is None
-                  else tuple((g.color, g.mask) for g in cover))
-        h.update(repr((label, pieces)).encode())
+        pieces, label = ladder._decide(EdgeColoring(shape, bits), 2, d, prune)
+        h.update(repr((label, _nonempty(pieces))).encode())
         h.update(b"\n")
     return h.hexdigest()
 
@@ -249,12 +264,12 @@ def check_against_oracle(shape, bits):
     assert d == min(oracle_min_cover_d(chi, diam), 5), \
         (shape, hex(bits), d, label)
     if d <= 4:
-        cover, _ = ladder._decide(chi, 2, d, True)
+        pieces = _nonempty(ladder._decide(chi, 2, d, True)[0])
         covered = 0
-        for g in cover:
-            assert diam[g.color][g.mask] <= d, (shape, hex(bits), label)
-            covered |= g.mask
-        assert len(cover) <= 2 and covered == shape.full_mask
+        for c, mask in pieces:
+            assert diam[c][mask] <= d, (shape, hex(bits), label)
+            covered |= mask
+        assert len(pieces) <= 2 and covered == shape.full_mask
 
 
 def sampled_leaders(sizes, count, seed):

@@ -31,8 +31,9 @@ import random
 
 import pytest
 
+from conftest import far_vertex_of
 from mpcover.cli import _random_sizes
-from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, _balls, _far_vertex,
+from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, _balls,
                             bilayer_partition, build_shape, component_of,
                             diameter_at_most, diameter_in_mask, far_masks)
 
@@ -179,7 +180,7 @@ def test_diameter_kernels_agree_with_a_plain_bfs(seed):
         for d in list(range(chi.n + 2)) + [INF]:
             assert diameter_at_most(chi, c, mask, d) == (want <= d), (*at, d)
             far = min((u for u in members if ecc[u] > d), default=None)
-            assert _far_vertex(chi.adj[c], mask, d) == far, (*at, d)
+            assert far_vertex_of(chi.adj[c], mask, d) == far, (*at, d)
             # the lowest vertex's ball fills the mask, so the sweep clears
             # a ball around it, yet some vertex is far
             skipped |= far is not None and ecc[members[0]] <= d

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (construct_digest, final_case_tally, grown_case_tally,
                       random_coloring, two_star_pieces)
-from mpcover import construct
+from mpcover import construct, graphs
 from mpcover.construct import (GROUPINGS, balanced_grouping,
                                first_fit_grouping, multipartite_cover,
                                star_doublestar_search, tc2_cover,
@@ -141,14 +141,36 @@ def test_a_root_ball_list_cut_short_gives_the_radius_3_layers(
         trace = construct.CaseTrace()
         return list(construct._cases(chi, groups, trace)), trace.cases
 
-    short = construct._balls(chi.adj[RED], 0, chi.shape.full_mask, 3)
+    short = graphs._balls(chi.adj[RED], 0, chi.shape.full_mask, 3)
     assert len(short) < 4
     want = drawn()
     assert want[0][-1][:2] == ("cycle-blowup-split", (0,))
     dist = chi.distances(RED)[0]
-    monkeypatch.setattr(construct, "_balls", lambda rows, v, allowed, d: [
+    monkeypatch.setattr(construct, "_far_vertex", lambda rows, allowed, d: [
         mask_of(w for w in range(chi.n) if dist[w] <= r) for r in range(4)])
     assert drawn() == want
+
+
+@pytest.mark.parametrize("sizes, bits", [([2, 2, 1], 121), ([2, 2, 2], 3430)])
+def test_the_far_roots_balls_are_grown_once(monkeypatch, sizes, bits):
+    # the sweep that finds the far root 0 hands back the root's ball list,
+    # and the cases read their layers from it without growing it again
+    chi = EdgeColoring(build_shape(sizes), bits)
+    full = chi.shape.full_mask
+    grown = []
+    walk = graphs._balls
+
+    def counted(rows, u, allowed, d):
+        if (u, allowed, d) == (0, full, 3):
+            grown.append(rows)
+        return walk(rows, u, allowed, d)
+
+    for module in (graphs, construct):  # wherever the walk is held
+        if hasattr(module, "_balls"):
+            monkeypatch.setattr(module, "_balls", counted)
+    drawn = list(construct._cases(chi, [[0], [1], [2]], construct.CaseTrace()))
+    assert drawn[-1][:2] == ("cycle-blowup-split", (0,))
+    assert len(grown) == 1
 
 
 def test_triangle_shapes_finish_at_diameter_two(rng):

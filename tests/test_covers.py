@@ -298,6 +298,53 @@ def test_cover_from_masks_names_an_outside_vertex():
             verify_cover(chi, cover, 2, 2)
 
 
+# Shapes of at most 12 vertices for the two forms of verify_cover.
+PIECE_SHAPES = ([2, 1], [2, 2, 1], [3, 2, 2], [2, 2, 2, 2], [5, 2, 2],
+                [4, 3, 2], [3, 3, 3, 3])
+
+
+def _random_pieces(rng, chi):
+    """0 to 3 (color, mask) pieces: empty, full, random masks and stars."""
+    full = chi.shape.full_mask
+    pieces = []
+    for _ in range(rng.randint(0, 3)):
+        c, u = rng.choice((RED, BLUE)), rng.randrange(chi.n)
+        star = chi.adj[c][u] | 1 << u
+        pieces.append((c, rng.choice((0, full, rng.getrandbits(chi.n), star,
+                                      full & ~star))))
+    return tuple(pieces)
+
+
+def test_verify_cover_reads_pieces_as_their_cover(rng):
+    # the ladder hands verify_cover (color, mask) pieces: each verdict, with
+    # its kind, index and witness, is the one for the cover built from them
+    kinds = set()
+    for _ in range(400):
+        chi = random_coloring(rng, rng.choice(PIECE_SHAPES))
+        pieces = _random_pieces(rng, chi)
+        cover = cover_from_masks(pieces)
+        for d in range(5):
+            for t in (1, 2):
+                got = verify_cover(chi, pieces, d, t)
+                assert got == verify_cover(chi, cover, d, t), (chi, pieces)
+                kinds.add(got and got.kind)
+    assert kinds == {None, COVERAGE_GAP, DISCONNECTED, DIAMETER_EXCEEDED,
+                     TOO_MANY_SUBGRAPHS}
+
+
+def test_a_piece_past_n_names_its_lowest_outside_vertex(rng):
+    for _ in range(60):
+        chi = random_coloring(rng, rng.choice(PIECE_SHAPES))
+        outside = rng.getrandbits(4) << chi.n | 1 << rng.randrange(chi.n,
+                                                                   chi.n + 4)
+        pieces = ((BLUE, outside | 1), (RED, chi.shape.full_mask))
+        lowest = (outside & -outside).bit_length() - 1
+        message = re.escape(f"vertex {lowest} outside 0..{chi.n - 1}")
+        for form in (pieces, cover_from_masks(pieces)):
+            with pytest.raises(InvalidVertex, match=message):
+                verify_cover(chi, form, 2, 2)
+
+
 def test_verify_is_deterministic_first_fail():
     # subgraph count is checked before anything else
     chi = EdgeColoring.all_same(build_shape([2, 2]), RED)

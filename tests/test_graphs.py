@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coloring
+from conftest import far_vertex_of, random_coloring
 from mpcover import graphs
 from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
                             NoUniqueClone)
 from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
-                            _balls, _far_vertex, bilayer_partition, bits_of,
+                            _balls, bilayer_partition, bits_of,
                             build_shape, color_diameter, color_distance,
                             coloring_from_json, coloring_to_json, component_of,
                             diameter_at_most, diameter_in_mask, far_masks,
@@ -386,7 +386,7 @@ def test_far_vertex_is_the_lowest_vertex_whose_ball_misses_the_mask(
     inside = set(bits_of(mask))
     want = next((u for u in sorted(inside)
                  if _bfs_ball(chi, c, u, d, mask) != inside), None)
-    assert _far_vertex(chi.adj[c], mask, d) == want
+    assert far_vertex_of(chi.adj[c], mask, d) == want
 
 
 @st.composite
@@ -536,11 +536,11 @@ def test_the_eccentricity_skip_stops_next_to_a_far_vertex(d, r, candy, c):
     assert ecc[0] == r and ecc[1] == d + 1 == max(ecc.values())
     assert 1 in _bfs_ball(chi, c, 0, d - r + 1, mask) - \
         _bfs_ball(chi, c, 0, d - r, mask)
-    assert _far_vertex(chi.adj[c], mask, d) == 1
+    assert far_vertex_of(chi.adj[c], mask, d) == 1
     assert diameter_in_mask(chi, c, mask) == d + 1
     for e in range(d + 3):
         assert diameter_at_most(chi, c, mask, e) == (d + 1 <= e), e
-        assert _far_vertex(chi.adj[c], mask, e) == \
+        assert far_vertex_of(chi.adj[c], mask, e) == \
             min((u for u in inside if ecc[u] > e), default=None), e
 
 

@@ -2,8 +2,10 @@
 
 import ast
 import gc
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -19,8 +21,8 @@ from conftest import (decide_digest, prune_digest, random_coloring,
                       two_bag_digest, two_star_pieces)
 from test_graphs import colorings_up_to_12
 from mpcover import ladder, search
-from mpcover.covers import (certifies_masks, cover_from_masks, make_cover,
-                            verify_cover)
+from mpcover.covers import (Cover, certifies_masks, cover_from_masks,
+                            cover_to_json, make_cover, verify_cover)
 from mpcover.errors import (CapExceeded, InvalidParameter, MpcoverError,
                             Unsupported, Unwritable)
 from mpcover.families import (check_monotone_extension, classify_tripartite,
@@ -397,14 +399,14 @@ def test_a_returned_cover_that_fails_verification_is_an_internal_error(
 
 
 def _recorded_verify(monkeypatch):
-    """A list that collects (cover, verdict) of each ``verify_cover`` call
+    """A list that collects (pieces, verdict) of each ``verify_cover`` call
     the ladder makes."""
     calls = []
     original = ladder.verify_cover
 
-    def recorded(chi, cover, d, t):
-        violation = original(chi, cover, d, t)
-        calls.append((cover, violation))
+    def recorded(chi, pieces, d, t):
+        violation = original(chi, pieces, d, t)
+        calls.append((pieces, violation))
         return violation
 
     monkeypatch.setattr(ladder, "verify_cover", recorded)
@@ -412,19 +414,20 @@ def _recorded_verify(monkeypatch):
 
 
 def test_one_passing_verify_cover_per_class(tmp_path, monkeypatch):
-    # the ladder's rungs propose pieces; only _decide builds and verifies a
-    # cover.  The construction generator drops the candidates with a gap or
-    # a failing ring, so every call passes: one per class, on the very
-    # object returned, and no cover verified twice
+    # the ladder's rungs propose pieces, and each class's winner is verified
+    # as pieces.  The construction generator drops the candidates with a gap
+    # or a failing ring, so every call passes: one per class, on the very
+    # tuple returned.  A hint that certifies is the same tuple in each class
+    # it wins, so one tuple may be verified in two classes
     calls = _recorded_verify(monkeypatch)
     returned = []
     decide = search._decide
 
     def recorded(*args):
-        cover, label = decide(*args)
-        if cover is not None:
-            returned.append(cover)
-        return cover, label
+        pieces, label = decide(*args)
+        if pieces is not None:
+            returned.append(pieces)
+        return pieces, label
 
     monkeypatch.setattr(search, "_decide", recorded)
     gk3 = str(tmp_path / "gk3.json")
@@ -436,7 +439,6 @@ def test_one_passing_verify_cover_per_class(tmp_path, monkeypatch):
         assert all(violation is None for _, violation in calls)
         assert len(calls) == len(returned) == result.classes > 0
         assert all(a is b for (a, _), b in zip(calls, returned))
-        assert len({id(cover) for cover, _ in calls}) == len(calls)
     calls.clear()
     assert find_cover(gen_thm31(2), 2, 2) is None
     assert all(violation is not None for _, violation in calls)
@@ -454,19 +456,19 @@ def test_a_construction_candidate_that_fails_verify_cover_is_skipped(
 
     monkeypatch.setattr(ladder, "_prune_candidates",
                         lambda chi, d: iter(bad + [("near-clone", decided)]))
-    cover, label = ladder._decide(chi, 2, 2, True)
+    pieces, label = ladder._decide(chi, 2, 2, True)
     assert label == "near-clone"
-    assert tuple((g.color, g.mask) for g in cover) == decided
+    assert pieces == decided
     # the empty piece and the gap never reach verify_cover; the wide one fails
     assert [violation is None for _, violation in calls] == [False, True]
-    assert calls[-1][0] is cover
+    assert calls[-1][0] is pieces
 
     calls.clear()
     monkeypatch.setattr(ladder, "_prune_candidates",
                         lambda chi, d: iter(bad))
-    cover, label = ladder._decide(chi, 2, 2, True)
+    pieces, label = ladder._decide(chi, 2, 2, True)
     assert label == "trichotomy"  # the later rungs give today's answer
-    assert tuple((g.color, g.mask) for g in cover) == decided
+    assert pieces == decided
     assert [violation is None for _, violation in calls] == [False, True]
 
 
@@ -512,6 +514,35 @@ def test_allred_g3_is_covered_at_diameter_one():
 # ---------------------------------------------------------------------------
 # pruning rules
 # ---------------------------------------------------------------------------
+
+def test_the_public_api_returns_what_it_returned(monkeypatch):
+    # the ladder returns pieces; find_cover and prune_with_constructions
+    # build a Cover from them for their callers, and cover_exists builds
+    # none.  The digest, over cover_exists and each returned cover's JSON
+    # form, was taken when the ladder built a Cover for every winner
+    rng = random.Random(35)
+    colorings = [random_coloring(rng, sizes)
+                 for sizes in ([3, 2, 2], [2, 2, 2, 2], [3, 2, 1], [4, 3, 2],
+                               [2, 1]) for _ in range(12)]
+    td = [(t, d) for t in (1, 2) for d in range(5)]
+    with mock.patch.object(ladder, "cover_from_masks",
+                           side_effect=AssertionError("a Cover was built")):
+        exists = [[cover_exists(chi, t, d) for t, d in td] for chi in colorings]
+    h = hashlib.sha256()
+    for chi, ex in zip(colorings, exists):
+        found = [find_cover(chi, t, d) for t, d in td]
+        pruned = [prune_with_constructions(chi, d) for d in (2, 3)]
+        assert [cover is not None for cover in found] == ex
+        assert all(isinstance(cover, Cover) for cover in found + pruned
+                   if cover is not None)
+        out = [ex, [None if cover is None else cover_to_json(cover)
+                    for cover in found + pruned]]
+        h.update(json.dumps(out).encode())
+        h.update(b"\n")
+    assert 0 < sum(map(sum, exists)) < len(td) * len(colorings)
+    assert h.hexdigest() == (
+        "32acfadfaea1bcd016dcce0d3276e52ed00a086d929efc87de5d21d96be7da43")
+
 
 def test_prune_certificates_always_verify(rng):
     hits = 0
@@ -562,7 +593,7 @@ def test_first_verified_returns_the_pieces_that_verify(chi_pieces, d):
         assert verify_cover(chi, cover, d, 2) is not None
     else:
         assert label == "rule"
-        assert tuple((g.color, g.mask) for g in got) == tuple(pieces)
+        assert got == tuple(pieces)
         assert verify_cover(chi, cover, d, 2) is None
 
 
