@@ -2,9 +2,11 @@
 
 Exit codes are a contract: 0 means the requested claim was verified, 1 means
 it was refuted or a violation was found, 2 means a configuration or cap
-error.  Every report embeds the configuration that produced it, and reports
-contain no timestamps or wall-clock data unless explicitly requested, so a
-rerun with the same configuration is byte-identical.
+error, and 3 means a survey lost a pool worker, so it decided nothing and a
+rerun resumes from the checkpoint.  Every report embeds the configuration
+that produced it, and reports contain no timestamps or wall-clock data
+unless explicitly requested, so a rerun with the same configuration is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .construct import GROUPINGS, multipartite_cover, tc2_cover
 from .covers import (cover_from_json, cover_to_json, subgraph_diameter,
                      verify_cover)
 from .errors import (CapExceeded, ConstructionExhausted, InequalityViolated,
-                     InvalidParameter, MpcoverError, Unwritable)
+                     InvalidParameter, MpcoverError, Unwritable, WorkerLost)
 from .families import classify_tripartite, parse_family
 from .graphs import (EdgeColoring, build_shape, color_diameter,
                      coloring_from_json, coloring_to_json)
@@ -31,6 +33,7 @@ from .search import (MAX_THREADS, SearchResult, compute_D, gk_checkpoint_path,
 OK = 0
 REFUTED = 1
 CONFIG_ERROR = 2
+WORKER_LOST = 3
 
 
 class _Unreadable(Exception):
@@ -466,6 +469,9 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         _warn(str(e))
         return CONFIG_ERROR
+    except WorkerLost as e:
+        _warn(str(e))
+        return WORKER_LOST
     except MpcoverError as e:
         _warn(f"{type(e).__name__}: {e}")
         return CONFIG_ERROR

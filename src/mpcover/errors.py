@@ -71,6 +71,22 @@ class InequalityViolated(MpcoverError):
         self.report = report
 
 
+class WorkerLost(MpcoverError):
+    """A pool worker process died before it returned its chunk.
+
+    Carries ``checkpoint_path``, the checkpoint that holds the progress
+    merged before the loss and that a rerun resumes from, or None when the
+    survey kept no checkpoint; the message names it.
+    """
+
+    def __init__(self, checkpoint_path: str | None = None):
+        resume = (f"rerun to resume from checkpoint {checkpoint_path}"
+                  if checkpoint_path else
+                  "the survey kept no checkpoint, so a rerun starts over")
+        super().__init__(f"a pool worker died; {resume}")
+        self.checkpoint_path = checkpoint_path
+
+
 class InvalidParameter(MpcoverError):
     """Out-of-range or inconsistent parameter (e.g. family parameter too small)."""
 

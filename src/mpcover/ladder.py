@@ -3,13 +3,17 @@
 ``find_cover`` decides whether a coloring admits a cover by t monochromatic
 pieces of diameter <= d (t in {1, 2}).  The decision ladder (``_decide``)
 runs its rungs from cheap to expensive: counting bounds, the spanning
-diameter (at d = 2, on shapes with no size-1 part, each vertex's ball is
-one fold past its row, as in ``far_masks``), two stars at a size-1 part's
-vertex, the clone-pair prune rules, star + double-star pairs, and last the
-exhaustive two-bag search, which takes its conflicts from radius-d balls in
-the full color graph (``far_masks``) and so stays exact.  At d = 1 a
-clique-pair filter rejects first but never supplies the cover; it tests its
-cliques with ``diameter_at_most`` at d = 1, one AND per vertex.
+diameter (at d = 2, on shapes with no size-1 part, the pair test
+``_pairs_meet`` on the full mask: each non-adjacent pair must share a
+neighbor, one AND per pair), two stars at a size-1 part's vertex, the
+clone-pair prune rules, star + double-star pairs, and last the exhaustive
+two-bag search, which takes its conflicts from radius-d balls in the full
+color graph (``far_masks``) and so stays exact.  Every d = 2 diameter test
+of a piece (``verify_cover``, the hints through ``certifies_masks``, the
+near-clone rings, the two-bag leaves) goes through ``diameter_at_most``,
+whose d = 2 test past its dominator scan is the same pair test.  At d = 1
+a clique-pair filter rejects first but never supplies the cover; it tests
+its cliques with ``diameter_at_most`` at d = 1, one AND per vertex.
 
 One tester takes the construction candidates: the two stars and the prune
 rules are generators of (label, pieces) candidates in the order tried
@@ -50,7 +54,7 @@ from __future__ import annotations
 from .construct import star_doublestar_search
 from .covers import certifies_masks, cover_from_masks, verify_cover
 from .errors import InvalidParameter, Unsupported
-from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape, _grow,
+from .graphs import (BLUE, RED, EdgeColoring, MultipartiteShape, _pairs_meet,
                      bilayer_partition, bits_of, diameter_at_most, far_masks,
                      other_color)
 
@@ -75,17 +79,15 @@ def _spanning_diameter(chi: EdgeColoring, c: int, d: int) -> bool:
     """Whether the whole color-c graph has diameter <= d (early exit).
 
     Only a size-1 part's vertex can dominate V.  So at d = 2 on a shape with
-    no size-1 part the balls are grown at once, with no scan for a
-    dominating vertex, each as u, its row and one fold of the row, as in
-    ``far_masks``.  Every other case goes to ``diameter_at_most``.
+    no size-1 part the pair test ``_pairs_meet`` runs on the full mask at
+    once, with no scan for a dominating vertex: every two non-adjacent
+    vertices must share a color-c neighbor.  Every other case goes to
+    ``diameter_at_most``.
     """
-    rows, full = chi.adj[c], chi.shape.full_mask
+    full = chi.shape.full_mask
     if d != 2 or chi.shape.part_sizes[-1] == 1:
         return diameter_at_most(chi, c, full, d)
-    for u, row in enumerate(rows):
-        if 1 << u | row | _grow(rows, row) != full:
-            return False
-    return True
+    return _pairs_meet(chi.adj[c], full)
 
 
 def _two_star_candidates(chi: EdgeColoring):

@@ -36,7 +36,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import CapExceeded, InvalidParameter, Unwritable
+from .errors import CapExceeded, InvalidParameter, Unwritable, WorkerLost
 from .graphs import EdgeColoring, build_shape
 # Only the first four are called here.  The benchmark looks the other four
 # up as ``search`` attributes: three to trace, one to call in its fuzz loop.
@@ -505,6 +505,8 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     on finish; a resumed run redoes the chunks that were in flight and
     whatever merged after the last write.  A checkpoint path whose directory
     takes no new file raises ``Unwritable`` before any class is surveyed.
+    A pool worker that dies raises ``WorkerLost``, once the merged progress
+    is saved to the checkpoint when there is one.
     """
     shape = build_shape(part_sizes)
     sizes = shape.part_sizes
@@ -563,9 +565,12 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
     prior_seconds = spent
     started = time.monotonic()
     in_flight = {}  # future -> (its range, its class limit)
-    pool, slots = None, 1
+    pool, slots, broken = None, 1, ()  # an inline chunk loses no worker
     if threads > 1:
         pool, first_done = _fork_pool(threads)
+        # loaded with the pool: a submit or a result raises it once a
+        # worker has died
+        from concurrent.futures.process import BrokenProcessPool as broken
         slots = 2 * threads  # one chunk running and one queued per worker
     try:
         while True:
@@ -601,6 +606,11 @@ def compute_D(part_sizes, t: int = 2, d_max: int = 4, *,
             if checkpoint_path and unsaved >= checkpoint_every:
                 save_checkpoint(checkpoint_path, snapshot())
                 unsaved = 0
+    except broken as e:
+        if checkpoint_path:  # the merged progress; in-flight cursors stand
+            spent = prior_seconds + (time.monotonic() - started)
+            save_checkpoint(checkpoint_path, snapshot())
+        raise WorkerLost(checkpoint_path) from e
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -1,8 +1,9 @@
 """The graph kernels against a plain BFS, and the row builder against a
 pair enumeration, on colorings of up to 30 vertices: ``diameter_at_most``,
 ``diameter_in_mask``, the eccentricity-skip sweep ``_far_vertex`` and the
-ball walk ``_balls`` inside masks, and ``far_masks``, ``component_of`` and
-``bilayer_partition`` in the full color graph.
+ball walk ``_balls`` inside masks, and ``far_masks``, ``component_of``,
+``bilayer_partition`` and the spanning rung ``ladder._spanning_diameter``
+in the full color graph.
 
 Kept out of the tier-1 suite (about fifty seconds), so it is named to
 stay out of test discovery; run it with
@@ -16,10 +17,11 @@ checks the verdict and the lowest far vertex at every d in 0..n + 1 and at
 INF, the exact diameter, and each member's balls, one by one.  The first
 150 colorings of each seed, planted ones included, also check the full-graph
 kernels: ``far_masks`` at every d in 0..n + 1 and at INF, each vertex's
-``component_of``, and, in blue, the layers of every clone pair.  The
-reference shares no code with the kernels: it reads only ``chi.color_of``
-and ``shape.part_of``, builds neighbor lists, and runs a BFS over vertex
-lists from every vertex of the mask.
+``component_of``, ``_spanning_diameter`` at every d in 0..4 (the pair test
+at d = 2 on shapes with no size-1 part), and, in blue, the layers of every
+clone pair.  The reference shares no code with the kernels: it reads only
+``chi.color_of`` and ``shape.part_of``, builds neighbor lists, and runs a
+BFS over vertex lists from every vertex of the mask.
 
 The same colorings check the rows that ``EdgeColoring`` builds from each
 vertex's bit slice, and ``color_of``, against rows filled one edge at a time
@@ -32,6 +34,7 @@ import random
 import pytest
 
 from conftest import far_vertex_of
+from mpcover import ladder
 from mpcover.cli import _random_sizes
 from mpcover.graphs import (BLUE, INF, RED, EdgeColoring, _balls,
                             bilayer_partition, build_shape, component_of,
@@ -192,7 +195,7 @@ def test_diameter_kernels_agree_with_a_plain_bfs(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_full_graph_kernels_agree_with_a_plain_bfs(seed):
-    seen = {"cut": 0, "long": 0, "bilayer": 0}
+    seen = {"cut": 0, "long": 0, "bilayer": 0, "spans": 0, "wide": 0}
     done = set()
     for chi, c, _ in _cases(seed, 150):
         if (chi, c) in done:
@@ -203,6 +206,12 @@ def test_full_graph_kernels_agree_with_a_plain_bfs(seed):
         dists = _bfs_distances(chi, c, range(n))
         seen["cut"] += len(dists[0]) < n
         seen["long"] += max(max(dist.values()) for dist in dists.values()) > 3
+        diameter = max(_eccentricities(dists).values())
+        for d in range(5):
+            assert ladder._spanning_diameter(chi, c, d) == (diameter <= d), \
+                (*at, d)
+        if shape.part_sizes[-1] > 1:  # the pair test decides d = 2
+            seen["spans" if diameter <= 2 else "wide"] += 1
         for v in range(n):
             assert component_of(chi.adj[c], v) == \
                 sum(1 << w for w in dists[v]), (*at, v)
@@ -220,10 +229,11 @@ def test_full_graph_kernels_agree_with_a_plain_bfs(seed):
                         if v not in (x, xp):
                             want[min(dists[end].get(v, 3), 3)] |= 1 << v
                     assert list(layers) == want, (*at, x, end)
-    # disconnected color graphs, distances past 3 (planted walks) and
-    # clone pairs all occur
+    # disconnected color graphs, distances past 3 (planted walks), clone
+    # pairs and both spanning verdicts at d = 2 without a size-1 part occur
     assert seen["cut"] >= 50 and seen["long"] >= 300
     assert seen["bilayer"] >= 300
+    assert seen["spans"] >= 15 and seen["wide"] >= 300
 
 
 def _pair_rows(shape, bits):

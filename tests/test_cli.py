@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import random_coloring
 from mpcover import cli, construct, covers, search
-from mpcover.cli import CONFIG_ERROR, OK, REFUTED, main
+from mpcover.cli import CONFIG_ERROR, OK, REFUTED, WORKER_LOST, main
 from mpcover.covers import (cover_from_json, cover_from_masks, cover_to_json,
                             make_cover, verify_cover)
 from mpcover.graphs import (RED, EdgeColoring, build_shape,
@@ -249,6 +249,35 @@ def test_compute_d_resume_loop(tmp_path, capsys):
     else:
         pytest.fail("resume loop never finished")
     assert obj["result"] == json.loads(straight)["result"]
+
+
+_CHUNK_WORKER = search._chunk_worker
+
+
+def _dying_chunk_worker(args):
+    """The chunk worker, except that a range not starting at key 0 ends its
+    process at once, as a SIGKILL would, with no exception to send back."""
+    if args[7]:  # the range's cursor
+        os._exit(1)
+    return _CHUNK_WORKER(args)
+
+
+def test_a_lost_pool_worker_exits_3_and_its_checkpoint_resumes(
+        tmp_path, capfd, monkeypatch):
+    cp = str(tmp_path / "cp.json")
+    argv = ["compute-d", "--parts", "2,2,2", "--checkpoint", cp,
+            "--checkpoint-every", "10"]
+    code, clean, _ = run(capfd, *argv, "--threads", "1")
+    assert code == OK
+    os.remove(cp)
+    monkeypatch.setattr(search, "_chunk_worker", _dying_chunk_worker)
+    code, out, err = run(capfd, *argv, "--threads", "2")
+    assert code == WORKER_LOST and out == ""
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert "WorkerLost" not in err and cp in err
+    monkeypatch.undo()  # the inline chunks would end this process
+    code, resumed, _ = run(capfd, *argv, "--threads", "1")
+    assert code == OK and resumed == clean
 
 
 def test_compute_d_stop_after_needs_checkpoint(capsys):

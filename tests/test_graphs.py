@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import far_vertex_of, random_coloring
-from mpcover import graphs
+from mpcover import graphs, ladder
 from mpcover.errors import (EmptySet, InvalidShape, InvalidVertex,
                             NoUniqueClone)
 from mpcover.graphs import (BLUE, INF, MAX_VERTICES, RED, EdgeColoring,
@@ -547,7 +547,8 @@ def test_the_eccentricity_skip_stops_next_to_a_far_vertex(d, r, candy, c):
 def test_diameter_at_most_grows_no_sweep_below_d_3(rng, monkeypatch):
     # past the dominator scan the sweep could clear only each center at
     # d = 2, and keeping its balls made the surveys, which decide nearly
-    # every mask at d = 2, slower; d <= 2 keeps one plain ball per vertex
+    # every mask at d = 2, slower; d = 2 runs the pair test, which grows
+    # no ball at all
     def no_sweep(rows, allowed, d):
         raise AssertionError(f"_far_vertex at d = {d}")
 
@@ -568,8 +569,8 @@ def _dominated(chi, c, mask):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_diameter_at_most_2_matches_the_exact_diameter(seed):
-    # past the dominator scan, d = 2 grows one one-fold ball per vertex
-    # inside the mask; the seeded masks reach that loop with both answers
+    # past the dominator scan, d = 2 runs the pair test inside the mask;
+    # the seeded masks reach it with both answers
     rng = random.Random(seed)
     reached = {False: 0, True: 0}
     for _ in range(400):
@@ -584,6 +585,50 @@ def test_diameter_at_most_2_matches_the_exact_diameter(seed):
         if mask.bit_count() > 3 and not _dominated(chi, c, mask):
             reached[got] += 1
     assert reached[False] and reached[True]
+
+
+def test_a_pair_meeting_only_outside_the_mask_fails_at_d_2():
+    # on K_6, red inside {0, 1, 2, 3} is the path 0-2-3-1, which no vertex
+    # dominates; 0 and 1 share only vertex 4, red to all, outside the mask
+    shape = build_shape([1] * 6)
+    red = {(0, 2), (2, 3), (1, 3), *((v, 4) for v in (0, 1, 2, 3)), (4, 5)}
+    chi = EdgeColoring.from_edges(shape, [(u, v, RED if (u, v) in red else BLUE)
+                                          for u, v in shape.edges])
+    mask = 0b1111
+    assert chi.adj[RED][0] & chi.adj[RED][1] == 1 << 4
+    assert not graphs._pairs_meet(chi.adj[RED], mask)
+    assert not diameter_at_most(chi, RED, mask, 2)
+    assert diameter_at_most(chi, RED, mask, 3)
+    assert graphs._pairs_meet(chi.adj[RED], mask | 1 << 4)
+    assert diameter_at_most(chi, RED, mask | 1 << 4, 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_d_2_checks_grow_no_ball(seed, monkeypatch):
+    # the pair test decides d = 2 with ANDs alone: with _grow raising, the
+    # masked check past the one-ball path (masks of 4 or more vertices) and
+    # the spanning rung still give the exact verdicts, taken beforehand
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(300):
+        chi = random_coloring(rng, rng.choice(([2, 2, 2, 2], [3, 3, 2],
+                                                [5, 2, 2], [3, 2, 1],
+                                                [1] * 7, [4, 4, 3])))
+        c = rng.choice((RED, BLUE))
+        mask = rng.getrandbits(chi.n) | 0b1111
+        cases.append((chi, c, mask, diameter_in_mask(chi, c, mask) <= 2,
+                      diameter_in_mask(chi, c, chi.shape.full_mask) <= 2))
+
+    def no_ball(rows, frontier):
+        raise AssertionError("_grow at d = 2")
+
+    monkeypatch.setattr(graphs, "_grow", no_ball)
+    seen = {False: 0, True: 0}
+    for chi, c, mask, want, spans in cases:
+        assert diameter_at_most(chi, c, mask, 2) == want
+        assert ladder._spanning_diameter(chi, c, 2) == spans
+        seen[want] += 1
+    assert seen[False] and seen[True]
 
 
 @st.composite
