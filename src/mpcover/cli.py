@@ -2,8 +2,9 @@
 
 Exit codes are a contract: 0 means the requested claim was verified, 1 means
 it was refuted or a violation was found, 2 means a configuration or cap
-error, and 3 means a survey lost a pool worker, so it decided nothing and a
-rerun resumes from the checkpoint.  Every report embeds the configuration
+error, and 3 means a survey lost a pool worker, so it decided nothing; a
+rerun resumes from the checkpoint when the survey keeps one and starts over
+when it does not.  Every report embeds the configuration
 that produced it, and reports contain no timestamps or wall-clock data
 unless explicitly requested, so a rerun with the same configuration is
 byte-identical.

@@ -79,7 +79,7 @@ class WorkerLost(MpcoverError):
     survey kept no checkpoint; the message names it.
     """
 
-    def __init__(self, checkpoint_path: str | None = None):
+    def __init__(self, checkpoint_path: str | None):
         resume = (f"rerun to resume from checkpoint {checkpoint_path}"
                   if checkpoint_path else
                   "the survey kept no checkpoint, so a rerun starts over")

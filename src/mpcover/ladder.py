@@ -164,7 +164,10 @@ def _supported(rows, v: int, inb: int, exb: int) -> bool:
     """The d = 2 support test of v against the vertices already in a bag.
 
     Each bag vertex u not adjacent to v needs a common neighbor outside the
-    excluded mask; the low bits of those u are peeled inline.
+    excluded mask; the low bits of those u are peeled inline.  It is the
+    pair test of ``graphs._pairs_meet`` for one vertex, against the vertices
+    not yet excluded rather than a fixed mask; ``_pairs_meet`` inlines the
+    same loop, since a call per vertex there slowed the survey.
     """
     row = rows[v]
     keep = row & ~exb

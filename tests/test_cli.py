@@ -275,6 +275,11 @@ def test_a_lost_pool_worker_exits_3_and_its_checkpoint_resumes(
     assert code == WORKER_LOST and out == ""
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert "WorkerLost" not in err and cp in err
+    # with no checkpoint the line says that a rerun starts over
+    code, out, err = run(capfd, *argv[:3], "--threads", "2")
+    assert code == WORKER_LOST and out == ""
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert "no checkpoint" in err and "starts over" in err
     monkeypatch.undo()  # the inline chunks would end this process
     code, resumed, _ = run(capfd, *argv, "--threads", "1")
     assert code == OK and resumed == clean
